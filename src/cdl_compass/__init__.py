@@ -10,196 +10,132 @@ validator/planner/auditor, all reachable from the ``cdl-compass``
 command line.
 """
 
-from .engine import (
-    AuditReport,
-    StageRecord,
-    ValidationReport,
-    audit_transitions,
-    format_pipeline,
-    parse_pipeline,
-    plan_pipeline,
-    validate_pipeline,
-)
-from .expressions import (
-    EvaluationError,
-    Expression,
-    ExpressionSyntaxError,
-    evaluate_expression,
-    format_expression,
-    free_variables,
-    parse_expression,
-)
-from .graphs import (
-    CycleError,
-    Dag,
-    GraphFormatError,
-    IndependenceSet,
-    IndependenceStatement,
-    Pdag,
-    TemporalTemplate,
-    consistent_with,
-    d_separated,
-    enumerate_dags,
-    enumerate_mec,
-    format_graph,
-    hidden_confounder_template,
-    implied_independencies,
-    parse_constraints,
-    parse_dag,
-    parse_graph,
-    unroll,
-)
-from .lattice import (
-    KnowledgeState,
-    ParametricLevel,
-    ParametricTag,
-    PayloadConflictError,
-    StructuralLevel,
-    StructuralTag,
-    TemporalFlag,
-    Transition,
-    TransitionKind,
-    all_tag_states,
-    classify_transition,
-    join_states,
-    knowledge_state,
-    leq,
-    satisfies,
-)
-from .registry import (
-    Catalog,
-    MethodCard,
-    UnknownCardError,
-    default_catalog,
-    load_catalog,
-    query_catalog,
-    save_catalog,
-)
-from .scm import (
-    Dataset,
-    Factor,
-    Factorization,
-    NormalNoise,
-    Scm,
-    ScmFormatError,
-    StructuralEquation,
-    UniformNoise,
-    evaluate_factorization,
-    format_scm,
-    ihdp_surfaces,
-    oracle_cate,
-    parse_scm,
-    sample,
-    scopes_consistent_with_dag,
-)
-from .stats import (
-    AnmResult,
-    CausalDirection,
-    Decision,
-    TestReport,
-    TestabilityTier,
-    anm_direction,
-    cusum_critical_coefficient,
-    cusum_crossing_probability,
-    cusum_linearity_test,
-    jarque_bera_test,
-    ks_test,
-    partial_correlation,
-    partial_correlation_ci_test,
-    recursive_residuals,
-    residual_independence_test,
-    savitzky_golay_smooth,
-    testability_tier,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnmResult",
-    "AuditReport",
-    "Catalog",
-    "CausalDirection",
-    "CycleError",
-    "Dag",
-    "Dataset",
-    "Decision",
-    "EvaluationError",
-    "Expression",
-    "ExpressionSyntaxError",
-    "Factor",
-    "Factorization",
-    "GraphFormatError",
-    "IndependenceSet",
-    "IndependenceStatement",
-    "KnowledgeState",
-    "MethodCard",
-    "NormalNoise",
-    "ParametricLevel",
-    "ParametricTag",
-    "PayloadConflictError",
-    "Pdag",
-    "Scm",
-    "ScmFormatError",
-    "StageRecord",
-    "StructuralEquation",
-    "StructuralLevel",
-    "StructuralTag",
-    "TemporalFlag",
-    "TemporalTemplate",
-    "TestReport",
-    "TestabilityTier",
-    "Transition",
-    "TransitionKind",
-    "UniformNoise",
-    "UnknownCardError",
-    "ValidationReport",
-    "all_tag_states",
-    "anm_direction",
-    "audit_transitions",
-    "classify_transition",
-    "consistent_with",
-    "cusum_critical_coefficient",
-    "cusum_crossing_probability",
-    "cusum_linearity_test",
-    "d_separated",
-    "default_catalog",
-    "enumerate_dags",
-    "enumerate_mec",
-    "evaluate_expression",
-    "evaluate_factorization",
-    "format_expression",
-    "format_graph",
-    "format_pipeline",
-    "format_scm",
-    "free_variables",
-    "hidden_confounder_template",
-    "ihdp_surfaces",
-    "implied_independencies",
-    "jarque_bera_test",
-    "join_states",
-    "knowledge_state",
-    "ks_test",
-    "leq",
-    "load_catalog",
-    "oracle_cate",
-    "parse_constraints",
-    "parse_dag",
-    "parse_expression",
-    "parse_graph",
-    "parse_pipeline",
-    "parse_scm",
-    "partial_correlation",
-    "partial_correlation_ci_test",
-    "plan_pipeline",
-    "query_catalog",
-    "recursive_residuals",
-    "residual_independence_test",
-    "sample",
-    "satisfies",
-    "save_catalog",
-    "savitzky_golay_smooth",
-    "scopes_consistent_with_dag",
-    "testability_tier",
-    "unroll",
-    "validate_pipeline",
-]
+# Public name -> the submodule defining it.  Submodules are imported on first
+# attribute access (PEP 562), so ``import cdl_compass`` loads neither numpy nor
+# scipy, and a command that needs only the catalog never pays for them.
+_EXPORTS = {
+    "engine": (
+        "AuditReport",
+        "StageRecord",
+        "ValidationReport",
+        "audit_transitions",
+        "format_pipeline",
+        "parse_pipeline",
+        "plan_pipeline",
+        "validate_pipeline",
+    ),
+    "expressions": (
+        "EvaluationError",
+        "Expression",
+        "ExpressionSyntaxError",
+        "evaluate_expression",
+        "format_expression",
+        "free_variables",
+        "parse_expression",
+    ),
+    "graphs": (
+        "CycleError",
+        "Dag",
+        "GraphFormatError",
+        "IndependenceSet",
+        "IndependenceStatement",
+        "Pdag",
+        "TemporalTemplate",
+        "consistent_with",
+        "d_separated",
+        "enumerate_dags",
+        "enumerate_mec",
+        "format_graph",
+        "hidden_confounder_template",
+        "implied_independencies",
+        "parse_constraints",
+        "parse_dag",
+        "parse_graph",
+        "unroll",
+    ),
+    "lattice": (
+        "KnowledgeState",
+        "ParametricLevel",
+        "ParametricTag",
+        "PayloadConflictError",
+        "StructuralLevel",
+        "StructuralTag",
+        "TemporalFlag",
+        "TestabilityTier",
+        "Transition",
+        "TransitionKind",
+        "all_tag_states",
+        "classify_transition",
+        "join_states",
+        "knowledge_state",
+        "leq",
+        "satisfies",
+        "testability_tier",
+    ),
+    "registry": (
+        "Catalog",
+        "MethodCard",
+        "UnknownCardError",
+        "default_catalog",
+        "load_catalog",
+        "query_catalog",
+        "save_catalog",
+    ),
+    "scm": (
+        "Dataset",
+        "Factor",
+        "Factorization",
+        "NormalNoise",
+        "Scm",
+        "ScmFormatError",
+        "StructuralEquation",
+        "UniformNoise",
+        "evaluate_factorization",
+        "format_scm",
+        "ihdp_surfaces",
+        "oracle_cate",
+        "parse_scm",
+        "sample",
+        "scopes_consistent_with_dag",
+    ),
+    "stats": (
+        "AnmResult",
+        "CausalDirection",
+        "Decision",
+        "TestReport",
+        "anm_direction",
+        "cusum_critical_coefficient",
+        "cusum_crossing_probability",
+        "cusum_linearity_test",
+        "jarque_bera_test",
+        "ks_test",
+        "partial_correlation",
+        "partial_correlation_ci_test",
+        "recursive_residuals",
+        "residual_independence_test",
+        "savitzky_golay_smooth",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    try:
+        module = _ORIGIN[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -11,6 +11,10 @@ usage error (unknown flags, missing or incompatible options).  Output
 is byte-identical for identical argv, input files, and seeds.  The
 environment variable ``CDL_COMPASS_SEED`` replaces the built-in default
 seed 0; an explicit ``--seed`` wins over both.
+
+The numpy-backed modules (``scm``, ``stats``) are imported inside the
+handlers that use them, so the graph, catalog and pipeline subcommands
+start without loading numpy.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .engine import (
     audit_transitions,
@@ -30,21 +35,11 @@ from .engine import (
     validate_pipeline,
 )
 from .graphs import d_separated, enumerate_mec, format_graph, parse_constraints, parse_dag
-from .lattice import KnowledgeState
+from .lattice import KnowledgeState, testability_tier
 from .registry import card_to_mapping, default_catalog, load_catalog, query_catalog
-from .scm import Dataset, parse_scm, sample
-from .stats import (
-    TestReport,
-    anm_direction,
-    cusum_linearity_test,
-    gaussian_cdf,
-    jarque_bera_test,
-    ks_test,
-    partial_correlation_ci_test,
-    residual_independence_test,
-    testability_tier,
-    uniform_cdf,
-)
+
+if TYPE_CHECKING:
+    from .stats import TestReport
 
 
 class _UsageError(Exception):
@@ -164,6 +159,8 @@ def _cmd_mec(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .scm import parse_scm, sample
+
     model = parse_scm(_read_text(args.model))
     data = sample(model, args.n, seed=_resolve_seed(args))
     if args.out is not None:
@@ -192,6 +189,17 @@ def _require(args, flags: list[str]) -> None:
 
 
 def _cmd_test(args) -> int:
+    from .scm import Dataset
+    from .stats import (
+        cusum_linearity_test,
+        gaussian_cdf,
+        jarque_bera_test,
+        ks_test,
+        partial_correlation_ci_test,
+        residual_independence_test,
+        uniform_cdf,
+    )
+
     data = Dataset.from_csv(args.data)
     if args.test == "ks":
         _require(args, ["--column"])
@@ -228,6 +236,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_anm(args) -> int:
+    from .scm import Dataset
+    from .stats import anm_direction
+
     data = Dataset.from_csv(args.data)
     result = anm_direction(
         data.column(args.x),

@@ -22,6 +22,10 @@ Levels may optionally carry a payload (the actual independence set, PDAG,
 graph, or equation reference backing the tag).  Payloads are compared only
 for identity at equal tags; there is no notion of one payload refining
 another.
+
+Each level also has a testability tier: whether a claim at that level
+needs no empirical support, admits some, or asserts more than
+observational data can confirm.
 """
 
 from __future__ import annotations
@@ -363,3 +367,42 @@ def all_tag_states(temporal: TemporalFlag | None = None) -> list[KnowledgeState]
         for p in ParametricTag
         for t in flags
     ]
+
+
+class TestabilityTier(enum.Enum):
+    NO_TESTS_NEEDED = "no_tests_needed"
+    TESTABLE = "testable"
+    UNTESTABLE = "untestable"
+
+    @property
+    def label(self) -> str:
+        return self.value
+
+
+_STRUCTURAL_TIERS = {
+    StructuralTag.UNKNOWN: TestabilityTier.NO_TESTS_NEEDED,
+    StructuralTag.PLAUSIBLE: TestabilityTier.TESTABLE,
+    StructuralTag.CAUSAL: TestabilityTier.UNTESTABLE,
+}
+
+_PARAMETRIC_TIERS = {
+    ParametricTag.NONPARAMETRIC: TestabilityTier.NO_TESTS_NEEDED,
+    ParametricTag.NOISE_MODEL: TestabilityTier.TESTABLE,
+    ParametricTag.PARAMETRIC: TestabilityTier.TESTABLE,
+    ParametricTag.FULLY_KNOWN: TestabilityTier.UNTESTABLE,
+}
+
+
+def testability_tier(tag: StructuralTag | ParametricTag) -> TestabilityTier:
+    """How much empirical support a claimed knowledge level admits.
+
+    Bottom levels claim nothing and need no tests; mid levels carry
+    falsifiable implications (independence constraints, noise shape,
+    functional form); top levels assert more than observational data can
+    confirm.
+    """
+    if isinstance(tag, StructuralTag):
+        return _STRUCTURAL_TIERS[tag]
+    if isinstance(tag, ParametricTag):
+        return _PARAMETRIC_TIERS[tag]
+    raise TypeError(f"expected a structural or parametric tag, got {tag!r}")

@@ -20,8 +20,10 @@ Tests provided:
 * Gaussian conditional-independence testing via partial correlation and
   the Fisher z transform.
 
-Also here: the mapping from knowledge tags to testability tiers (which
-levels of a claimed state need empirical support, which cannot get any).
+The distribution functions are closed forms on top of numpy and ``math``;
+only the exact small-sample Kolmogorov–Smirnov p-value needs scipy, which
+is imported on that path alone.  ``TestabilityTier`` and
+``testability_tier`` are re-exported from :mod:`cdl_compass.lattice`.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.signal import savgol_filter
-from scipy.special import kolmogorov, ndtr
-from scipy.stats import chi2, kstwo, rankdata
 
-from .lattice import ParametricTag, StructuralTag
+from .lattice import ParametricTag, StructuralTag, TestabilityTier, testability_tier
 
 
 class Decision(enum.Enum):
@@ -187,6 +185,45 @@ def _as_vector(values: Sequence[float], name: str, minimum: int = 1) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# Distribution functions
+
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _normal_sf(z: float) -> float:
+    """Standard normal upper tail ``1 - Phi(z)``, with full resolution for large z."""
+    return 0.5 * math.erfc(z * _SQRT1_2)
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """Survival function of the limiting Kolmogorov distribution, ``P(K > x)``.
+
+    From x = 1 up, the alternating series ``2 sum (-1)^(k-1) exp(-2 k^2 x^2)``
+    converges in a few terms.  Below 1 it converges slowly, and the
+    complement of the theta-function form
+    ``sqrt(2 pi) / x * sum exp(-(2k-1)^2 pi^2 / (8 x^2))`` is used instead.
+    """
+    if x <= 0.1:
+        return 1.0  # P(K <= 0.1) < 1e-52, far below rounding of 1
+    total = 0.0
+    k = 1
+    if x >= 1.0:
+        while True:
+            term = math.exp(-2.0 * k * k * x * x)
+            total += term if k % 2 else -term
+            if term <= 1e-17 * total:
+                return min(1.0, 2.0 * total)
+            k += 1
+    w = math.pi * math.pi / (8.0 * x * x)
+    while True:
+        term = math.exp(-(2 * k - 1) ** 2 * w)
+        total += term
+        if term <= 1e-17 * total:
+            return max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / x * total)
+        k += 1
+
+
+# ---------------------------------------------------------------------------
 # Kolmogorov–Smirnov
 
 _KS_EXACT_LIMIT = 35
@@ -195,7 +232,7 @@ _KS_EXACT_LIMIT = 35
 def gaussian_cdf(mu: float = 0.0, sigma: float = 1.0) -> Callable[[float], float]:
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return lambda v: float(ndtr((v - mu) / sigma))
+    return lambda v: _normal_sf(-(v - mu) / sigma)
 
 
 def uniform_cdf(low: float = 0.0, high: float = 1.0) -> Callable[[float], float]:
@@ -225,9 +262,11 @@ def ks_test(
     lower = f - np.arange(0, n) / n
     d = float(max(upper.max(), lower.max(), 0.0))
     if n < _KS_EXACT_LIMIT:
+        from scipy.stats import kstwo
+
         p = float(kstwo.sf(d, n))
     else:
-        p = float(kolmogorov(math.sqrt(n) * d))
+        p = _kolmogorov_sf(math.sqrt(n) * d)
     return TestReport.from_p(
         "ks", d, p, alpha, bears_on=ParametricTag.NOISE_MODEL, details={"n": int(n)}
     )
@@ -242,8 +281,8 @@ def jarque_bera_test(values: Sequence[float], alpha: float = 0.05) -> TestReport
 
     Central moments use the 1/n convention; the statistic is
     ``n/6 * (S^2 + (K - 3)^2 / 4)`` against a chi-square with 2 degrees of
-    freedom.  Constant samples have no defined shape and are rejected as
-    input.
+    freedom, whose survival function is ``exp(-x/2)``.  Constant samples
+    have no defined shape and are rejected as input.
     """
     xs = _as_vector(values, "values", minimum=3)
     n = xs.shape[0]
@@ -254,7 +293,7 @@ def jarque_bera_test(values: Sequence[float], alpha: float = 0.05) -> TestReport
     skew = float(np.mean(centered**3)) / m2**1.5
     kurt = float(np.mean(centered**4)) / m2**2
     jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
-    p = float(chi2.sf(jb, 2))
+    p = math.exp(-jb / 2.0)
     return TestReport.from_p(
         "jarque_bera",
         jb,
@@ -283,18 +322,27 @@ def cusum_crossing_probability(coefficient: float) -> float:
 
 
 def _crossing_raw(c: float) -> float:
-    return 2.0 * (1.0 - float(ndtr(3.0 * c)) + math.exp(-4.0 * c * c) * float(ndtr(c)))
+    return 2.0 * (_normal_sf(3.0 * c) + math.exp(-4.0 * c * c) * _normal_sf(-c))
 
 
 def cusum_critical_coefficient(alpha: float) -> float:
     """Boundary coefficient whose crossing probability equals ``alpha``.
 
-    Solved numerically; reproduces the classical tabled values 0.850,
-    0.948, and 1.143 at the 10%, 5%, and 1% levels.
+    Solved by bisection on [1e-12, 20], where the crossing probability
+    falls monotonically, down to adjacent floats; reproduces the classical
+    tabled values 0.850, 0.948, and 1.143 at the 10%, 5%, and 1% levels.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha {alpha!r} outside (0, 1)")
-    return float(brentq(lambda c: _crossing_raw(c) - alpha, 1e-12, 20.0))
+    lo, hi = 1e-12, 20.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if _crossing_raw(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
 
 
 def recursive_residuals(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
@@ -333,6 +381,13 @@ def recursive_residuals(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _exactly_linear(x: np.ndarray, y: np.ndarray) -> bool:
+    xc = x - x.mean()
+    yc = y - y.mean()
+    residuals = yc - float(xc @ yc) / float(xc @ xc) * xc
+    return float(np.abs(residuals).max()) <= 64.0 * np.finfo(float).eps * float(np.abs(y).max())
+
+
 def cusum_linearity_test(
     x: Sequence[float],
     y: Sequence[float],
@@ -346,7 +401,10 @@ def cusum_linearity_test(
     in the true relationship makes the recursive residuals trend and the
     cumulative sum escape.  The statistic is the largest boundary-relative
     excursion, the p-value its crossing probability.  A perfectly linear
-    noise-free sample yields statistic 0 and no rejection.
+    noise-free sample yields statistic 0, sigma 0 and no rejection; it is
+    recognised by its full-sample least-squares residuals, all within
+    ``64 * eps * max|y|`` of zero, since rounding in the recursion leaves
+    residuals of no fixed scale.
 
     An advisory Kolmogorov–Smirnov sub-report checks the standardized
     residuals against the standard normal; it flags distributional
@@ -360,6 +418,8 @@ def cusum_linearity_test(
     if big_r < 2:
         raise ValueError("too few recursive residuals to form a path")
     sigma = math.sqrt(float(np.sum(w**2)) / big_r)
+    if _exactly_linear(np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
+        sigma = 0.0
     details: dict[str, float | int | str | bool] = {
         "n_residuals": int(big_r),
         "sigma": sigma,
@@ -396,7 +456,11 @@ def savitzky_golay_smooth(
     """Local least-squares polynomial smoothing over a sliding window.
 
     The window must be odd, longer than the degree, and no longer than the
-    input; edges are handled by evaluating the edge window's polynomial.
+    input.  Each interior point gets the value at its centre of the
+    degree-``degree`` least-squares fit over its window (Savitzky & Golay
+    1964), as one correlation with fixed weights; the first and last
+    ``window // 2`` points get the fit over the first or last window
+    evaluated at their own positions.
     """
     arr = _as_vector(values, "values")
     if window % 2 == 0 or window < 3:
@@ -405,15 +469,42 @@ def savitzky_golay_smooth(
         raise ValueError(f"degree {degree} incompatible with window {window}")
     if window > arr.shape[0]:
         raise ValueError(f"window {window} exceeds series length {arr.shape[0]}")
-    return savgol_filter(arr, window, degree, mode="interp")
+    n, half = arr.shape[0], window // 2
+    offsets = np.arange(-half, half + 1, dtype=float)
+    powers = offsets ** np.arange(degree + 1)[:, None]
+    # Minimum-norm weights w with powers @ w = e_0: w @ y is the fitted
+    # polynomial's value at offset 0.
+    unit = np.zeros(degree + 1)
+    unit[0] = 1.0
+    weights = np.linalg.lstsq(powers, unit, rcond=None)[0]
+    out = np.empty(n)
+    out[half : n - half] = np.correlate(arr, weights, mode="valid")
+    positions = np.arange(window)
+    head = np.polyfit(positions, arr[:window], degree)
+    out[:half] = np.polyval(head, positions[:half])
+    tail = np.polyfit(positions, arr[n - window :], degree)
+    out[n - half :] = np.polyval(tail, positions[window - half :])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Residual independence
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, tied values sharing the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    bounds = np.append(np.flatnonzero(starts), ordered.shape[0])
+    group = np.cumsum(starts) - 1
+    ranks = np.empty(ordered.shape[0])
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
+
+
 def _centered_ranks(values: np.ndarray) -> np.ndarray:
-    ranks = rankdata(values)
+    ranks = _average_ranks(values)
     return ranks - ranks.mean()
 
 
@@ -615,7 +706,7 @@ def partial_correlation_ci_test(
         z = math.inf
     else:
         z = abs(math.atanh(rho)) * math.sqrt(dof)
-        p = 2.0 * (1.0 - float(ndtr(z)))
+        p = 2.0 * _normal_sf(z)
     return TestReport.from_p(
         "partial_correlation",
         rho,
@@ -624,49 +715,6 @@ def partial_correlation_ci_test(
         bears_on=StructuralTag.PLAUSIBLE,
         details={"n": int(n), "given": ",".join(given), "z": float(z)},
     )
-
-
-# ---------------------------------------------------------------------------
-# Testability tiers
-
-
-class TestabilityTier(enum.Enum):
-    NO_TESTS_NEEDED = "no_tests_needed"
-    TESTABLE = "testable"
-    UNTESTABLE = "untestable"
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-
-_STRUCTURAL_TIERS = {
-    StructuralTag.UNKNOWN: TestabilityTier.NO_TESTS_NEEDED,
-    StructuralTag.PLAUSIBLE: TestabilityTier.TESTABLE,
-    StructuralTag.CAUSAL: TestabilityTier.UNTESTABLE,
-}
-
-_PARAMETRIC_TIERS = {
-    ParametricTag.NONPARAMETRIC: TestabilityTier.NO_TESTS_NEEDED,
-    ParametricTag.NOISE_MODEL: TestabilityTier.TESTABLE,
-    ParametricTag.PARAMETRIC: TestabilityTier.TESTABLE,
-    ParametricTag.FULLY_KNOWN: TestabilityTier.UNTESTABLE,
-}
-
-
-def testability_tier(tag: StructuralTag | ParametricTag) -> TestabilityTier:
-    """How much empirical support a claimed knowledge level admits.
-
-    Bottom levels claim nothing and need no tests; mid levels carry
-    falsifiable implications (independence constraints, noise shape,
-    functional form); top levels assert more than observational data can
-    confirm.
-    """
-    if isinstance(tag, StructuralTag):
-        return _STRUCTURAL_TIERS[tag]
-    if isinstance(tag, ParametricTag):
-        return _PARAMETRIC_TIERS[tag]
-    raise TypeError(f"expected a structural or parametric tag, got {tag!r}")
 
 
 __all__ = [

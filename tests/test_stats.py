@@ -277,6 +277,35 @@ class TestCusum:
         assert r.decision is Decision.FAIL_TO_REJECT
         assert r.details["sigma"] == 0.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
+    def test_exact_line_with_rounding_scores_zero(self, scale):
+        # 2.5 * x rounds, so the recursion leaves residuals near 1e-16
+        # instead of exact zeros; the line must still score zero.
+        x = np.random.default_rng(20230303).normal(size=300)
+        r = cusum_linearity_test(x, scale * (1.25 + 2.5 * x))
+        assert r.statistic == 0.0
+        assert r.p_value == 1.0
+        assert r.decision is Decision.FAIL_TO_REJECT
+        assert r.details["sigma"] == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e30])
+    def test_noisy_line_scale_invariant(self, scale):
+        rng = np.random.default_rng(20230304)
+        x = rng.normal(size=300)
+        y = 1.25 + 2.5 * x + rng.normal(0, 0.1, 300)
+        plain = cusum_linearity_test(x, y)
+        scaled = cusum_linearity_test(x, scale * y)
+        assert scaled.decision is plain.decision
+        assert scaled.statistic == pytest.approx(plain.statistic, rel=1e-9)
+        assert plain.statistic > 0.0
+
+    def test_nearly_exact_line_is_not_exact(self):
+        # Noise at 1e-9 of the spread is far above rounding: not a perfect line.
+        rng = np.random.default_rng(20230305)
+        x = rng.normal(size=300)
+        y = 1.25 + 2.5 * x + 2.5e-9 * rng.normal(size=300)
+        assert cusum_linearity_test(x, y).details["sigma"] > 0.0
+
     def test_linear_with_noise_passes(self):
         rng = np.random.default_rng(10)
         x = rng.uniform(-1, 1, 200)
@@ -491,6 +520,17 @@ class TestPartialCorrelation:
         r = partial_correlation_ci_test(data, "x", "y")
         assert r.decision is Decision.REJECT_NULL
         assert r.p_value == 0.0
+
+    def test_strong_dependence_keeps_tail_p(self):
+        # z near 13.4: 1 - Phi(z) underflows to zero; erfc keeps ~6.4e-41.
+        rng = np.random.default_rng(20230302)
+        x = rng.normal(size=1000)
+        y = 0.4 * x + rng.normal(size=1000)
+        r = partial_correlation_ci_test({"x": x, "y": y}, "x", "y")
+        z = r.details["z"]
+        assert r.p_value > 0.0
+        assert r.p_value == pytest.approx(math.erfc(z / math.sqrt(2.0)), rel=1e-12)
+        assert r.decision is Decision.REJECT_NULL
 
     def test_negative_perfect(self):
         rng = np.random.default_rng(19)
