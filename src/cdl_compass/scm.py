@@ -38,6 +38,7 @@ import io
 import itertools
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
@@ -138,35 +139,41 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, source) -> "Dataset":
-        """Read CSV with a header row; rejects ragged rows, non-numbers, NaN."""
+        """Read CSV with a header row; rejects ragged rows, non-numbers, NaN.
+
+        A file is parsed line by line into one float buffer per column, so
+        neither its text nor its rows are held whole.
+        """
         if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                text = fh.read()
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
+            return cls._read_csv(io.StringIO(source.read()))
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return cls._read_csv(fh)
+
+    @classmethod
+    def _read_csv(cls, lines) -> "Dataset":
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is None:
             raise ValueError("empty CSV: missing header row")
-        header = rows[0]
         if len(set(header)) != len(header):
             raise ValueError("duplicate column names in CSV header")
-        columns: dict[str, list[float]] = {name: [] for name in header}
-        for lineno, row in enumerate(rows[1:], start=2):
+        columns = [array("d") for _ in header]
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(
                     f"row {lineno}: {len(row)} fields, expected {len(header)}"
                 )
-            for name, cell in zip(header, row):
+            for column, cell in zip(columns, row):
                 try:
                     value = float(cell)
                 except ValueError:
                     raise ValueError(f"row {lineno}: non-numeric value {cell!r}") from None
                 if math.isnan(value):
                     raise ValueError(f"row {lineno}: NaN is not accepted")
-                columns[name].append(value)
-        return cls(columns)
+                column.append(value)
+        return cls(dict(zip(header, columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +563,8 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
     Deterministic per seed: each noise symbol gets its own substream keyed
     by name, so the same seed reproduces the same dataset byte for byte
     regardless of declaration order.  Columns come out in sorted name
-    order.  Models holding any equation below the noise-model level cannot
-    be sampled.
+    order, as rows of one array.  Models holding any equation below the
+    noise-model level cannot be sampled.
     """
     if n < 0:
         raise ValueError(f"sample size must be non-negative, got {n}")
@@ -567,22 +574,27 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
                 f"cannot sample: equation for {target!r} is at the "
                 f"{eq.level.label} level"
             )
-    draws = {
-        noise_symbol(key): spec.draw(_substream(seed, f"noise:{key}"), n)
-        for key, spec in m.noise.items()
-    }
+    # Noise and values each fill the rows of one (k, n) block.  One array per
+    # variable left thousands of small chunks on the C heap, and how much of
+    # them stayed resident, and so the peak memory, varied from run to run.
+    draws: dict[str, np.ndarray] = {}
+    for row, (key, spec) in zip(np.empty((len(m.noise), n)), m.noise.items()):
+        row[:] = spec.draw(_substream(seed, f"noise:{key}"), n)
+        draws[noise_symbol(key)] = row
+    order = m.graph.topological_order()
     values: dict[str, np.ndarray] = {}
-    for node in m.graph.topological_order():
+    for row, node in zip(np.empty((len(order), n)), order):
         eq = m.equations.get(node)
         if eq is None:
-            values[node] = draws[noise_symbol(node)]
+            row[:] = draws[noise_symbol(node)]
         elif eq.level is ParametricTag.NOISE_MODEL:
             env = {p: values[p] for p in eq.parents}
-            values[node] = _eval_array(eq.expr, env, n) + draws[noise_symbol(node)]
+            np.add(_eval_array(eq.expr, env, n), draws[noise_symbol(node)], out=row)
         else:
             env = {p: values[p] for p in eq.parents}
             env.update(draws)
-            values[node] = _eval_array(eq.expr, env, n)
+            row[:] = _eval_array(eq.expr, env, n)
+        values[node] = row
     return Dataset({name: values[name] for name in sorted(values)})
 
 
