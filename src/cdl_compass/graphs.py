@@ -7,10 +7,14 @@ operations are:
   independence, via the moralized-ancestral-graph criterion;
 * :func:`implied_independencies` — the full set of conditional
   independencies a DAG entails, in a deterministic order;
-* :func:`enumerate_mec` — exact brute-force enumeration of all labeled DAGs
-  on a small variable set that agree with a set of independence and
-  dependence constraints; with constraints read off a graph's full
-  independence structure this recovers its Markov equivalence class;
+* :func:`enumerate_mec` — every labeled DAG on a small variable set that
+  agrees with a set of independence and dependence constraints; with
+  constraints read off a graph's full independence structure this recovers
+  its Markov equivalence class.  The search first pins each variable pair
+  the constraints decide: a pair with a holding independence has no edge,
+  and a pair dependent given every subset of the other variables has one.
+  Pairs left undecided still branch three ways (no edge, forward,
+  backward);
 * :func:`unroll` — instantiate a temporal template into a concrete DAG over
   role-indexed per-step variables.
 
@@ -25,6 +29,7 @@ names and then edge lists, so results are reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -39,11 +44,16 @@ class CycleError(ValueError):
 
 
 class GraphFormatError(ValueError):
-    """Malformed graph text; carries the 1-based line number."""
+    """Malformed graph or constraint text.
 
-    def __init__(self, line: int, message: str):
+    ``line`` is the 1-based number of the line at fault, or ``None`` when the
+    fault lies in the text as a whole: a directed cycle, undirected edges
+    where a DAG is required, or contradictory constraints.
+    """
+
+    def __init__(self, line: int | None, message: str):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 def _check_name(name: object) -> str:
@@ -177,37 +187,39 @@ class Dag:
 
     def parents(self, node: str) -> frozenset[str]:
         self._require(node)
-        return frozenset(a for a, b in self.edges if b == node)
+        return self._names_of(self._parent_masks[self._index[node]])
 
     def children(self, node: str) -> frozenset[str]:
         self._require(node)
-        return frozenset(b for a, b in self.edges if a == node)
+        return self._names_of(self._child_masks[self._index[node]])
 
     def descendants(self, node: str) -> frozenset[str]:
         """Strict descendants (the node itself excluded)."""
         self._require(node)
-        mask = self._descendant_masks[self._index[node]]
-        return frozenset(self._order[i] for i in _bits(mask))
+        return self._names_of(self._descendant_masks[self._index[node]])
 
     def topological_order(self) -> tuple[str, ...]:
         """A deterministic topological order (lexicographic among ready nodes)."""
-        indeg = {v: 0 for v in self.nodes}
-        for _, b in self.edges:
-            indeg[b] += 1
         import heapq
 
-        ready = [v for v, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
+        # Indices follow lexicographic order, so a heap of indices pops the
+        # lexicographically first ready node; ``ready`` starts sorted, which
+        # is already a heap.
+        indeg = [mask.bit_count() for mask in self._parent_masks]
+        ready = [i for i, d in enumerate(indeg) if d == 0]
+        child_masks = self._child_masks
         out: list[str] = []
-        children = {v: sorted(self.children(v)) for v in self.nodes}
         while ready:
-            v = heapq.heappop(ready)
-            out.append(v)
-            for c in children[v]:
+            i = heapq.heappop(ready)
+            out.append(self._order[i])
+            for c in _bits(child_masks[i]):
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     heapq.heappush(ready, c)
         return tuple(out)
+
+    def _names_of(self, mask: int) -> frozenset[str]:
+        return frozenset(self._order[i] for i in _bits(mask))
 
     def _require(self, *names: str) -> None:
         for v in names:
@@ -337,6 +349,11 @@ class IndependenceSet:
             seen[key] = s.holds
 
     def sorted_statements(self) -> tuple[IndependenceStatement, ...]:
+        return self._sorted
+
+    @cached_property
+    def _sorted(self) -> tuple[IndependenceStatement, ...]:
+        # Sorted once: consistent_with reads this order for every DAG it checks.
         return tuple(sorted(self.statements, key=IndependenceStatement.sort_key))
 
     def variables(self) -> frozenset[str]:
@@ -389,17 +406,29 @@ def enumerate_dags(variables: Iterable[str]) -> Iterator[Dag]:
     maintaining reachability masks incrementally.
     """
     names = sorted({_check_name(v) for v in variables})
+    pairs = itertools.combinations(range(len(names)), 2)
+    yield from _search_dags(names, [(None, (a, b), (b, a)) for a, b in pairs])
+
+
+def _search_dags(
+    names: list[str], choices: list[tuple[tuple[int, int] | None, ...]]
+) -> Iterator[Dag]:
+    """DAGs on ``names`` taking, for the k-th pair of ``combinations(range(n), 2)``,
+    one of the states in ``choices[k]``: ``None`` for no edge or an index
+    pair ``(src, dst)`` for that edge.  States are tried in the order given.
+    """
     n = len(names)
-    pairs = list(itertools.combinations(range(n), 2))
     node_set = frozenset(names)
 
     def rec(k: int, edges: list[tuple[int, int]], reach: list[int]):
-        if k == len(pairs):
+        if k == len(choices):
             yield Dag(node_set, frozenset((names[a], names[b]) for a, b in edges))
             return
-        a, b = pairs[k]
-        yield from rec(k + 1, edges, reach)
-        for src, dst in ((a, b), (b, a)):
+        for edge in choices[k]:
+            if edge is None:
+                yield from rec(k + 1, edges, reach)
+                continue
+            src, dst = edge
             if reach[dst] & (1 << src):
                 continue  # dst already reaches src: adding src->dst closes a cycle
             new_reach = list(reach)
@@ -428,8 +457,20 @@ def enumerate_mec(
     (every pair, every conditioning subset, with negations for the rest),
     the result is that graph's Markov equivalence class.
 
-    Exact brute force over all labeled DAGs, capped at ``max_nodes``.
-    Results are sorted lexicographically by edge list.
+    The search is the one :func:`enumerate_dags` runs, with some pairs
+    pinned before it branches:
+
+    * a pair with any holding independence has no edge, since adjacent
+      variables are d-connected given every set;
+    * a pair whose dependence is asserted given every subset of the other
+      variables has an edge, since a non-adjacent pair is d-separated by
+      the parents of whichever endpoint comes later in a topological order.
+
+    Every other pair still branches three ways (no edge, forward,
+    backward), so partial constraint sets cost up to a full enumeration.
+    Each DAG the search yields is checked against every constraint.
+    Capped at ``max_nodes``; results are sorted lexicographically by edge
+    list.
     """
     names = sorted({_check_name(v) for v in variables})
     if len(names) > max_nodes:
@@ -439,7 +480,20 @@ def enumerate_mec(
     unknown = constraints.variables() - set(names)
     if unknown:
         raise ValueError(f"constraints mention unlisted variables: {sorted(unknown)}")
-    members = [g for g in enumerate_dags(names) if consistent_with(g, constraints)]
+    separated = {(s.x, s.y) for s in constraints.statements if s.holds}
+    dependent = Counter((s.x, s.y) for s in constraints.statements if not s.holds)
+    # A pair's negations have distinct givens, each a subset of the other
+    # variables, so a count of 2^(n-2) means every subset is covered.
+    choices: list[tuple[tuple[int, int] | None, ...]] = []
+    for a, b in itertools.combinations(range(len(names)), 2):
+        pair = (names[a], names[b])
+        if pair in separated:
+            choices.append((None,))
+        elif dependent[pair] == 1 << (len(names) - 2):
+            choices.append(((a, b), (b, a)))
+        else:
+            choices.append((None, (a, b), (b, a)))
+    members = [g for g in _search_dags(names, choices) if consistent_with(g, constraints)]
     members.sort(key=lambda g: tuple(sorted(g.edges)))
     return members
 
@@ -540,14 +594,14 @@ def parse_graph(text: str) -> Dag | Pdag:
             return Pdag.of(directed, undirected, nodes)
         return Dag.of(directed, nodes)
     except ValueError as exc:
-        raise GraphFormatError(0, str(exc)) from None
+        raise GraphFormatError(None, str(exc)) from None
 
 
 def parse_dag(text: str) -> Dag:
     """Parse edge-list text that must describe a DAG (no undirected edges)."""
     g = parse_graph(text)
     if isinstance(g, Pdag):
-        raise GraphFormatError(0, "graph contains undirected edges where a DAG is required")
+        raise GraphFormatError(None, "graph contains undirected edges where a DAG is required")
     return g
 
 
@@ -625,7 +679,7 @@ def parse_constraints(text: str, variables: Iterable[str]) -> IndependenceSet:
     try:
         return IndependenceSet.of(statements)
     except ValueError as exc:
-        raise GraphFormatError(0, str(exc)) from None
+        raise GraphFormatError(None, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

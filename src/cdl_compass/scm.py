@@ -74,6 +74,10 @@ class ScmFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # Datasets
 
+# Rows per block when writing CSV: large enough that the per-block write and
+# join overhead is negligible, small enough that a block's text stays small.
+_CSV_BLOCK_ROWS = 4096
+
 
 class Dataset:
     """Named columns of equal-length real vectors.
@@ -120,22 +124,29 @@ class Dataset:
             raise ValueError(f"unknown column {name!r}") from None
 
     def to_csv(self, target=None) -> str | None:
-        """Write CSV with 17 significant digits; return text if no target given."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self._names)
-        cols = [self._data[name] for name in self._names]
-        for i in range(self._n):
-            writer.writerow([format(col[i], ".17g") for col in cols])
-        text = buffer.getvalue()
+        """Write CSV with 17 significant digits; return text if no target given.
+
+        Rows are formatted and written in blocks, so a path or handle target
+        never holds the whole text in memory.
+        """
         if target is None:
-            return text
+            buffer = io.StringIO()
+            self._write_csv(buffer)
+            return buffer.getvalue()
         if hasattr(target, "write"):
-            target.write(text)
+            self._write_csv(target)
             return None
         with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            self._write_csv(fh)
         return None
+
+    def _write_csv(self, fh) -> None:
+        csv.writer(fh, lineterminator="\n").writerow(self._names)
+        cols = [self._data[name] for name in self._names]
+        for start in range(0, self._n, _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            cells = [[format(v, ".17g") for v in col[start:stop].tolist()] for col in cols]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
     @classmethod
     def from_csv(cls, source) -> "Dataset":

@@ -151,6 +151,14 @@ class TestDsep:
         assert err.startswith("error:")
         assert "Q" in err
 
+    def test_cyclic_graph_names_no_line(self, capsys, tmp_path):
+        path = tmp_path / "cycle.graph"
+        path.write_text("X -> Y\nY -> Z\nZ -> X\n")
+        code, out, err = run_cli(capsys, "dsep", str(path), "--x", "X", "--y", "Z")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: directed cycle: ")
+        assert "line" not in err
+
     def test_overlapping_conditioning(self, capsys, chain_graph):
         code, _, err = run_cli(
             capsys, "dsep", chain_graph, "--x", "X", "--y", "Z", "--given", "X"

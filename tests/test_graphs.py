@@ -394,6 +394,16 @@ class TestGraphText:
         with pytest.raises(GraphFormatError):
             parse_graph("A -> B\nB -> A\n")
 
+    @pytest.mark.parametrize(
+        "parse,text",
+        [(parse_graph, "A -> B\nB -> A\n"), (parse_dag, "A -> B\nB -- C\n")],
+    )
+    def test_whole_file_error_names_no_line(self, parse, text):
+        with pytest.raises(GraphFormatError) as exc:
+            parse(text)
+        assert exc.value.line is None
+        assert "line" not in str(exc.value)
+
     def test_format_round_trip(self):
         text = format_graph(CHAIN)
         assert parse_graph(text) == CHAIN
@@ -466,6 +476,12 @@ class TestConstraintText:
     def test_contradiction_across_lines(self):
         with pytest.raises(GraphFormatError, match="contradictory"):
             parse_constraints("S _||_ D\nnot D _||_ S\n", ["S", "C", "D"])
+
+    def test_contradiction_names_no_line(self):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_constraints("S _||_ D\nnot D _||_ S\n", ["S", "C", "D"])
+        assert exc.value.line is None
+        assert str(exc.value).startswith("contradictory")
 
     def test_comments_and_blanks(self):
         s = parse_constraints("# only a comment\n\nS _||_ D | C\n", ["S", "C", "D"])

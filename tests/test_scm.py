@@ -1,5 +1,6 @@
 """Structural models: datasets, factorizations, sampling, CATE oracles, text format."""
 
+import csv
 import io
 import math
 from fractions import Fraction
@@ -107,6 +108,28 @@ class TestDataset:
         d = Dataset({"x": [1.0]})
         assert d.to_csv(path) is None
         assert path.read_text() == "x\n1\n"
+
+    def test_to_csv_matches_row_by_row_writer(self, tmp_path):
+        # Several write blocks, a header that needs quoting, and values at
+        # the edges of the float range.
+        rng = np.random.default_rng(17)
+        n = 9001
+        edge = [0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 1 / 3]
+        x = rng.normal(size=n)
+        x[: len(edge)] = edge
+        d = Dataset({"x": x, 'y,"q"': rng.standard_cauchy(n) * 1e200})
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(d.names)
+        for i in range(n):
+            writer.writerow([format(d.column(c)[i], ".17g") for c in d.names])
+        assert d.to_csv() == want.getvalue()
+        handle = io.StringIO()
+        assert d.to_csv(handle) is None
+        assert handle.getvalue() == want.getvalue()
+        path = tmp_path / "d.csv"
+        d.to_csv(path)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
