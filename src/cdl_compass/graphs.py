@@ -48,11 +48,13 @@ class GraphFormatError(ValueError):
 
     ``line`` is the 1-based number of the line at fault, or ``None`` when the
     fault lies in the text as a whole: a directed cycle, undirected edges
-    where a DAG is required, or contradictory constraints.
+    where a DAG is required, or contradictory constraints.  ``reason`` is
+    the message without its line prefix.
     """
 
     def __init__(self, line: int | None, message: str):
         self.line = line
+        self.reason = message
         super().__init__(message if line is None else f"line {line}: {message}")
 
 

@@ -64,11 +64,16 @@ from .lattice import ParametricTag
 
 
 class ScmFormatError(ValueError):
-    """Malformed model definition text; carries the 1-based line number."""
+    """Malformed model definition text.
 
-    def __init__(self, line: int, message: str):
+    ``line`` is the 1-based number of the line at fault, or ``None`` when the
+    fault lies in the model as a whole: a directed cycle or an undirected
+    edge in its graph, or equations that disagree with the graph.
+    """
+
+    def __init__(self, line: int | None, message: str):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +732,7 @@ def parse_scm(text: str) -> Scm:
     ``#`` starts a comment anywhere; errors carry the line number.
     """
     section: str | None = None
-    graph_lines: list[str] = []
+    graph_lines: list[tuple[int, str]] = []
     equation_lines: list[tuple[int, str]] = []
     noise_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -741,7 +746,7 @@ def parse_scm(text: str) -> Scm:
             section = name
             continue
         if section == "graph":
-            graph_lines.append(line)
+            graph_lines.append((lineno, line))
         elif section == "equations":
             equation_lines.append((lineno, line))
         elif section == "noise":
@@ -752,11 +757,13 @@ def parse_scm(text: str) -> Scm:
             )
 
     try:
-        graph = parse_graph("\n".join(graph_lines))
+        graph = parse_graph("\n".join(line for _, line in graph_lines))
     except GraphFormatError as exc:
-        raise ScmFormatError(0, f"graph section: {exc}") from None
+        # parse_graph numbers the section's lines; map back to the file's
+        at = None if exc.line is None else graph_lines[exc.line - 1][0]
+        raise ScmFormatError(at, f"graph section: {exc.reason}") from None
     if isinstance(graph, Pdag):
-        raise ScmFormatError(0, "graph section: a model graph must be directed")
+        raise ScmFormatError(None, "graph section: a model graph must be directed")
 
     noise: dict[str, NoiseSpec] = {}
     for lineno, line in noise_lines:
@@ -812,7 +819,7 @@ def parse_scm(text: str) -> Scm:
     try:
         return Scm(graph, equations, noise)
     except ValueError as exc:
-        raise ScmFormatError(0, str(exc)) from None
+        raise ScmFormatError(None, str(exc)) from None
 
 
 def format_scm(m: Scm) -> str:

@@ -359,26 +359,29 @@ def recursive_residuals(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
     if xv.shape != yv.shape:
         raise ValueError("x and y must have equal length")
     order = np.argsort(xv, kind="stable")
-    xs, ys = xv[order], yv[order]
+    # Centred, so that the running sums below stay at the scale of the spread.
+    xs = xv[order] - xv.mean()
+    ys = yv[order] - yv.mean()
     n = xs.shape[0]
     j = 2
     while j < n and xs[j - 1] == xs[0]:
         j += 1
     if xs[j - 1] == xs[0]:
         raise ValueError("x has no variation; a line cannot be fit")
-    design = np.column_stack([np.ones(j), xs[:j]])
-    xtx_inv = np.linalg.inv(design.T @ design)
-    beta = xtx_inv @ design.T @ ys[:j]
-    out = np.empty(n - j)
-    for idx, r in enumerate(range(j, n)):
-        row = np.array([1.0, xs[r]])
-        spread = 1.0 + float(row @ xtx_inv @ row)
-        err = float(ys[r] - row @ beta)
-        out[idx] = err / math.sqrt(spread)
-        gain = (xtx_inv @ row) / spread
-        beta = beta + gain * err
-        xtx_inv = xtx_inv - np.outer(gain, row @ xtx_inv)
-    return out
+    # Point k >= 1 against the mean of the k points before it; its Welford
+    # increment k/(k+1) * dx * dy adds it to the running co-moments.
+    count = np.arange(1, n)
+    dx = xs[1:] - np.cumsum(xs[:-1]) / count
+    dy = ys[1:] - np.cumsum(ys[:-1]) / count
+    shrink = count / (count + 1.0)
+    sxx = np.cumsum(shrink * dx * dx)
+    sxy = np.cumsum(shrink * dx * dy)
+    # Point r >= j is predicted by the fit over points 0..r-1, whose
+    # co-moments are entry r - 2 of the running sums.
+    s_xx, s_xy = sxx[j - 2 : -1], sxy[j - 2 : -1]
+    dx, dy, r = dx[j - 1 :], dy[j - 1 :], count[j - 1 :]
+    err = dy - s_xy / s_xx * dx
+    return err / np.sqrt(1.0 + 1.0 / r + dx * dx / s_xx)
 
 
 def _exactly_linear(x: np.ndarray, y: np.ndarray) -> bool:
@@ -470,7 +473,8 @@ def savitzky_golay_smooth(
     if window > arr.shape[0]:
         raise ValueError(f"window {window} exceeds series length {arr.shape[0]}")
     n, half = arr.shape[0], window // 2
-    offsets = np.arange(-half, half + 1, dtype=float)
+    # Offsets scaled to [-1, 1], so the powers stay of order one at any degree.
+    offsets = np.arange(-half, half + 1) / half
     powers = offsets ** np.arange(degree + 1)[:, None]
     # Minimum-norm weights w with powers @ w = e_0: w @ y is the fitted
     # polynomial's value at offset 0.
@@ -516,6 +520,71 @@ def _rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
+# Permutations are drawn and scored in blocks of rows holding at most this
+# many indices, which keeps each block's gathers small.
+_PERMUTATION_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True)
+class _IndependenceProblem:
+    """Centred ranks of an input and of residuals, with the observed statistic."""
+
+    xr: np.ndarray
+    sr: np.ndarray
+    ar: np.ndarray
+    observed: float
+
+    @classmethod
+    def of(cls, x: np.ndarray, residuals: np.ndarray) -> "_IndependenceProblem":
+        xr = _centered_ranks(x)
+        sr = _centered_ranks(residuals)
+        ar = _centered_ranks(np.abs(residuals))
+        observed = max(abs(_rank_correlation(xr, sr)), abs(_rank_correlation(xr, ar)))
+        return cls(xr, sr, ar, observed)
+
+    def report(self, hits: int, n_permutations: int, alpha: float) -> TestReport:
+        return TestReport.from_p(
+            "residual_independence",
+            self.observed,
+            (1 + hits) / (1 + n_permutations),
+            alpha,
+            bears_on=ParametricTag.NOISE_MODEL,
+            details={"n": int(self.xr.shape[0]), "n_permutations": int(n_permutations)},
+        )
+
+
+def _permutation_hits(
+    problems: Sequence[_IndependenceProblem], n_permutations: int, seed: int
+) -> list[int]:
+    """Per problem, how many permutations score at least the observed statistic.
+
+    All problems have the same length n and are scored against the same
+    draws: the stream of successive ``rng.permutation(n)``, filled a block
+    of rows at a time.  Centred ranks are multiples of 1/2, so every dot
+    product and sum of squares is exact (below about 3e5 points) and each
+    score equals ``_rank_correlation`` of the permuted residual ranks.
+    """
+    n = problems[0].xr.shape[0]
+    scales = []
+    for pb in problems:
+        nx = float(np.linalg.norm(pb.xr))
+        # A zero norm means a constant rank vector: every dot product is 0,
+        # and dividing it by 1 gives the 0 correlation it stands for.
+        scales.append(tuple(nx * float(np.linalg.norm(v)) or 1.0 for v in (pb.sr, pb.ar)))
+    rng = np.random.default_rng(seed)
+    rows = max(1, _PERMUTATION_BLOCK // n)
+    hits = [0] * len(problems)
+    for done in range(0, n_permutations, rows):
+        perms = np.tile(np.arange(n), (min(rows, n_permutations - done), 1))
+        for row in perms:
+            rng.shuffle(row)
+        for i, (pb, (scale_s, scale_a)) in enumerate(zip(problems, scales)):
+            signed = np.abs(pb.sr[perms] @ pb.xr / scale_s)
+            magnitude = np.abs(pb.ar[perms] @ pb.xr / scale_a)
+            hits[i] += int(np.count_nonzero(np.maximum(signed, magnitude) >= pb.observed))
+    return hits
+
+
 def residual_independence_test(
     x: Sequence[float],
     residuals: Sequence[float],
@@ -538,30 +607,9 @@ def residual_independence_test(
         raise ValueError("x and residuals must have equal length")
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be positive, got {n_permutations}")
-    n = xv.shape[0]
-    xr = _centered_ranks(xv)
-    sr = _centered_ranks(rv)
-    ar = _centered_ranks(np.abs(rv))
-    observed = max(abs(_rank_correlation(xr, sr)), abs(_rank_correlation(xr, ar)))
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(n)
-        stat = max(
-            abs(_rank_correlation(xr, sr[perm])),
-            abs(_rank_correlation(xr, ar[perm])),
-        )
-        if stat >= observed:
-            hits += 1
-    p = (1 + hits) / (1 + n_permutations)
-    return TestReport.from_p(
-        "residual_independence",
-        observed,
-        p,
-        alpha,
-        bears_on=ParametricTag.NOISE_MODEL,
-        details={"n": int(n), "n_permutations": int(n_permutations)},
-    )
+    problem = _IndependenceProblem.of(xv, rv)
+    (hits,) = _permutation_hits([problem], n_permutations, seed)
+    return problem.report(hits, n_permutations, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -585,18 +633,19 @@ class AnmResult:
     backward: TestReport
 
 
+_ANM_PERMUTATIONS = 999
+
+
 def _anm_window(n: int) -> int:
     w = max(5, n // 10)
     return w if w % 2 == 1 else w + 1
 
 
-def _anm_residual_report(
-    cause: np.ndarray, effect: np.ndarray, alpha: float, seed: int
-) -> TestReport:
+def _anm_problem(cause: np.ndarray, effect: np.ndarray) -> _IndependenceProblem:
     order = np.argsort(cause, kind="stable")
     cs, es = cause[order], effect[order]
     fitted = savitzky_golay_smooth(es, _anm_window(cs.shape[0]), 3)
-    return residual_independence_test(cs, es - fitted, alpha=alpha, seed=seed)
+    return _IndependenceProblem.of(cs, _as_vector(es - fitted, "residuals"))
 
 
 def anm_direction(
@@ -619,8 +668,13 @@ def anm_direction(
     yv = _as_vector(y, "y", minimum=50)
     if xv.shape != yv.shape:
         raise ValueError("x and y must have equal length")
-    forward = _anm_residual_report(xv, yv, alpha, seed)
-    backward = _anm_residual_report(yv, xv, alpha, seed)
+    # Both directions have the same length and seed, so they share one
+    # permutation stream: the one residual_independence_test would draw.
+    problems = (_anm_problem(xv, yv), _anm_problem(yv, xv))
+    hits = _permutation_hits(problems, _ANM_PERMUTATIONS, seed)
+    forward, backward = (
+        pb.report(h, _ANM_PERMUTATIONS, alpha) for pb, h in zip(problems, hits)
+    )
     fwd_ok = forward.decision is Decision.FAIL_TO_REJECT
     bwd_ok = backward.decision is Decision.FAIL_TO_REJECT
     if fwd_ok and not bwd_ok:

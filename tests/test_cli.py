@@ -288,6 +288,15 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_bad_graph_line_names_file_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.scm"
+        path.write_text(LINEAR_MODEL.replace("graph:\n", "graph:\n# edges\nX\nY => Z\n"))
+        code, out, err = run_cli(capsys, "simulate", str(path), "--n", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 4: graph section: expected 'a -> b'")
+        assert "line 0" not in err and "line 2" not in err
+
 
 class TestAssumptionTests:
     def test_ks_runs(self, capsys, linear_csv):

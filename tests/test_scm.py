@@ -560,6 +560,27 @@ class TestScmText:
         with pytest.raises(ScmFormatError, match="must be directed"):
             parse_scm("graph:\nA -- B\nequations:\nnoise:\n")
 
+    def test_graph_line_fault_carries_file_line(self):
+        bad = LINEAR_MODEL.replace("graph:\n", "graph:\n\n# edges\nX\nY => Z\n")
+        with pytest.raises(ScmFormatError) as exc:
+            parse_scm(bad)
+        assert exc.value.line == 5
+        assert str(exc.value).startswith("line 5: graph section: expected 'a -> b'")
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ("X -> Y\nY -> X\n", "graph section: directed cycle"),
+            ("X -- Y\n", "graph section: a model graph must be directed"),
+            ("X\n", "exogenous variable 'X' has no noise spec"),
+        ],
+    )
+    def test_whole_model_fault_names_no_line(self, graph, message):
+        with pytest.raises(ScmFormatError) as exc:
+            parse_scm(f"graph:\n{graph}equations:\nnoise:\n")
+        assert exc.value.line is None
+        assert str(exc.value).startswith(message)
+
     def test_uniform_round_trip(self):
         text = "graph:\nX\nequations:\nnoise:\nU_X ~ Uniform(-1.0, 1.0)\n"
         m = parse_scm(text)

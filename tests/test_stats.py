@@ -306,6 +306,17 @@ class TestCusum:
         y = 1.25 + 2.5 * x + 2.5e-9 * rng.normal(size=300)
         assert cusum_linearity_test(x, y).details["sigma"] > 0.0
 
+    def test_offset_line_is_not_rejected(self):
+        # x far from 0 made the uncentred rank-1 recursion lose the fit:
+        # it rejected this true line on 20 of 20 seeds.
+        rejections = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=2000) + 1e4
+            y = 3.0 * x + 1e-5 * rng.normal(size=2000)
+            rejections += cusum_linearity_test(x, y).decision is Decision.REJECT_NULL
+        assert rejections <= 3
+
     def test_linear_with_noise_passes(self):
         rng = np.random.default_rng(10)
         x = rng.uniform(-1, 1, 200)
@@ -387,6 +398,14 @@ class TestSavitzkyGolay:
         y = np.polyval(coeffs, i)
         out = savitzky_golay_smooth(y, window, window - 1 if len(coeffs) > window else len(coeffs) - 1)
         np.testing.assert_allclose(out, y, rtol=1e-7, atol=1e-6)
+
+    def test_high_degree_reproduces_polynomial(self):
+        # Unscaled offsets reach 8**8 at this degree and lose the fit.
+        i = np.arange(40.0)
+        coeffs = np.random.default_rng(17).normal(size=9)
+        y = np.polyval(coeffs, (i - 20.0) / 20.0)
+        out = savitzky_golay_smooth(y, 17, 8)
+        np.testing.assert_allclose(out, y, rtol=0, atol=1e-12 * np.max(np.abs(y)))
 
     def test_smooths_noise(self):
         rng = np.random.default_rng(14)
