@@ -4,9 +4,9 @@ Graphs are immutable values over string-named variables.  The central
 operations are:
 
 * :func:`d_separated` — decide whether a DAG implies a conditional
-  independence, via the moralized-ancestral-graph criterion;
+  independence, via the Reachable (Bayes-ball) walk over cached bitmasks;
 * :func:`implied_independencies` — the full set of conditional
-  independencies a DAG entails, in a deterministic order;
+  independencies a DAG entails;
 * :func:`enumerate_mec` — every labeled DAG on a small variable set that
   agrees with a set of independence and dependence constraints; with
   constraints read off a graph's full independence structure this recovers
@@ -14,7 +14,8 @@ operations are:
   the constraints decide: a pair with a holding independence has no edge,
   and a pair dependent given every subset of the other variables has one.
   Pairs left undecided still branch three ways (no edge, forward,
-  backward);
+  backward), and a search that could reach more DAGs than an
+  unconstrained 5-variable one is refused;
 * :func:`unroll` — instantiate a temporal template into a concrete DAG over
   role-indexed per-step variables.
 
@@ -29,6 +30,7 @@ names and then edge lists, so results are reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,68 +124,57 @@ class Dag:
     def __post_init__(self) -> None:
         for v in self.nodes:
             _check_name(v)
-        children: dict[str, set[str]] = {v: set() for v in self.nodes}
+        order = tuple(sorted(self.nodes))
+        index = {v: i for i, v in enumerate(order)}
+        parent_masks = [0] * len(order)
+        child_masks = [0] * len(order)
         for a, b in self.edges:
-            if a not in self.nodes or b not in self.nodes:
+            if a not in index or b not in index:
                 raise ValueError(f"edge ({a!r}, {b!r}) uses an undeclared node")
             if a == b:
                 raise CycleError([a])
-            children[a].add(b)
-        # Kahn's algorithm; on failure report one concrete cycle.
-        indeg = {v: 0 for v in self.nodes}
-        for a, b in self.edges:
-            indeg[b] += 1
-        queue = sorted(v for v, d in indeg.items() if d == 0)
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if seen != len(self.nodes):
+            parent_masks[index[b]] |= 1 << index[a]
+            child_masks[index[a]] |= 1 << index[b]
+        topo = _lex_kahn(parent_masks, child_masks)
+        if len(topo) != len(order):
+            children: dict[str, set[str]] = {v: set() for v in self.nodes}
+            for a, b in self.edges:
+                children[a].add(b)
             raise CycleError(_find_cycle(self.nodes, children))
+        # The dataclass is frozen, so the index goes straight into __dict__,
+        # where cached_property would put it.
+        vars(self).update(
+            _order=order,
+            _index=index,
+            _parent_masks=tuple(parent_masks),
+            _child_masks=tuple(child_masks),
+            _topological_order=tuple(order[i] for i in topo),
+        )
 
-    # -- cached index structures (the dataclass is frozen; cached_property
-    # -- writes straight to __dict__, which is fine for derived data) -------
-
-    @cached_property
-    def _order(self) -> tuple[str, ...]:
-        return tuple(sorted(self.nodes))
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self._order)}
-
-    @cached_property
-    def _parent_masks(self) -> tuple[int, ...]:
-        masks = [0] * len(self._order)
-        for a, b in self.edges:
-            masks[self._index[b]] |= 1 << self._index[a]
-        return tuple(masks)
-
-    @cached_property
-    def _child_masks(self) -> tuple[int, ...]:
-        masks = [0] * len(self._order)
-        for a, b in self.edges:
-            masks[self._index[a]] |= 1 << self._index[b]
-        return tuple(masks)
+    # -- derived index structures (cached_property writes straight to
+    # -- __dict__, which is fine for derived data on a frozen dataclass) ----
 
     @cached_property
     def _descendant_masks(self) -> tuple[int, ...]:
         """Strict descendants of each node, as bitmasks, via reverse topological order."""
-        n = len(self._order)
-        masks = [0] * n
-        for v in reversed(self.topological_order()):
+        masks = [0] * len(self._order)
+        for v in reversed(self._topological_order):
             i = self._index[v]
             acc = 0
-            kids = self._child_masks[i]
-            while kids:
-                low = kids & -kids
-                j = low.bit_length() - 1
-                acc |= low | masks[j]
-                kids ^= low
+            for j in _bits(self._child_masks[i]):
+                acc |= (1 << j) | masks[j]
+            masks[i] = acc
+        return tuple(masks)
+
+    @cached_property
+    def _ancestor_masks(self) -> tuple[int, ...]:
+        """Each node and its ancestors, as bitmasks, via topological order."""
+        masks = [0] * len(self._order)
+        for v in self._topological_order:
+            i = self._index[v]
+            acc = 1 << i
+            for j in _bits(self._parent_masks[i]):
+                acc |= masks[j]
             masks[i] = acc
         return tuple(masks)
 
@@ -202,23 +193,7 @@ class Dag:
 
     def topological_order(self) -> tuple[str, ...]:
         """A deterministic topological order (lexicographic among ready nodes)."""
-        import heapq
-
-        # Indices follow lexicographic order, so a heap of indices pops the
-        # lexicographically first ready node; ``ready`` starts sorted, which
-        # is already a heap.
-        indeg = [mask.bit_count() for mask in self._parent_masks]
-        ready = [i for i, d in enumerate(indeg) if d == 0]
-        child_masks = self._child_masks
-        out: list[str] = []
-        while ready:
-            i = heapq.heappop(ready)
-            out.append(self._order[i])
-            for c in _bits(child_masks[i]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c)
-        return tuple(out)
+        return self._topological_order
 
     def _names_of(self, mask: int) -> frozenset[str]:
         return frozenset(self._order[i] for i in _bits(mask))
@@ -236,15 +211,89 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _lex_kahn(parent_masks: list[int], child_masks: list[int]) -> list[int]:
+    """Kahn's algorithm over node indices, taking the lowest ready index first.
+
+    Indices follow lexicographic order of the names, so this is the
+    lexicographically first topological order.  Shorter than the node
+    count exactly when the graph has a directed cycle.
+    """
+    import heapq
+
+    # ``ready`` starts sorted, which is already a heap.
+    indeg = [mask.bit_count() for mask in parent_masks]
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    out: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        out.append(i)
+        for c in _bits(child_masks[i]):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, c)
+    return out
+
+
+def _d_connected(g: Dag, xi: int, zmask: int, targets: int) -> int:
+    """The nodes of ``targets`` d-connected to node ``xi`` given ``zmask``.
+
+    Koller and Friedman's Reachable walk (Probabilistic Graphical Models,
+    2009, Alg. 3.1; Shachter's Bayes-ball) over the cached bitmasks.  A
+    trail arrives at a node either up, from a child, or down, from a
+    parent.  A node outside Z passes a trail on to its children either way,
+    and to its parents when it arrived up; a node that is in Z or has a
+    descendant there (a collider that is opened) turns a down trail back up
+    to its parents.  Every node on an active trail is an ancestor of an
+    endpoint or of Z, so the walk stays inside An({x} ∪ Z ∪ targets).  It
+    stops once every target is reached.
+    """
+    ancestors = g._ancestor_masks
+    opened = 0  # An(Z): colliders here pass a trail
+    for i in _bits(zmask):
+        opened |= ancestors[i]
+    inside = opened | ancestors[xi]
+    for i in _bits(targets):
+        inside |= ancestors[i]
+    parent_masks, child_masks = g._parent_masks, g._child_masks
+    up, down = 1 << xi, 0  # arrivals of the current round
+    reach = sent_down = sent_up = 0
+    while up or down:
+        reach |= (up | down) & ~zmask
+        if reach & targets == targets:
+            break
+        to_children = reach & ~sent_down
+        to_parents = ((up & ~zmask) | (down & opened)) & ~sent_up
+        sent_down |= to_children
+        sent_up |= to_parents
+        down = up = 0
+        while to_children:  # _bits inlined: this loop is the hot one
+            low = to_children & -to_children
+            down |= child_masks[low.bit_length() - 1]
+            to_children ^= low
+        while to_parents:
+            low = to_parents & -to_parents
+            up |= parent_masks[low.bit_length() - 1]
+            to_parents ^= low
+        down &= inside
+        up &= inside
+    return reach & targets
+
+
+def _mask(g: Dag, names: Iterable[str]) -> int:
+    mask = 0
+    for v in names:
+        mask |= 1 << g._index[v]
+    return mask
+
+
 def d_separated(g: Dag, x: str, y: str, given: Iterable[str] = ()) -> bool:
     """Does ``g`` imply ``x`` independent of ``y`` given the conditioning set?
 
-    Uses the moralized-ancestral-graph criterion: restrict to the ancestral
-    closure of ``{x, y} ∪ given``, marry the parents of every node, drop
-    directions, delete the conditioning nodes, and test connectivity.  This
-    is equivalent to path blocking: a chain or fork is blocked when its
-    middle node is conditioned on; a collider blocks unless it or one of its
-    descendants is conditioned on.
+    Asks Koller and Friedman's Reachable walk (Bayes-ball) whether any
+    active trail joins ``x`` to ``y``: a chain or fork is blocked when its
+    middle node is conditioned on; a collider blocks unless it or one of
+    its descendants is conditioned on.  The walk stays inside the ancestral
+    closure of ``{x, y} ∪ given`` and stops as soon as it reaches ``y``.
 
     Symmetric in ``x`` and ``y``.  Requires ``x != y`` and neither endpoint
     inside the conditioning set.
@@ -255,48 +304,7 @@ def d_separated(g: Dag, x: str, y: str, given: Iterable[str] = ()) -> bool:
         raise ValueError("d-separation needs two distinct variables")
     if x in z or y in z:
         raise ValueError("query variables may not appear in the conditioning set")
-
-    idx = g._index
-    parent_masks = g._parent_masks
-    child_masks = g._child_masks
-    xi, yi = idx[x], idx[y]
-    zmask = 0
-    for v in z:
-        zmask |= 1 << idx[v]
-
-    # Ancestral closure of {x, y} ∪ z.
-    anc = (1 << xi) | (1 << yi) | zmask
-    frontier = anc
-    while frontier:
-        new = 0
-        for i in _bits(frontier):
-            new |= parent_masks[i]
-        frontier = new & ~anc
-        anc |= new
-
-    # Moralize within the closure: undirected skeleton plus married parents.
-    adj = [0] * len(parent_masks)
-    for i in _bits(anc):
-        pa = parent_masks[i] & anc
-        adj[i] |= (pa | child_masks[i]) & anc
-        for p in _bits(pa):
-            adj[p] |= pa | (1 << i)
-
-    # Delete conditioning nodes and test reachability.
-    blocked = zmask
-    reach = 1 << xi
-    frontier = reach
-    target = 1 << yi
-    while frontier:
-        new = 0
-        for i in _bits(frontier):
-            new |= adj[i]
-        new &= ~blocked
-        frontier = new & ~reach
-        reach |= new
-        if reach & target:
-            return False
-    return True
+    return not _d_connected(g, g._index[x], _mask(g, z), 1 << g._index[y])
 
 
 @dataclass(frozen=True)
@@ -359,6 +367,10 @@ class IndependenceSet:
         return tuple(sorted(self.statements, key=IndependenceStatement.sort_key))
 
     def variables(self) -> frozenset[str]:
+        return self._variables
+
+    @cached_property
+    def _variables(self) -> frozenset[str]:
         out: set[str] = set()
         for s in self.statements:
             out.add(s.x)
@@ -366,38 +378,56 @@ class IndependenceSet:
             out |= s.given
         return frozenset(out)
 
+    @cached_property
+    def _by_source(self) -> tuple[tuple[str, frozenset[str], tuple[str, ...], tuple[str, ...]], ...]:
+        """Statements grouped by ``(x, given)``: the ``y`` of each holding
+        independence, then of each dependence.  consistent_with answers a
+        group with one walk, for every DAG it checks."""
+        groups: dict[tuple[str, frozenset[str]], tuple[list[str], list[str]]] = {}
+        for s in self._sorted:
+            separated, connected = groups.setdefault((s.x, s.given), ([], []))
+            (separated if s.holds else connected).append(s.y)
+        return tuple((x, z, tuple(sep), tuple(con)) for (x, z), (sep, con) in groups.items())
+
 
 def implied_independencies(g: Dag, max_nodes: int = 8) -> IndependenceSet:
     """Every conditional independence the DAG entails.
 
     Checks each unordered variable pair against every conditioning subset of
-    the remaining variables; subsets are visited by size, then
-    lexicographically, and pairs lexicographically, so iteration order of
-    the result is deterministic.  Refuses graphs beyond ``max_nodes`` (the
-    subset lattice is exponential).
+    the remaining variables, with one walk per first endpoint and subset
+    answering every later endpoint at once.  Refuses graphs beyond
+    ``max_nodes`` (the subset lattice is exponential).
     """
     if len(g.nodes) > max_nodes:
         raise ValueError(
             f"graph has {len(g.nodes)} nodes; implied_independencies is capped at "
             f"{max_nodes}"
         )
-    order = sorted(g.nodes)
+    order = g._order
     found: list[IndependenceStatement] = []
-    for x, y in itertools.combinations(order, 2):
-        rest = [v for v in order if v not in (x, y)]
+    for xi, x in enumerate(order[:-1]):
+        later = (1 << len(order)) - (2 << xi)  # the indices after xi
+        rest = [v for v in order if v != x]
         for size in range(len(rest) + 1):
             for z in itertools.combinations(rest, size):
-                if d_separated(g, x, y, z):
-                    found.append(IndependenceStatement(x, y, frozenset(z)))
+                zmask = _mask(g, z)
+                targets = later & ~zmask
+                separated = targets & ~_d_connected(g, xi, zmask, targets)
+                given = frozenset(z)
+                found.extend(IndependenceStatement(x, order[yi], given) for yi in _bits(separated))
     return IndependenceSet.of(found)
 
 
 def consistent_with(g: Dag, constraints: IndependenceSet) -> bool:
     """Does the DAG agree with every constraint, negations included?"""
-    return all(
-        d_separated(g, s.x, s.y, s.given) == s.holds
-        for s in constraints.sorted_statements()
-    )
+    if not constraints.variables() <= g.nodes:
+        for s in constraints.sorted_statements():
+            g._require(s.x, s.y, *s.given)
+    for x, given, separated, connected in constraints._by_source:
+        sep, con = _mask(g, separated), _mask(g, connected)
+        if _d_connected(g, g._index[x], _mask(g, given), sep | con) != con:
+            return False
+    return True
 
 
 def enumerate_dags(variables: Iterable[str]) -> Iterator[Dag]:
@@ -445,6 +475,11 @@ def _search_dags(
     yield from rec(0, [], [0] * n)
 
 
+# Branches of an unconstrained 5-variable search, which takes about 4 s; six
+# variables with too few constraints would visit millions of DAGs.
+_MAX_BRANCHES = 3**10
+
+
 def enumerate_mec(
     constraints: IndependenceSet,
     variables: Iterable[str],
@@ -469,7 +504,12 @@ def enumerate_mec(
       the parents of whichever endpoint comes later in a topological order.
 
     Every other pair still branches three ways (no edge, forward,
-    backward), so partial constraint sets cost up to a full enumeration.
+    backward).  A search is refused when it could reach more DAGs than an
+    unconstrained 5-variable one (3^10 branches).  The count it could reach
+    is the smaller of the product of each pair's choices and ``n! * 2^u``
+    for ``u`` undecided pairs: every DAG follows some order of the
+    variables, and within one order only the undecided pairs are free, so
+    the cycle pruning keeps a full signature to its acyclic orientations.
     Each DAG the search yields is checked against every constraint.
     Capped at ``max_nodes``; results are sorted lexicographically by edge
     list.
@@ -495,6 +535,15 @@ def enumerate_mec(
             choices.append(((a, b), (b, a)))
         else:
             choices.append((None, (a, b), (b, a)))
+    undecided = sum(len(c) == 3 for c in choices)
+    branches = min(
+        math.prod(len(c) for c in choices), math.factorial(len(names)) << undecided
+    )
+    if branches > _MAX_BRANCHES:
+        raise ValueError(
+            f"the constraints leave {undecided} of {len(choices)} variable pairs "
+            f"undecided: {branches} search branches exceed the cap of {_MAX_BRANCHES} (3^10)"
+        )
     members = [g for g in _search_dags(names, choices) if consistent_with(g, constraints)]
     members.sort(key=lambda g: tuple(sorted(g.edges)))
     return members

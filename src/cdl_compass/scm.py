@@ -79,8 +79,9 @@ class ScmFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # Datasets
 
-# Rows per block when writing CSV: large enough that the per-block write and
-# join overhead is negligible, small enough that a block's text stays small.
+# Rows per block when writing CSV, and lines per block when reading it: large
+# enough that the per-block overhead is negligible, small enough that a
+# block's text stays small.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -148,17 +149,22 @@ class Dataset:
     def _write_csv(self, fh) -> None:
         csv.writer(fh, lineterminator="\n").writerow(self._names)
         cols = [self._data[name] for name in self._names]
+        # "%.17g" % v is the same conversion as format(v, ".17g").
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
         for start in range(0, self._n, _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            cells = [[format(v, ".17g") for v in col[start:stop].tolist()] for col in cols]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            block = np.stack([col[start : start + _CSV_BLOCK_ROWS] for col in cols], axis=1)
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, source) -> "Dataset":
         """Read CSV with a header row; rejects ragged rows, non-numbers, NaN.
 
-        A file is parsed line by line into one float buffer per column, so
-        neither its text nor its rows are held whole.
+        A file is parsed in blocks of lines into one float buffer per
+        column, so neither its text nor its rows are held whole.  A block
+        numpy's parser takes whole is read in one call.  From the first
+        block it refuses (a quote, a ragged row, a NaN, a number only
+        Python's ``float`` reads, such as ``1_0``), the rest is read row by
+        row with ``csv`` and ``float``, which names the row at fault.
         """
         if hasattr(source, "read"):
             return cls._read_csv(io.StringIO(source.read()))
@@ -167,6 +173,7 @@ class Dataset:
 
     @classmethod
     def _read_csv(cls, lines) -> "Dataset":
+        lines = iter(lines)
         reader = csv.reader(lines)
         header = next(reader, None)
         if header is None:
@@ -174,22 +181,58 @@ class Dataset:
         if len(set(header)) != len(header):
             raise ValueError("duplicate column names in CSV header")
         columns = [array("d") for _ in header]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row {lineno}: {len(row)} fields, expected {len(header)}"
-                )
-            for column, cell in zip(columns, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(f"row {lineno}: non-numeric value {cell!r}") from None
-                if math.isnan(value):
-                    raise ValueError(f"row {lineno}: NaN is not accepted")
-                column.append(value)
+        lineno = 2
+        while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
+            values = _parse_block(block, len(header))
+            if values is None:
+                _read_rows(csv.reader(itertools.chain(block, lines)), lineno, columns)
+                break
+            for j, column in enumerate(columns):
+                column.frombytes(values[:, j].tobytes())
+            lineno += len(block)
         return cls(dict(zip(header, columns)))
+
+
+def _parse_block(block: list[str], width: int) -> np.ndarray | None:
+    """A block of CSV lines as a (rows, width) array, or None when numpy's
+    parser does not read it exactly as :func:`_read_rows` would.
+
+    numpy reads a number the way ``float`` does, but refuses some that
+    ``float`` takes.  It does not unquote, and a quote is never part of a
+    number, so it refuses every block holding one; in the blocks it reads,
+    each line is one record, and a line holding only its terminator is an
+    empty one, which both parsers skip.
+    """
+    records = len(block) - block.count("\n") - block.count("\r\n") - block.count("\r")
+    if not records:
+        return np.empty((0, width))  # numpy would warn that it found no data
+    try:
+        values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if values.shape != (records, width) or np.isnan(values).any():
+        return None
+    return values
+
+
+def _read_rows(reader, first: int, columns: list[array]) -> None:
+    """Append each CSV record's fields to ``columns``, one ``float`` at a time;
+    errors number the first record ``first``."""
+    for lineno, row in enumerate(reader, start=first):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise ValueError(
+                f"row {lineno}: {len(row)} fields, expected {len(columns)}"
+            )
+        for column, cell in zip(columns, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"row {lineno}: non-numeric value {cell!r}") from None
+            if math.isnan(value):
+                raise ValueError(f"row {lineno}: NaN is not accepted")
+            column.append(value)
 
 
 # ---------------------------------------------------------------------------

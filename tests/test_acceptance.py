@@ -107,7 +107,7 @@ def test_smoking_equivalence_classes():
 
 
 def test_d_separation_agrees_with_path_oracle():
-    # The moralized-ancestral-graph implementation must agree with a
+    # The Reachable-walk implementation must agree with a
     # brute-force simple-path blocking oracle: exhaustively for every
     # labeled DAG on up to 5 nodes and every query, plus 10,000 random
     # queries on 6-8 node graphs.  100% agreement, < 2 min.

@@ -215,6 +215,18 @@ class TestMec:
         assert code == 0
         assert out == "no consistent graph\n"
 
+    def test_sparse_six_variable_set_is_refused(self, capsys, tmp_path):
+        # Too few constraints on six variables would search 3^13 branches.
+        path = tmp_path / "c.txt"
+        path.write_text("V0 _||_ V1\nV2 _||_ V3\n")
+        code, out, err = run_cli(capsys, "mec", str(path), "--vars", "V0,V1,V2,V3,V4,V5")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: the constraints leave 13 of 15 variable pairs undecided: "
+            "1594323 search branches exceed the cap of 59049 (3^10)\n"
+        )
+
     def test_bad_constraint_line(self, capsys, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("S _||_\n")

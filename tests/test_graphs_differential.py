@@ -1,9 +1,12 @@
-"""Differential tests: class search and the graph index against slow oracles.
+"""Differential tests: separation, class search and the graph index against
+slow oracles.
 
-``enumerate_mec`` pins pairs before it branches; ``helpers_mec`` pins
-nothing and filters every labeled DAG.  ``Dag`` answers parents, children,
-descendants and topological order from an index built once; the oracles
-here scan the edge set on every call.
+``d_separated`` asks a Reachable walk over bitmasks; ``helpers_dsep``
+moralizes the ancestral graph instead, and the batched callers are checked
+against one ``d_separated`` call per pair.  ``enumerate_mec`` pins pairs
+before it branches; ``helpers_mec`` pins nothing and filters every labeled
+DAG.  ``Dag`` answers parents, children, descendants and topological order
+from an index built once; the oracles here scan the edge set on every call.
 """
 
 import heapq
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from helpers_dsep import all_queries, moralized_d_separated  # noqa: E402
 from helpers_mec import brute_force_mec, full_signature  # noqa: E402
 from test_cli import (  # noqa: E402
     CHAIN_CONSTRAINTS,
@@ -27,9 +31,14 @@ from cdl_compass.graphs import (
     CycleError,
     Dag,
     IndependenceSet,
+    IndependenceStatement,
+    _d_connected,
+    consistent_with,
+    d_separated,
     enumerate_dags,
     enumerate_mec,
     hidden_confounder_template,
+    implied_independencies,
     parse_constraints,
     unroll,
 )
@@ -58,6 +67,112 @@ def random_dag(rng: random.Random, names: list[str], p: float) -> Dag:
         if rng.random() < p
     ]
     return Dag.of(edges, names)
+
+
+def random_query(rng: random.Random, names: list[str], p: float):
+    x, y = rng.sample(names, 2)
+    return x, y, tuple(v for v in names if v not in (x, y) and rng.random() < p)
+
+
+SIZES = [1, 2, 3, 5, 8, 13, 21, 34, 60]
+
+
+# ---------------------------------------------------------------------------
+# Separation engine
+
+
+class TestSeparation:
+    def test_every_four_node_query(self, four_node_dags):
+        checked = 0
+        for g in four_node_dags:
+            for x, y, z in all_queries(g):
+                assert d_separated(g, x, y, z) == moralized_d_separated(g, x, y, z)
+                checked += 1
+        assert checked == 543 * 24
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_dags(self, n):
+        rng = random.Random(f"dsep:{n}")
+        for _ in range(6):
+            # Sparse draws leave some nodes isolated.
+            names = [f"v{k}" for k in range(n)]
+            g = random_dag(rng, names, rng.choice((0.02, 0.1, 0.3, 0.7)))
+            for _ in range(40 if n > 1 else 0):
+                x, y, z = random_query(rng, names, rng.choice((0.0, 0.1, 0.3)))
+                assert d_separated(g, x, y, z) == moralized_d_separated(g, x, y, z)
+
+    def test_unrolled_template(self):
+        g = unroll(hidden_confounder_template(), 750)
+        rng = random.Random(7500)
+        names = sorted(g.nodes)
+        queries = [
+            ("X1", "X750", ("U375", "X375")),
+            ("X1", "Y750", ()),
+            ("A1", "A2", ("X2",)),
+            ("Y1", "Y2", ("X1", "X2", "U2", "A1")),
+        ]
+        for _ in range(24):
+            x, y = rng.sample(names, 2)
+            rest = [v for v in names if v not in (x, y)]
+            queries.append((x, y, tuple(rng.sample(rest, rng.randint(0, 6)))))
+        for x, y, z in queries:
+            assert d_separated(g, x, y, z) == moralized_d_separated(g, x, y, z)
+        assert d_separated(g, *queries[0]) and not d_separated(g, *queries[1])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_reachable_set_matches_pairs(self, n):
+        rng = random.Random(f"reach:{n}")
+        for _ in range(6):
+            names = [f"v{k}" for k in range(n)]
+            g = random_dag(rng, names, rng.choice((0.02, 0.1, 0.3, 0.7)))
+            for _ in range(10):
+                x = rng.choice(names)
+                z = [v for v in names if v != x and rng.random() < 0.2]
+                others = [v for v in names if v != x and v not in z]
+                chosen = [v for v in others if rng.random() < 0.5]
+                for targets in (others, chosen):
+                    mask = sum(1 << g._index[v] for v in targets)
+                    zmask = sum(1 << g._index[v] for v in z)
+                    reached = _d_connected(g, g._index[x], zmask, mask)
+                    want = {v for v in targets if not d_separated(g, x, v, z)}
+                    assert reached == sum(1 << g._index[v] for v in want)
+
+    def test_implied_independencies_match_pair_loop(self, four_node_dags):
+        def pair_loop(g):
+            order = sorted(g.nodes)
+            found = set()
+            for x, y in itertools.combinations(order, 2):
+                rest = [v for v in order if v not in (x, y)]
+                for size in range(len(rest) + 1):
+                    for z in itertools.combinations(rest, size):
+                        if d_separated(g, x, y, z):
+                            found.add(IndependenceStatement(x, y, frozenset(z)))
+            return found
+
+        rng = random.Random("implied")
+        graphs = four_node_dags + [
+            random_dag(rng, [f"v{k}" for k in range(n)], rng.uniform(0.1, 0.7))
+            for n in (1, 2, 5, 6, 7, 8, 8)
+        ]
+        for g in graphs:
+            assert implied_independencies(g).statements == pair_loop(g)
+
+    def test_consistent_with_matches_statement_loop(self, four_node_dags):
+        rng = random.Random("consistent")
+        for _ in range(30):
+            full = full_signature(random_dag(rng, FOUR, rng.uniform(0.2, 0.8)))
+            part = IndependenceSet.of(s for s in full.statements if rng.random() < 0.3)
+            for g in rng.sample(four_node_dags, 20):
+                want = all(d_separated(g, s.x, s.y, s.given) == s.holds for s in part.statements)
+                assert consistent_with(g, part) == want
+
+    def test_consistent_with_names_first_unknown_variable(self):
+        g = Dag.of([("A", "B")])
+        constraints = IndependenceSet.of(
+            [IndependenceStatement("A", "B", frozenset({"C"})), IndependenceStatement("A", "D")]
+        )
+        with pytest.raises(ValueError, match="unknown variable 'C'"):
+            consistent_with(g, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -127,34 +242,79 @@ class TestClassSearch:
         constraints = parse_constraints(text, names)
         assert enumerate_mec(constraints, names) == brute_force_mec(constraints, names)
 
+    def test_branch_cap(self):
+        # Two pairs left undecided on six variables: 3 * 3 branches.
+        free = {("V0", "V1"), ("V2", "V3")}
+        text = "".join(
+            f"{a} _||_ {b}\n" for a, b in itertools.combinations(SIX, 2) if (a, b) not in free
+        )
+        got = enumerate_mec(parse_constraints(text, SIX), SIX)
+        assert len(got) == 9
+        # Two pairs pinned absent leave 13 undecided: 3^13 branches.
+        sparse = parse_constraints("V0 _||_ V1\nV2 _||_ V3\n", SIX)
+        with pytest.raises(ValueError, match="leave 13 of 15 variable pairs undecided"):
+            enumerate_mec(sparse, SIX)
+        with pytest.raises(ValueError, match="leave 15 of 15 variable pairs undecided"):
+            enumerate_mec(IndependenceSet.of([]), SIX)
+        # Five pairs pinned adjacent and ten undecided: at most 3^10 * 2^5
+        # and 6! * 2^10 DAGs, a search of about a minute.
+        star = [
+            IndependenceStatement("V0", b, frozenset(z), False)
+            for b in SIX[1:]
+            for size in range(5)
+            for z in itertools.combinations([v for v in SIX if v not in ("V0", b)], size)
+        ]
+        with pytest.raises(ValueError, match="leave 10 of 15 .* 737280 search branches"):
+            enumerate_mec(IndependenceSet.of(star), SIX)
+
     def test_six_node_cycle_skeleton(self):
         # V0 -> V1 -> ... -> V5 plus V0 -> V5: a 6-cycle skeleton whose one
-        # v-structure is V4 -> V5 <- V0.  Its class is every acyclic
-        # orientation of the skeleton with the same v-structures.
+        # v-structure is V4 -> V5 <- V0.
         edges = [(f"V{i}", f"V{i + 1}") for i in range(5)] + [("V0", "V5")]
         g = Dag.of(edges, SIX)
-        skeleton = {frozenset(e) for e in edges}
-
-        def v_structures(dag):
-            found = set()
-            for c in dag.nodes:
-                for a, b in itertools.combinations(sorted(dag.parents(c)), 2):
-                    if frozenset((a, b)) not in skeleton:
-                        found.add((a, c, b))
-            return found
-
-        want = []
-        for flips in itertools.product((False, True), repeat=len(edges)):
-            oriented = [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)]
-            try:
-                candidate = Dag.of(oriented, SIX)
-            except CycleError:
-                continue
-            if v_structures(candidate) == v_structures(g):
-                want.append(candidate)
-        want.sort(key=lambda d: tuple(sorted(d.edges)))
+        want = same_v_structure_orientations(g)
         assert len(want) == 5
         assert enumerate_mec(full_signature(g), SIX) == want
+
+    def test_dense_seven_variable_full_signature(self):
+        # Sixteen pinned edges: a product of each pair's choices counts 2^16
+        # branches, but the search reaches at most 7! acyclic orientations.
+        seven = [f"V{i}" for i in range(7)]
+        edges = [(f"V{i}", f"V{i + 1}") for i in range(6)] + [
+            ("V0", "V2"), ("V1", "V3"), ("V2", "V4"), ("V3", "V5"), ("V4", "V6"),
+            ("V0", "V6"), ("V1", "V5"), ("V0", "V3"), ("V2", "V6"), ("V1", "V4"),
+        ]
+        g = Dag.of(edges, seven)
+        assert enumerate_mec(full_signature(g), seven, max_nodes=7) == (
+            same_v_structure_orientations(g)
+        )
+
+
+def same_v_structure_orientations(g: Dag) -> list[Dag]:
+    """Every acyclic orientation of ``g``'s skeleton with its v-structures:
+    its Markov equivalence class, sorted by edge list."""
+    edges = sorted(g.edges)
+    skeleton = {frozenset(e) for e in edges}
+
+    def v_structures(dag):
+        found = set()
+        for c in dag.nodes:
+            for a, b in itertools.combinations(sorted(dag.parents(c)), 2):
+                if frozenset((a, b)) not in skeleton:
+                    found.add((a, c, b))
+        return found
+
+    want = []
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        oriented = [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)]
+        try:
+            candidate = Dag.of(oriented, g.nodes)
+        except CycleError:
+            continue
+        if v_structures(candidate) == v_structures(g):
+            want.append(candidate)
+    want.sort(key=lambda d: tuple(sorted(d.edges)))
+    return want
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +369,7 @@ def check_index(g: Dag, sample: list[str]) -> None:
 
 
 class TestGraphIndex:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 60])
+    @pytest.mark.parametrize("n", SIZES)
     def test_random_dags(self, n):
         rng = random.Random(f"index:{n}")
         for _ in range(4):
@@ -218,6 +378,24 @@ class TestGraphIndex:
             names = [f"v{k}" for k in range(n)]
             g = random_dag(rng, names, rng.choice((0.02, 0.1, 0.3, 0.7)))
             check_index(g, names)
+
+    def test_cycles_are_named(self):
+        rng = random.Random("cycles")
+        for n in (2, 3, 5, 8, 13):
+            names = [f"v{k}" for k in range(n)]
+            for _ in range(20):
+                edges = {tuple(rng.sample(names, 2)) for _ in range(rng.randint(1, 2 * n))}
+                try:
+                    g = Dag.of(edges, names)
+                except CycleError as exc:
+                    cycle = exc.cycle
+                    assert all(
+                        (a, b) in edges for a, b in zip(cycle, cycle[1:] + cycle[:1])
+                    )
+                    assert str(exc) == "directed cycle: " + " -> ".join(cycle + cycle[:1])
+                    continue
+                check_index(g, names)
+                assert g.topological_order() is g.topological_order()
 
     def test_isolated_nodes(self):
         g = Dag.of([("b", "a")], nodes=["z", "c", "a", "b"])
