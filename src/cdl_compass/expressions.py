@@ -1,4 +1,4 @@
-"""Closed-form scalar expressions: AST, parser, canonical printer, evaluator.
+"""Closed-form expressions: AST, parser, canonical printer, evaluator.
 
 The grammar covers what explicit generating equations need: decimal
 literals, identifiers, the four arithmetic operators, right-associative
@@ -14,8 +14,11 @@ offending token in the error.  The canonical printer emits minimal
 parentheses and round-trips: ``parse(format(e)) == e`` for every AST, and
 printing is idempotent across a reparse.
 
-Only the Python standard library is used here; vectorized evaluation over
-arrays lives with the sampling code.
+One evaluator serves single values and whole samples alike: identifiers
+may be bound to floats or to arrays, which numpy broadcasts, and every
+operator and function must give finite values or raise
+:class:`EvaluationError`.  numpy is imported only when an expression is
+evaluated, so parsing and printing stay on the standard library.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Any, Mapping, Union
 
 
 class ExpressionSyntaxError(ValueError):
@@ -286,51 +289,56 @@ def free_variables(e: Expression) -> frozenset[str]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def evaluate_expression(e: Expression, env: Mapping[str, float]) -> float:
-    """Evaluate with every identifier bound by ``env``.
+# The numpy function behind each arithmetic operator but ``**``.
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
 
-    Raises :class:`EvaluationError` for unbound identifiers, division by
-    zero, logarithms of non-positive values, and numeric overflow.
+
+def evaluate_expression(e: Expression, env: Mapping[str, Any]) -> Any:
+    """Evaluate with every identifier bound by ``env`` to a float or an array.
+
+    numpy broadcasts the bindings, so an expression over arrays is evaluated
+    elementwise.  The result is a Python ``float`` when every binding used
+    is a scalar, and an array otherwise.  Every operator and function must
+    give finite values throughout, or :class:`EvaluationError` names it: one
+    rule for division by zero, logarithms of non-positive values, invalid
+    powers and overflow.  An unbound identifier raises it too.
     """
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        value = _evaluate(e, env, np)
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _evaluate(e: Expression, env: Mapping[str, Any], np) -> Any:
+    """The recursion behind :func:`evaluate_expression`, given numpy as ``np``."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
         try:
-            return float(env[e.name])
+            return np.asarray(env[e.name], dtype=float)
         except KeyError:
             raise EvaluationError(f"unbound identifier {e.name!r}") from None
     if isinstance(e, Neg):
-        return -evaluate_expression(e.operand, env)
+        return -_evaluate(e.operand, env, np)
     if isinstance(e, Call):
-        arg = evaluate_expression(e.arg, env)
-        if e.func == "exp":
-            try:
-                return math.exp(arg)
-            except OverflowError:
-                raise EvaluationError(f"overflow in exp({arg!r})") from None
-        if e.func == "log":
-            if arg <= 0.0:
-                raise EvaluationError(f"log of non-positive value {arg!r}")
-            return math.log(arg)
-        return math.sin(arg)
-    if isinstance(e, BinOp):
-        left = evaluate_expression(e.left, env)
-        right = evaluate_expression(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            if right == 0.0:
-                raise EvaluationError("division by zero")
-            return left / right
-        try:
-            result = left**right
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            raise EvaluationError(f"invalid power {left!r} ** {right!r}: {exc}") from None
-        if isinstance(result, complex) or math.isnan(result):
-            raise EvaluationError(f"invalid power {left!r} ** {right!r}")
-        return float(result)
-    raise TypeError(f"not an expression node: {e!r}")
+        value = getattr(np, e.func)(_evaluate(e.arg, env, np))
+        where = f"{e.func}()"
+    elif isinstance(e, BinOp):
+        left, right = _evaluate(e.left, env, np), _evaluate(e.right, env, np)
+        if e.op == "**":
+            # For a scalar exponent of 2, 0.5 or -1 numpy squares, takes a
+            # root or inverts, which rounds otherwise than its loop over
+            # arrays.  Taking every power over contiguous arrays keeps a
+            # value independent of the shape it is evaluated in.
+            shape = np.broadcast(left, right).shape
+            pair = [np.ascontiguousarray(np.broadcast_to(v, shape)) for v in (left, right)]
+            value = np.power(*pair).reshape(shape)
+        else:
+            value = getattr(np, _UFUNCS[e.op])(left, right)
+        where = f"operator {e.op!r}"
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if not np.isfinite(value).all():
+        raise EvaluationError(f"non-finite result from {where}")
+    return value

@@ -47,13 +47,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .expressions import (
-    BinOp,
-    Call,
     EvaluationError,
     Expression,
-    Neg,
-    Num,
-    Var,
     evaluate_expression,
     format_expression,
     free_variables,
@@ -159,15 +154,16 @@ class Dataset:
     def from_csv(cls, source) -> "Dataset":
         """Read CSV with a header row; rejects ragged rows, non-numbers, NaN.
 
-        A file is parsed in blocks of lines into one float buffer per
-        column, so neither its text nor its rows are held whole.  A block
-        numpy's parser takes whole is read in one call.  From the first
-        block it refuses (a quote, a ragged row, a NaN, a number only
+        A path or an open handle is parsed in blocks of lines into one float
+        buffer per column, so neither its text nor its rows are held whole.
+        A block numpy's parser takes whole is read in one call.  From the
+        first block it refuses (a quote, a ragged row, a NaN, a number only
         Python's ``float`` reads, such as ``1_0``), the rest is read row by
-        row with ``csv`` and ``float``, which names the row at fault.
+        row with ``csv`` and ``float``, which names the row at fault; so do
+        the ``ValueError``s raised for records ``csv`` cannot split.
         """
         if hasattr(source, "read"):
-            return cls._read_csv(io.StringIO(source.read()))
+            return cls._read_csv(source)
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return cls._read_csv(fh)
 
@@ -175,7 +171,10 @@ class Dataset:
     def _read_csv(cls, lines) -> "Dataset":
         lines = iter(lines)
         reader = csv.reader(lines)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"row 1: {exc}") from None
         if header is None:
             raise ValueError("empty CSV: missing header row")
         if len(set(header)) != len(header):
@@ -218,21 +217,25 @@ def _parse_block(block: list[str], width: int) -> np.ndarray | None:
 def _read_rows(reader, first: int, columns: list[array]) -> None:
     """Append each CSV record's fields to ``columns``, one ``float`` at a time;
     errors number the first record ``first``."""
-    for lineno, row in enumerate(reader, start=first):
-        if not row:
-            continue
-        if len(row) != len(columns):
-            raise ValueError(
-                f"row {lineno}: {len(row)} fields, expected {len(columns)}"
-            )
-        for column, cell in zip(columns, row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(f"row {lineno}: non-numeric value {cell!r}") from None
-            if math.isnan(value):
-                raise ValueError(f"row {lineno}: NaN is not accepted")
-            column.append(value)
+    lineno = first - 1
+    try:
+        for lineno, row in enumerate(reader, start=first):
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise ValueError(
+                    f"row {lineno}: {len(row)} fields, expected {len(columns)}"
+                )
+            for column, cell in zip(columns, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(f"row {lineno}: non-numeric value {cell!r}") from None
+                if math.isnan(value):
+                    raise ValueError(f"row {lineno}: NaN is not accepted")
+                column.append(value)
+    except csv.Error as exc:  # raised while splitting the record after ``lineno``
+        raise ValueError(f"row {lineno + 1}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -570,50 +573,12 @@ def _substream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))
 
 
-def _eval_array(e: Expression, env: Mapping[str, np.ndarray | float], n: int) -> np.ndarray:
-    """Vectorized expression evaluation with the scalar evaluator's error rules."""
-    if isinstance(e, Num):
-        return np.full(n, e.value)
-    if isinstance(e, Var):
-        try:
-            value = env[e.name]
-        except KeyError:
-            raise EvaluationError(f"unbound identifier {e.name!r}") from None
-        return np.broadcast_to(np.asarray(value, dtype=float), (n,))
-    if isinstance(e, Neg):
-        return -_eval_array(e.operand, env, n)
-    if isinstance(e, Call):
-        arg = _eval_array(e.arg, env, n)
-        if e.func == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(arg)
-            if np.isinf(out).any():
-                raise EvaluationError("overflow in exp")
-            return out
-        if e.func == "log":
-            if (arg <= 0.0).any():
-                raise EvaluationError("log of non-positive value")
-            return np.log(arg)
-        return np.sin(arg)
-    if isinstance(e, BinOp):
-        left = _eval_array(e.left, env, n)
-        right = _eval_array(e.right, env, n)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            if (right == 0.0).any():
-                raise EvaluationError("division by zero")
-            return left / right
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = np.power(left, right)
-        if np.isnan(out).any() or np.isinf(out).any():
-            raise EvaluationError("invalid power")
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+def _evaluate_equation(target: str, eq: StructuralEquation, env: Mapping) -> np.ndarray | float:
+    """The right-hand side of ``target``'s equation; errors name the target."""
+    try:
+        return evaluate_expression(eq.expr, env)
+    except EvaluationError as exc:
+        raise EvaluationError(f"equation for {target!r}: {exc}") from None
 
 
 def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
@@ -648,11 +613,11 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
             row[:] = draws[noise_symbol(node)]
         elif eq.level is ParametricTag.NOISE_MODEL:
             env = {p: values[p] for p in eq.parents}
-            np.add(_eval_array(eq.expr, env, n), draws[noise_symbol(node)], out=row)
+            np.add(_evaluate_equation(node, eq, env), draws[noise_symbol(node)], out=row)
         else:
             env = {p: values[p] for p in eq.parents}
             env.update(draws)
-            row[:] = _eval_array(eq.expr, env, n)
+            row[:] = _evaluate_equation(node, eq, env)
         values[node] = row
     return Dataset({name: values[name] for name in sorted(values)})
 
@@ -721,16 +686,8 @@ def oracle_cate(
         if missing:
             raise ValueError(f"covariate assignment missing {sorted(missing)}")
 
-    noise_free = not needed_keys and all(
-        eq.level is ParametricTag.FULLY_KNOWN for eq in outcome.values()
-    )
-    if noise_free:
-        env = dict(x)
-        return evaluate_expression(outcome["Y1"].expr, env) - evaluate_expression(
-            outcome["Y0"].expr, env
-        )
-
-    if n_mc < 1:
+    # Without noise the draws are empty and each equation gives one float.
+    if needed_keys and n_mc < 1:
         raise ValueError(f"n_mc must be positive, got {n_mc}")
     for key in needed_keys:
         if key not in m.noise:
@@ -744,9 +701,9 @@ def oracle_cate(
         env: dict[str, np.ndarray | float] = dict(x)
         env.update(draws)
         if eq.level is ParametricTag.NOISE_MODEL:
-            results[name] = _eval_array(eq.expr, env, n_mc) + draws[noise_symbol(name)]
+            results[name] = _evaluate_equation(name, eq, env) + draws[noise_symbol(name)]
         else:
-            results[name] = _eval_array(eq.expr, env, n_mc)
+            results[name] = _evaluate_equation(name, eq, env)
     return float(np.mean(results["Y1"] - results["Y0"]))
 
 

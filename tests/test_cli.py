@@ -300,6 +300,23 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_non_finite_values_exit_1(self, tmp_path):
+        # A child process, so that a numpy warning would reach stderr.
+        path = tmp_path / "overflow.scm"
+        path.write_text(LINEAR_MODEL.replace("2 * X", "X * 1e300 * 1e300"))
+        proc = subprocess.run(
+            [*declared_entry_point("cdl-compass"), "simulate", str(path), "--n", "5"],
+            capture_output=True,
+            text=True,
+            env=env_importing_this_package(),
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "'Y'" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_bad_graph_line_names_file_line(self, capsys, tmp_path):
         path = tmp_path / "bad.scm"
         path.write_text(LINEAR_MODEL.replace("graph:\n", "graph:\n# edges\nX\nY => Z\n"))
@@ -385,6 +402,14 @@ class TestAssumptionTests:
         code, _, err = run_cli(capsys, "test", linear_csv, "--test", "jb", "--column", "Q")
         assert code == 1
         assert err.startswith("error:")
+
+    def test_overlong_quoted_field_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text('X\n1.0\n"' + "1" * 131073 + '"\n')
+        code, out, err = run_cli(capsys, "test", str(path), "--test", "jb", "--column", "X")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: row 3: field larger than field limit")
 
     def test_alpha_passthrough(self, capsys, linear_csv):
         code, out, _ = run_cli(

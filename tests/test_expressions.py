@@ -1,7 +1,9 @@
 """Expression parsing, printing, and evaluation."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -126,6 +128,20 @@ def test_unbound_variable_is_an_evaluation_error():
 def test_domain_errors_are_evaluation_errors():
     with pytest.raises(EvaluationError):
         value("log(0 - 1)")
+    # Each names the first operator or function whose value is not finite.
+    cases = [
+        ("sin(X * X)", {"X": 1e200}, "operator '*'"),
+        ("X * X - X * X", {"X": 1e200}, "operator '*'"),
+        ("X / Y", {"X": 1e300, "Y": 1e-300}, "operator '/'"),
+        ("sin(X)", {"X": float("inf")}, "sin()"),
+        ("log(X)", {"X": 0.0}, "log()"),
+        ("X ** 0.5", {"X": -1.0}, "operator '**'"),
+    ]
+    for text, env, where in cases:
+        with pytest.raises(EvaluationError, match=re.escape(where)):
+            value(text, **env)
+        with pytest.raises(EvaluationError, match=re.escape(where)):
+            value(text, **{k: np.array([1.0, v]) for k, v in env.items()})
 
 
 # ---------------------------------------------------------------------------

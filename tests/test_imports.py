@@ -111,6 +111,15 @@ def test_package_import_loads_no_heavy_modules():
     ) == []
 
 
+def test_expressions_load_no_numpy_until_evaluated():
+    assert _run_child(
+        "import sys, json\n"
+        "from cdl_compass.expressions import format_expression, parse_expression\n"
+        "format_expression(parse_expression('exp(x) / 2 ** y'))\n"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    ) == []
+
+
 @pytest.mark.parametrize("name", sorted(NO_HEAVY))
 def test_graph_catalog_and_pipeline_commands_load_no_heavy_modules(inputs, name):
     assert _cli(inputs, NO_HEAVY[name]) == []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdl_compass.expressions import EvaluationError
 from cdl_compass.graphs import Dag
 from cdl_compass.lattice import ParametricTag
 from cdl_compass.scm import (
@@ -401,6 +402,11 @@ class TestSampling:
         with pytest.raises(ValueError, match="non-negative"):
             sample(parse_scm(LINEAR_MODEL), -1)
 
+    def test_non_finite_values_name_the_equation(self):
+        m = parse_scm(LINEAR_MODEL.replace("2 * X", "log(X)"))
+        with pytest.raises(EvaluationError, match=r"^equation for 'Y': .*log\(\)"):
+            sample(m, 50, seed=0)
+
     def test_slope_recovered(self):
         d = sample(parse_scm(LINEAR_MODEL), 20000, seed=11)
         x, y = d.column("X"), d.column("Y")
@@ -500,6 +506,20 @@ C ~ Normal(0.0, 1.0)
         m = parse_scm(IHDP_SCALAR)
         with pytest.raises(ValueError, match="missing"):
             oracle_cate(m, {})
+
+    def test_non_finite_values_name_the_outcome(self):
+        text = (
+            "graph:\nX -> Y0\nX -> Y1\nequations:\n"
+            "Y0 := X\nY1 := log(X + U_S)\n"
+            "noise:\nU_S ~ Uniform(0.0, 1.0)\nU_X ~ Normal(0.0, 1.0)\n"
+        )
+        m = parse_scm(text)
+        assert oracle_cate(m, {"X": 1.0}, n_mc=100) < 0.0
+        with pytest.raises(EvaluationError, match=r"^equation for 'Y1': .*log\(\)"):
+            oracle_cate(m, {"X": -2.0}, n_mc=100)
+        noise_free = parse_scm(text.replace("log(X + U_S)", "log(X)"))
+        with pytest.raises(EvaluationError, match=r"^equation for 'Y1': .*log\(\)"):
+            oracle_cate(noise_free, {"X": 0.0})
 
 
 # ---------------------------------------------------------------------------
