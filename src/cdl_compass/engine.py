@@ -125,6 +125,11 @@ def validate_pipeline(
     stages: list[StageRecord] = []
     for index, card in enumerate(cards, start=1):
         problem = _requirement_failure(state, card)
+        if problem is None:
+            try:
+                after = join_states(state, card.a_posteriori)
+            except PayloadConflictError as exc:
+                problem = f"pipeline inconsistency: {exc}"
         if problem is not None:
             stages.append(
                 StageRecord(index, card.id, state, card.a_priori, None, False, problem)
@@ -135,20 +140,6 @@ def validate_pipeline(
                 None,
                 False,
                 f"stage {index} ({card.id}): {problem}",
-            )
-        try:
-            after = join_states(state, card.a_posteriori)
-        except PayloadConflictError as exc:
-            message = f"pipeline inconsistency: {exc}"
-            stages.append(
-                StageRecord(index, card.id, state, card.a_priori, None, False, message)
-            )
-            return ValidationReport(
-                start,
-                tuple(stages),
-                None,
-                False,
-                f"stage {index} ({card.id}): {message}",
             )
         stages.append(
             StageRecord(index, card.id, state, card.a_priori, after, True)

@@ -301,12 +301,20 @@ def evaluate_expression(e: Expression, env: Mapping[str, Any]) -> Any:
     is a scalar, and an array otherwise.  Every operator and function must
     give finite values throughout, or :class:`EvaluationError` names it: one
     rule for division by zero, logarithms of non-positive values, invalid
-    powers and overflow.  An unbound identifier raises it too.
+    powers and overflow.  An unbound identifier raises it too, and so does
+    a result that is a non-finite binding, perhaps negated.
     """
     import numpy as np
 
     with np.errstate(all="ignore"):
         value = _evaluate(e, env, np)
+    # Operators and functions check their own values, so only a bare
+    # identifier under any number of negations can still be non-finite.
+    root = e
+    while isinstance(root, Neg):
+        root = root.operand
+    if isinstance(root, Var) and not np.isfinite(value).all():
+        raise EvaluationError(f"non-finite value bound to {root.name!r}")
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -66,40 +66,6 @@ def _check_name(name: object) -> str:
     return name
 
 
-def _find_cycle(nodes: Iterable[str], children: dict[str, set[str]]) -> list[str]:
-    """Return one directed cycle (as a node list) via iterative DFS."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in nodes}
-    parent: dict[str, str] = {}
-    for root in sorted(color):
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(children[root])))]
-        color[root] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    cycle = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(sorted(children[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    raise AssertionError("no cycle found")  # pragma: no cover
-
-
 @dataclass(frozen=True)
 class Dag:
     """A directed acyclic graph over named variables.
@@ -137,10 +103,7 @@ class Dag:
             child_masks[index[a]] |= 1 << index[b]
         topo = _lex_kahn(parent_masks, child_masks)
         if len(topo) != len(order):
-            children: dict[str, set[str]] = {v: set() for v in self.nodes}
-            for a, b in self.edges:
-                children[a].add(b)
-            raise CycleError(_find_cycle(self.nodes, children))
+            raise CycleError([order[i] for i in _leftover_cycle(parent_masks, topo)])
         # The dataclass is frozen, so the index goes straight into __dict__,
         # where cached_property would put it.
         vars(self).update(
@@ -232,6 +195,23 @@ def _lex_kahn(parent_masks: list[int], child_masks: list[int]) -> list[int]:
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
     return out
+
+
+def _leftover_cycle(parent_masks: list[int], topo: list[int]) -> list[int]:
+    """A directed cycle among the nodes Kahn's pass left over, as indices.
+
+    Every leftover node keeps a leftover parent, so stepping from the lowest
+    leftover index to its lowest leftover parent must revisit a node; the
+    steps since the first visit, reversed, run along the edges.
+    """
+    left = (1 << len(parent_masks)) - 1 - sum(1 << i for i in topo)
+    step: dict[int, int] = {}  # each visited node's place on the walk
+    i = (left & -left).bit_length() - 1
+    while i not in step:
+        step[i] = len(step)
+        parents = parent_masks[i] & left
+        i = (parents & -parents).bit_length() - 1
+    return list(step)[step[i]:][::-1]
 
 
 def _d_connected(g: Dag, xi: int, zmask: int, targets: int) -> int:
@@ -582,26 +562,21 @@ class Pdag:
         return cls(node_set, d, u)
 
     def __post_init__(self) -> None:
-        for v in self.nodes:
-            _check_name(v)
-        for a, b in self.directed:
-            if a not in self.nodes or b not in self.nodes:
-                raise ValueError(f"edge ({a!r}, {b!r}) uses an undeclared node")
-            if a == b:
-                raise CycleError([a])
         for pair in self.undirected:
             if len(pair) != 2:
                 raise ValueError("undirected edges join two distinct nodes")
             if not pair <= self.nodes:
                 raise ValueError(f"undirected edge {sorted(pair)} uses an undeclared node")
         for a, b in self.directed:
-            if (b, a) in self.directed:
+            # A directed self loop is left to Dag, which calls it a cycle.
+            if a != b and (b, a) in self.directed:
                 raise ValueError(f"both orientations present between {a!r} and {b!r}")
             if frozenset((a, b)) in self.undirected:
                 raise ValueError(
                     f"edge between {a!r} and {b!r} is both directed and undirected"
                 )
-        # The directed part must be acyclic for this to be a PDAG at all.
+        # Dag checks the names, the directed endpoints and self loops, and
+        # the directed part must be acyclic for this to be a PDAG at all.
         Dag(self.nodes, self.directed)
 
 
@@ -777,10 +752,6 @@ class TemporalTemplate:
                 src, dst, when = entry
             else:
                 raise ValueError(f"within-step entries are (src, dst[, when]): {entry!r}")
-            if when not in _QUALIFIERS:
-                raise ValueError(
-                    f"unknown step qualifier {when!r}; expected one of {_QUALIFIERS}"
-                )
             within.append((str(src), str(dst), when))
         across: list[tuple[str, str]] = []
         for entry in across_step:
@@ -811,7 +782,9 @@ class TemporalTemplate:
             if src == dst:
                 raise ValueError(f"within-step self edge on role {src!r}")
             if when not in _QUALIFIERS:
-                raise ValueError(f"unknown step qualifier {when!r}")
+                raise ValueError(
+                    f"unknown step qualifier {when!r}; expected one of {_QUALIFIERS}"
+                )
         for src, dst in self.across_step:
             if src not in self.roles or dst not in self.roles:
                 raise ValueError(f"cross-step edge ({src!r}, {dst!r}) uses an unknown role")

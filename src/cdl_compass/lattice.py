@@ -272,7 +272,7 @@ def satisfies(possessed: KnowledgeState, required: KnowledgeState) -> bool:
     )
 
 
-def _join_level(a, b, level_cls):
+def _join_level(a, b):
     if a.tag is not b.tag:
         return a if leq(b.tag, a.tag) else b
     if a.payload is None:
@@ -299,8 +299,8 @@ def join_states(a: KnowledgeState, b: KnowledgeState) -> KnowledgeState:
             f"({a.temporal.label} vs {b.temporal.label})"
         )
     return KnowledgeState(
-        _join_level(a.structural, b.structural, StructuralLevel),
-        _join_level(a.parametric, b.parametric, ParametricLevel),
+        _join_level(a.structural, b.structural),
+        _join_level(a.parametric, b.parametric),
         a.temporal,
     )
 

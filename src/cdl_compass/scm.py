@@ -319,12 +319,6 @@ class Factor:
     def _table_map(self) -> dict[tuple[float, ...], float] | None:
         return dict(self.table) if self.table is not None else None
 
-    def domain_of(self, variable: str) -> tuple[float, ...] | None:
-        for v, dom in self.domains:
-            if v == variable:
-                return dom
-        raise ValueError(f"{variable!r} is not in this factor's scope")
-
     def evaluate(self, assignment: Mapping[str, float]) -> float:
         for v in self.scope:
             if v not in assignment:

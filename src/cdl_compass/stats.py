@@ -512,14 +512,6 @@ def _centered_ranks(values: np.ndarray) -> np.ndarray:
     return ranks - ranks.mean()
 
 
-def _rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    # a, b centered rank vectors; a constant vector correlates with nothing
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 # Permutations are drawn and scored in blocks of rows holding at most this
 # many indices, which keeps each block's gathers small.
 _PERMUTATION_BLOCK = 1 << 14
@@ -527,11 +519,13 @@ _PERMUTATION_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class _IndependenceProblem:
-    """Centred ranks of an input and of residuals, with the observed statistic."""
+    """Centred ranks of an input and of residuals, their correlation scales,
+    and the observed statistic."""
 
     xr: np.ndarray
     sr: np.ndarray
     ar: np.ndarray
+    scales: tuple[float, float]
     observed: float
 
     @classmethod
@@ -539,8 +533,12 @@ class _IndependenceProblem:
         xr = _centered_ranks(x)
         sr = _centered_ranks(residuals)
         ar = _centered_ranks(np.abs(residuals))
-        observed = max(abs(_rank_correlation(xr, sr)), abs(_rank_correlation(xr, ar)))
-        return cls(xr, sr, ar, observed)
+        nx = float(np.linalg.norm(xr))
+        # A zero norm means a constant rank vector: every dot product is 0,
+        # and dividing it by 1 gives the 0 correlation it stands for.
+        scales = tuple(nx * float(np.linalg.norm(v)) or 1.0 for v in (sr, ar))
+        observed = max(abs(float(xr @ v / scale)) for v, scale in zip((sr, ar), scales))
+        return cls(xr, sr, ar, scales, observed)
 
     def report(self, hits: int, n_permutations: int, alpha: float) -> TestReport:
         return TestReport.from_p(
@@ -562,15 +560,10 @@ def _permutation_hits(
     draws: the stream of successive ``rng.permutation(n)``, filled a block
     of rows at a time.  Centred ranks are multiples of 1/2, so every dot
     product and sum of squares is exact (below about 3e5 points) and each
-    score equals ``_rank_correlation`` of the permuted residual ranks.
+    score is the rank correlation of the permuted residual ranks, scaled
+    exactly as the observed statistic is.
     """
     n = problems[0].xr.shape[0]
-    scales = []
-    for pb in problems:
-        nx = float(np.linalg.norm(pb.xr))
-        # A zero norm means a constant rank vector: every dot product is 0,
-        # and dividing it by 1 gives the 0 correlation it stands for.
-        scales.append(tuple(nx * float(np.linalg.norm(v)) or 1.0 for v in (pb.sr, pb.ar)))
     rng = np.random.default_rng(seed)
     rows = max(1, _PERMUTATION_BLOCK // n)
     hits = [0] * len(problems)
@@ -578,9 +571,9 @@ def _permutation_hits(
         perms = np.tile(np.arange(n), (min(rows, n_permutations - done), 1))
         for row in perms:
             rng.shuffle(row)
-        for i, (pb, (scale_s, scale_a)) in enumerate(zip(problems, scales)):
-            signed = np.abs(pb.sr[perms] @ pb.xr / scale_s)
-            magnitude = np.abs(pb.ar[perms] @ pb.xr / scale_a)
+        for i, pb in enumerate(problems):
+            signed = np.abs(pb.sr[perms] @ pb.xr / pb.scales[0])
+            magnitude = np.abs(pb.ar[perms] @ pb.xr / pb.scales[1])
             hits[i] += int(np.count_nonzero(np.maximum(signed, magnitude) >= pb.observed))
     return hits
 
