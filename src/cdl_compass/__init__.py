@@ -20,6 +20,7 @@ __version__ = "0.1.0"
 # attribute access (PEP 562), so ``import cdl_compass`` loads neither numpy nor
 # scipy, and a command that needs only the catalog never pays for them.
 _EXPORTS = {
+    "datasets": ("Dataset",),
     "engine": (
         "AuditReport",
         "StageRecord",
@@ -88,7 +89,6 @@ _EXPORTS = {
         "save_catalog",
     ),
     "scm": (
-        "Dataset",
         "Factor",
         "Factorization",
         "NormalNoise",

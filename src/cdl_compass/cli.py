@@ -12,9 +12,12 @@ is byte-identical for identical argv, input files, and seeds.  The
 environment variable ``CDL_COMPASS_SEED`` replaces the built-in default
 seed 0; an explicit ``--seed`` wins over both.
 
-The numpy-backed modules (``scm``, ``stats``) are imported inside the
-handlers that use them, so the graph, catalog and pipeline subcommands
-start without loading numpy.
+Every handler imports the package modules it runs, and nothing else loads
+at start-up, so a cold process compiles and runs only those: ``dsep`` and
+``mec`` load ``graphs`` alone; ``catalog`` loads ``lattice`` and
+``registry``, and ``validate``, ``plan`` and ``audit`` add ``engine``, none
+of them numpy; ``test`` and ``anm`` read their CSV through ``datasets``
+without the model code in ``scm``.
 """
 
 from __future__ import annotations
@@ -25,20 +28,8 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .engine import (
-    audit_transitions,
-    parse_pipeline,
-    plan_pipeline,
-    render_audit_text,
-    render_plans_text,
-    render_validation_text,
-    validate_pipeline,
-)
-from .graphs import d_separated, enumerate_mec, format_graph, parse_constraints, parse_dag
-from .lattice import KnowledgeState, testability_tier
-from .registry import card_to_mapping, default_catalog, load_catalog, query_catalog
-
 if TYPE_CHECKING:
+    from .lattice import KnowledgeState
     from .stats import TestReport
 
 
@@ -72,12 +63,16 @@ def _resolve_seed(args) -> int:
 
 
 def _load_cli_catalog(args):
+    from .registry import default_catalog, load_catalog
+
     if args.catalog is None:
         return default_catalog()
     return load_catalog(args.catalog)
 
 
 def _state(triple: str) -> KnowledgeState:
+    from .lattice import KnowledgeState
+
     return KnowledgeState.from_triple(triple)
 
 
@@ -121,6 +116,8 @@ def _emit_report(report: TestReport, fmt: str) -> None:
 
 
 def _cmd_dsep(args) -> int:
+    from .graphs import d_separated, parse_dag
+
     graph = parse_dag(_read_text(args.graph))
     given = _name_list(args.given)
     separated = d_separated(graph, args.x, args.y, given)
@@ -139,6 +136,8 @@ def _cmd_dsep(args) -> int:
 
 
 def _cmd_mec(args) -> int:
+    from .graphs import enumerate_mec, format_graph, parse_constraints
+
     variables = _name_list([args.vars])
     constraints = parse_constraints(_read_text(args.constraints), variables)
     graphs = enumerate_mec(constraints, variables, max_nodes=args.max_nodes)
@@ -189,7 +188,7 @@ def _require(args, flags: list[str]) -> None:
 
 
 def _cmd_test(args) -> int:
-    from .scm import Dataset
+    from .datasets import Dataset
     from .stats import (
         cusum_linearity_test,
         gaussian_cdf,
@@ -236,7 +235,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_anm(args) -> int:
-    from .scm import Dataset
+    from .datasets import Dataset
     from .stats import anm_direction
 
     data = Dataset.from_csv(args.data)
@@ -264,6 +263,8 @@ def _cmd_anm(args) -> int:
 
 
 def _cmd_catalog_list(args) -> int:
+    from .registry import card_to_mapping, query_catalog
+
     catalog = _load_cli_catalog(args)
     cards = query_catalog(
         catalog,
@@ -287,6 +288,8 @@ def _cmd_catalog_list(args) -> int:
 
 
 def _tier_mapping(state: KnowledgeState) -> dict:
+    from .lattice import testability_tier
+
     return {
         "structural": testability_tier(state.structural.tag).label,
         "parametric": testability_tier(state.parametric.tag).label,
@@ -294,6 +297,8 @@ def _tier_mapping(state: KnowledgeState) -> dict:
 
 
 def _cmd_catalog_show(args) -> int:
+    from .registry import card_to_mapping
+
     catalog = _load_cli_catalog(args)
     card = catalog.card(args.id)
     if args.format == "json":
@@ -327,6 +332,8 @@ def _cmd_catalog_show(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .engine import parse_pipeline, render_validation_text, validate_pipeline
+
     catalog = _load_cli_catalog(args)
     ids = parse_pipeline(_read_text(args.pipeline))
     report = validate_pipeline(catalog, ids, _state(args.start))
@@ -338,6 +345,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .engine import audit_transitions, plan_pipeline, render_plans_text
+
     catalog = _load_cli_catalog(args)
     plans = plan_pipeline(
         catalog, _state(args.start), _state(args.goal), max_len=args.max_len
@@ -353,6 +362,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .engine import audit_transitions, render_audit_text
+
     catalog = _load_cli_catalog(args)
     report = audit_transitions(catalog)
     if args.format == "json":

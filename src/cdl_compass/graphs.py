@@ -95,10 +95,8 @@ class Dag:
         parent_masks = [0] * len(order)
         child_masks = [0] * len(order)
         for a, b in self.edges:
-            if a not in index or b not in index:
-                raise ValueError(f"edge ({a!r}, {b!r}) uses an undeclared node")
-            if a == b:
-                raise CycleError([a])
+            if a not in index or b not in index or a == b:
+                raise _edge_fault(self.edges, index)
             parent_masks[index[b]] |= 1 << index[a]
             child_masks[index[a]] |= 1 << index[b]
         topo = _lex_kahn(parent_masks, child_masks)
@@ -165,6 +163,24 @@ class Dag:
         for v in names:
             if v not in self.nodes:
                 raise ValueError(f"unknown variable {v!r}")
+
+
+def _edge_key(edge) -> tuple[str, ...]:
+    # Edges built in code may hold non-strings; comparing them as text keeps
+    # the order total, so such an edge is still named, not a TypeError.
+    return tuple(map(str, edge))
+
+
+def _edge_fault(edges, index: dict[str, int]) -> ValueError:
+    """The fault of the smallest edge with an undeclared endpoint or a self
+    loop, so the message does not hang on the set's hash order."""
+    a, b = min(
+        (e for e in edges if e[0] == e[1] or e[0] not in index or e[1] not in index),
+        key=_edge_key,
+    )
+    if a not in index or b not in index:
+        return ValueError(f"edge ({a!r}, {b!r}) uses an undeclared node")
+    return CycleError([a])
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -562,12 +578,15 @@ class Pdag:
         return cls(node_set, d, u)
 
     def __post_init__(self) -> None:
-        for pair in self.undirected:
+        # Sorted, so the fault named first does not hang on hash order.
+        for pair in sorted(self.undirected, key=lambda p: sorted(_edge_key(p))):
             if len(pair) != 2:
                 raise ValueError("undirected edges join two distinct nodes")
             if not pair <= self.nodes:
-                raise ValueError(f"undirected edge {sorted(pair)} uses an undeclared node")
-        for a, b in self.directed:
+                raise ValueError(
+                    f"undirected edge {sorted(pair, key=str)} uses an undeclared node"
+                )
+        for a, b in sorted(self.directed, key=_edge_key):
             # A directed self loop is left to Dag, which calls it a cycle.
             if a != b and (b, a) in self.directed:
                 raise ValueError(f"both orientations present between {a!r} and {b!r}")

@@ -1,4 +1,5 @@
-"""Import guard: heavy dependencies load only on the paths that use them.
+"""Import guard: heavy dependencies and package modules load only on the
+paths that use them.
 
 Each check runs in a fresh interpreter (``sys.executable``), because this
 suite's own ``sys.modules`` already holds numpy and scipy and would hide a
@@ -36,6 +37,19 @@ def _child_env():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     env.pop("CDL_COMPASS_SEED", None)
     return env
+
+# Runs cli.main on its argv with stdout and stderr swallowed, then reports its
+# exit code and the package modules the process loaded.
+PACKAGE_CHILD = (
+    "import contextlib, io, json, sys\n"
+    "from cdl_compass.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    try:\n"
+    "        code = main(sys.argv[1:])\n"
+    "    except SystemExit as exc:\n"
+    "        code = exc.code\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('cdl_compass'))]))\n"
+)
 
 
 def _run_child(*args):
@@ -102,6 +116,48 @@ def _cli(inputs, argv):
     code, loaded = _run_child(CLI_CHILD, *(arg.format(**inputs) for arg in argv))
     assert code == 0
     return loaded
+
+
+# Each subcommand's package modules besides ``cdl_compass`` and ``cli``.
+MODULES = {
+    "dsep": {"graphs"},
+    "mec": {"graphs"},
+    "catalog-list": {"lattice", "registry"},
+    "catalog-show": {"lattice", "registry"},
+    "validate": {"lattice", "registry", "engine"},
+    "plan": {"lattice", "registry", "engine"},
+    "audit": {"lattice", "registry", "engine"},
+    "simulate": {"scm", "datasets", "graphs", "expressions", "lattice"},
+    **{
+        name: {"datasets", "stats", "lattice"}
+        for name in ("test-ks", "test-jb", "test-cusum", "test-resid", "test-pcorr", "anm")
+    },
+}
+
+USAGE_ERRORS = {
+    "no-subcommand": [],
+    "unknown-subcommand": ["frobnicate"],
+    "missing-required-flag": ["dsep", "{graph}", "--x", "X"],
+    "bad-choice": ["test", "{data}", "--test", "chi2"],
+    "unknown-flag": ["audit", "--verbose"],
+}
+
+
+def _modules(inputs, argv):
+    code, loaded = _run_child(PACKAGE_CHILD, *(arg.format(**inputs) for arg in argv))
+    return code, {m.removeprefix("cdl_compass.") for m in loaded} - {"cdl_compass", "cli"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_each_subcommand_loads_only_the_modules_it_runs(inputs, name, fmt):
+    argv = {**NO_HEAVY, **NO_SCIPY}[name]
+    assert _modules(inputs, [*argv, "--format", fmt]) == (0, MODULES[name])
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_loads_no_package_module(inputs, name):
+    assert _modules(inputs, USAGE_ERRORS[name]) == (2, set())
 
 
 def test_package_import_loads_no_heavy_modules():

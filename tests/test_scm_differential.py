@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from helpers_scm import read_csv_rows  # noqa: E402
 
-from cdl_compass import scm
+from cdl_compass import datasets
 from cdl_compass.scm import Dataset
 
-BLOCK = scm._CSV_BLOCK_ROWS
+BLOCK = datasets._CSV_BLOCK_ROWS
 
 
 def outcome(read):
@@ -115,7 +115,7 @@ def csv_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(csv_texts(), st.sampled_from([1, 2, 3, 5, BLOCK]))
 def test_generated_texts_match_row_reader(text, block):
-    with mock.patch.object(scm, "_CSV_BLOCK_ROWS", block):
+    with mock.patch.object(datasets, "_CSV_BLOCK_ROWS", block):
         check_text(text)
 
 

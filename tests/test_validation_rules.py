@@ -4,7 +4,8 @@ A ``Dag`` names a directed cycle from the nodes Kahn's pass leaves over; a
 ``Pdag`` leaves names, directed endpoints, self loops and cycles to the
 ``Dag`` it builds from its directed part; and ``evaluate_expression`` checks
 a result that no operator or function has checked, a bare identifier's
-binding, once.
+binding, once.  Where a graph holds several faults, the one named first
+does not depend on string hashing.
 """
 
 import math
@@ -159,6 +160,57 @@ def test_pdag_single_fault(build, error, messages):
         build()
     assert type(info.value) is error
     assert str(info.value) in messages
+
+
+# Several faults each, in sets whose iteration order follows string hashing.
+SEVERAL_FAULTS = (
+    "import contextlib, io, sys\n"
+    "from cdl_compass.cli import main\n"
+    "from cdl_compass.graphs import Dag, Pdag\n"
+    "err = io.StringIO()\n"
+    "with contextlib.redirect_stderr(err):\n"
+    "    code = main(['dsep', sys.argv[1], '--x', 'A', '--y', 'C'])\n"
+    "print(code, err.getvalue(), end='')\n"
+    "for build in (\n"
+    "    lambda: Dag(frozenset('abc'), frozenset({('b', 'z'), ('c', 'c'), ('a', 'y'), ('a', 'x')})),\n"
+    "    lambda: Dag(frozenset('abc'), frozenset({('c', 'c'), ('b', 'b'), ('c', 'a')})),\n"
+    "    lambda: Pdag.of([('C', 'D'), ('A', 'B'), ('D', 'C'), ('B', 'A')]),\n"
+    "    lambda: Pdag.of([('C', 'D'), ('A', 'B')], [('D', 'C'), ('B', 'A')]),\n"
+    "    lambda: Pdag(frozenset('AB'), frozenset(), frozenset({frozenset('BY'), frozenset('AX')})),\n"
+    "    lambda: Pdag(frozenset('a'), frozenset(), frozenset({frozenset('ab'), frozenset({'a', 1})})),\n"
+    "):\n"
+    "    try:\n"
+    "        build()\n"
+    "    except ValueError as exc:\n"
+    "        print(exc)\n"
+)
+
+
+def test_fault_names_do_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "both.graph"
+    path.write_text("A -> B\nB -> A\nB -- C\n")
+    paths = [str(Path(cdl_compass.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    for hash_seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(paths)}
+        proc = subprocess.run(
+            [sys.executable, "-c", SEVERAL_FAULTS, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "1 error: both orientations present between 'A' and 'B'",
+            "edge ('a', 'x') uses an undeclared node",
+            "directed cycle: b -> b",
+            "both orientations present between 'A' and 'B'",
+            "edge between 'A' and 'B' is both directed and undirected",
+            "undirected edge ['A', 'X'] uses an undeclared node",
+            "undirected edge [1, 'a'] uses an undeclared node",
+        ], hash_seed
 
 
 # ---------------------------------------------------------------------------
