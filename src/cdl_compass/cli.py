@@ -177,6 +177,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# The flags each ``--test`` choice needs, checked before any input is read.
+_TEST_FLAGS = {
+    "ks": ["--column"],
+    "jb": ["--column"],
+    "cusum": ["--x", "--y"],
+    "resid": ["--x", "--resid"],
+    "pcorr": ["--x", "--y"],
+}
+
+
 def _require(args, flags: list[str]) -> None:
     missing = [
         flag
@@ -188,6 +198,7 @@ def _require(args, flags: list[str]) -> None:
 
 
 def _cmd_test(args) -> int:
+    _require(args, _TEST_FLAGS[args.test])
     from .datasets import Dataset
     from .stats import (
         cusum_linearity_test,
@@ -201,22 +212,18 @@ def _cmd_test(args) -> int:
 
     data = Dataset.from_csv(args.data)
     if args.test == "ks":
-        _require(args, ["--column"])
         if args.uniform is not None:
             cdf = uniform_cdf(args.uniform[0], args.uniform[1])
         else:
             cdf = gaussian_cdf(args.mu, args.sigma)
         report = ks_test(data.column(args.column), cdf, alpha=args.alpha)
     elif args.test == "jb":
-        _require(args, ["--column"])
         report = jarque_bera_test(data.column(args.column), alpha=args.alpha)
     elif args.test == "cusum":
-        _require(args, ["--x", "--y"])
         report = cusum_linearity_test(
             data.column(args.x), data.column(args.y), alpha=args.alpha
         )
     elif args.test == "resid":
-        _require(args, ["--x", "--resid"])
         report = residual_independence_test(
             data.column(args.x),
             data.column(args.resid),
@@ -225,7 +232,6 @@ def _cmd_test(args) -> int:
             seed=_resolve_seed(args),
         )
     else:  # pcorr
-        _require(args, ["--x", "--y"])
         given = _name_list([args.given]) if args.given else ()
         report = partial_correlation_ci_test(
             data, args.x, args.y, given, alpha=args.alpha
@@ -423,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--test",
         required=True,
-        choices=("ks", "jb", "cusum", "resid", "pcorr"),
+        choices=tuple(_TEST_FLAGS),
         help="which test to run",
     )
     p.add_argument("--column", default=None, help="column for ks/jb")

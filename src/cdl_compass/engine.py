@@ -24,6 +24,7 @@ per line, ``#`` comments) is accepted too.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -35,7 +36,9 @@ from .lattice import (
     TransitionKind,
     classify_transition,
     join_states,
+    knowledge_state,
     leq,
+    satisfies,
 )
 from .registry import Catalog, MethodCard
 
@@ -152,8 +155,11 @@ def validate_pipeline(
 # Planning
 
 
-def _tag_key(state: KnowledgeState) -> tuple:
-    return (state.structural.tag, state.parametric.tag)
+def _tags_only(state: KnowledgeState) -> KnowledgeState:
+    """The state without payloads: planning compares tags only."""
+    if state.structural.payload is None and state.parametric.payload is None:
+        return state
+    return knowledge_state(state.structural.tag, state.parametric.tag, state.temporal)
 
 
 def plan_pipeline(
@@ -164,69 +170,40 @@ def plan_pipeline(
 ) -> list[list[str]]:
     """Every minimum-length card sequence from start to a goal-satisfying state.
 
-    Search runs at tag level: payloads are ignored and states collapse to
-    (structural tag, parametric tag) pairs under the start's temporal
-    flag.  Cards on the other temporal flag never apply, so a goal on a
-    different flag is simply unreachable.  Returns ``[[]]`` when the start
-    already satisfies the goal, ``[]`` when nothing does — including when
-    the shortest sequence would exceed ``max_len`` — and otherwise the
-    full set of shortest plans sorted by their id sequences.  Relaxing
-    cards take part like any other; auditing tells them apart.
+    Search runs breadth-first over payload-free states: a card applies when
+    the running state satisfies its requirement, and the next state is the
+    join with its outcome.  Payloads are ignored.  Cards on the other
+    temporal flag never apply, so a goal on a different flag is simply
+    unreachable.  Returns ``[[]]`` when the start already satisfies the
+    goal, ``[]`` when nothing does — including when the shortest sequence
+    would exceed ``max_len`` — and otherwise the full set of shortest plans
+    sorted by their id sequences.  Relaxing cards take part like any other;
+    auditing tells them apart.
     """
     if max_len is not None and max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
-    if start.temporal is not goal.temporal:
-        return []
-    goal_key = _tag_key(goal)
-
-    def satisfied(key: tuple) -> bool:
-        return goal_key[0] <= key[0] and goal_key[1] <= key[1]
-
-    start_key = _tag_key(start)
-    if satisfied(start_key):
-        return [[]]
-    usable = [c for c in catalog.cards if c.temporal is start.temporal]
-
-    dist = {start_key: 0}
-    preds: dict[tuple, set[tuple]] = {}
-    frontier = [start_key]
-    found = None
-    depth = 0
-    while frontier and found is None:
-        depth += 1
-        if max_len is not None and depth > max_len:
-            break
-        grown: list[tuple] = []
-        for key in frontier:
-            for card in usable:
-                req = _tag_key(card.a_priori)
-                if not (req[0] <= key[0] and req[1] <= key[1]):
-                    continue
-                out = _tag_key(card.a_posteriori)
-                nxt = (max(key[0], out[0]), max(key[1], out[1]))
-                if nxt not in dist:
-                    dist[nxt] = depth
-                    preds[nxt] = set()
-                    grown.append(nxt)
-                if dist[nxt] == depth:
-                    preds[nxt].add((key, card.id))
-        frontier = grown
-        if any(satisfied(key) for key in grown):
-            found = depth
-    if found is None:
-        return []
-
-    def unwind(key: tuple) -> list[tuple[str, ...]]:
-        if dist[key] == 0:
-            return [()]
-        out: list[tuple[str, ...]] = []
-        for prev, card_id in sorted(preds[key]):
-            out.extend(path + (card_id,) for path in unwind(prev))
-        return out
-
-    targets = [key for key, d in dist.items() if d == found and satisfied(key)]
-    plans = sorted(path for key in targets for path in unwind(key))
-    return [list(path) for path in plans]
+    goal = _tags_only(goal)
+    steps = [
+        (_tags_only(c.a_priori), _tags_only(c.a_posteriori), c.id) for c in catalog.cards
+    ]
+    # Each state of the newest layer maps to every shortest sequence reaching it.
+    layer = {_tags_only(start): [()]}
+    seen = set(layer)
+    for depth in itertools.count():
+        plans = sorted(
+            path for state, paths in layer.items() if satisfies(state, goal) for path in paths
+        )
+        if plans or not layer or depth == max_len:
+            return [list(path) for path in plans]
+        grown: dict[KnowledgeState, list[tuple[str, ...]]] = {}
+        for state, paths in layer.items():
+            for required, outcome, card_id in steps:
+                if satisfies(state, required):
+                    nxt = join_states(state, outcome)
+                    if nxt not in seen:
+                        grown.setdefault(nxt, []).extend(path + (card_id,) for path in paths)
+        seen.update(grown)
+        layer = grown
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ observational data can confirm.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,7 +40,16 @@ class PayloadConflictError(ValueError):
     """Two states at the same tag carry different payloads; no merge rule exists."""
 
 
-class _OrderedTag(enum.Enum):
+class _Labelled(enum.Enum):
+    """Enum base whose members are named by their lowercase member name."""
+
+    @property
+    def label(self) -> str:
+        return self.name.lower()
+
+
+@functools.total_ordering
+class _OrderedTag(_Labelled):
     """Enum base whose members order within their own class only.
 
     Comparing tags from different scales is a type error, not ``False``:
@@ -50,25 +60,6 @@ class _OrderedTag(enum.Enum):
         if self.__class__ is not other.__class__:
             return NotImplemented
         return self.value < other.value
-
-    def __le__(self, other: object) -> bool:
-        if self.__class__ is not other.__class__:
-            return NotImplemented
-        return self.value <= other.value
-
-    def __gt__(self, other: object) -> bool:
-        if self.__class__ is not other.__class__:
-            return NotImplemented
-        return self.value > other.value
-
-    def __ge__(self, other: object) -> bool:
-        if self.__class__ is not other.__class__:
-            return NotImplemented
-        return self.value >= other.value
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
 
     @classmethod
     def from_label(cls, label: str) -> "_OrderedTag":
@@ -94,15 +85,11 @@ class ParametricTag(_OrderedTag):
     FULLY_KNOWN = 3
 
 
-class TemporalFlag(enum.Enum):
+class TemporalFlag(_Labelled):
     """Static vs temporal regime.  Unordered; compared for equality only."""
 
     STATIC = "static"
     TEMPORAL = "temporal"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
     @classmethod
     def from_label(cls, label: str) -> "TemporalFlag":
@@ -305,15 +292,11 @@ def join_states(a: KnowledgeState, b: KnowledgeState) -> KnowledgeState:
     )
 
 
-class TransitionKind(enum.Enum):
+class TransitionKind(_Labelled):
     NONE = "none"
     STRUCTURAL = "structural"
     PARAMETRIC = "parametric"
     BOTH = "both"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -369,14 +352,10 @@ def all_tag_states(temporal: TemporalFlag | None = None) -> list[KnowledgeState]
     ]
 
 
-class TestabilityTier(enum.Enum):
+class TestabilityTier(_Labelled):
     NO_TESTS_NEEDED = "no_tests_needed"
     TESTABLE = "testable"
     UNTESTABLE = "untestable"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 _STRUCTURAL_TIERS = {

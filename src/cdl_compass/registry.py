@@ -21,7 +21,6 @@ results always come back in id order.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from dataclasses import dataclass
@@ -222,10 +221,9 @@ def save_catalog(catalog: Catalog, target=None) -> str | None:
 
 def default_catalog() -> Catalog:
     """The packaged sixteen-card catalog."""
-    text = (
+    return load_catalog(
         resources.files("cdl_compass").joinpath("data/default_catalog.json").read_text("utf-8")
     )
-    return load_catalog(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------

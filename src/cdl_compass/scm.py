@@ -147,6 +147,8 @@ class Factor:
             for key, value in self.table:
                 if value < 0.0:
                     raise ValueError(f"negative factor value {value!r} at {key!r}")
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite factor value {value!r} at {key!r}")
 
     @cached_property
     def _table_map(self) -> dict[tuple[float, ...], float] | None:

@@ -28,23 +28,18 @@ is imported on that path alone.  ``TestabilityTier`` and
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import ParametricTag, StructuralTag, TestabilityTier, testability_tier
+from .lattice import ParametricTag, StructuralTag, TestabilityTier, _Labelled, testability_tier
 
 
-class Decision(enum.Enum):
+class Decision(_Labelled):
     REJECT_NULL = "reject_null"
     FAIL_TO_REJECT = "fail_to_reject"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
     @classmethod
     def from_label(cls, label: str) -> "Decision":
@@ -609,14 +604,10 @@ def residual_independence_test(
 # Additive-noise direction finding
 
 
-class CausalDirection(enum.Enum):
+class CausalDirection(_Labelled):
     X_TO_Y = "x_to_y"
     Y_TO_X = "y_to_x"
     INCONCLUSIVE = "inconclusive"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)

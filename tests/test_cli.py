@@ -391,6 +391,11 @@ class TestAssumptionTests:
         assert err == "usage error: test 'cusum' requires --x, --y\n"
         assert out == ""
 
+    def test_missing_flag_reported_before_the_file_is_read(self, capsys, tmp_path):
+        missing = str(tmp_path / "nonexistent.csv")
+        code, out, err = run_cli(capsys, "test", missing, "--test", "ks")
+        assert (code, out, err) == (2, "", "usage error: test 'ks' requires --column\n")
+
     def test_partially_missing(self, capsys, linear_csv):
         code, _, err = run_cli(
             capsys, "test", linear_csv, "--test", "resid", "--x", "X"

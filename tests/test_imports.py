@@ -139,6 +139,7 @@ USAGE_ERRORS = {
     "unknown-subcommand": ["frobnicate"],
     "missing-required-flag": ["dsep", "{graph}", "--x", "X"],
     "bad-choice": ["test", "{data}", "--test", "chi2"],
+    "test-missing-flag": ["test", "{data}", "--test", "ks"],
     "unknown-flag": ["audit", "--verbose"],
 }
 

@@ -1,12 +1,14 @@
 """Order and join laws of the knowledge lattice, exhaustively."""
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cdl_compass.graphs import Dag, IndependenceSet, IndependenceStatement, Pdag
+from cdl_compass.lattice import TestabilityTier as Tier
 from cdl_compass.lattice import (
     KnowledgeState,
     ParametricLevel,
@@ -24,6 +26,7 @@ from cdl_compass.lattice import (
     leq,
     satisfies,
 )
+from cdl_compass.stats import CausalDirection, Decision
 
 ALL = all_tag_states()
 STATIC = all_tag_states(TemporalFlag.STATIC)
@@ -78,6 +81,45 @@ def test_cross_scale_comparison_is_a_type_error():
 def test_tag_rich_comparisons_reject_cross_scale():
     with pytest.raises(TypeError):
         StructuralTag.UNKNOWN < ParametricTag.PARAMETRIC  # noqa: B015
+
+
+ORDERINGS = [operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@pytest.mark.parametrize("op", ORDERINGS)
+@pytest.mark.parametrize("scale", [StructuralTag, ParametricTag])
+def test_tag_rich_comparisons_follow_scale_order(scale, op):
+    for a, b in itertools.product(scale, repeat=2):
+        assert op(a, b) is op(a.value, b.value)
+
+
+@pytest.mark.parametrize("op", ORDERINGS)
+def test_every_rich_comparison_rejects_cross_scale_and_temporal(op):
+    pairs = [
+        (StructuralTag.UNKNOWN, ParametricTag.PARAMETRIC),
+        (ParametricTag.FULLY_KNOWN, StructuralTag.CAUSAL),
+        (StructuralTag.CAUSAL, TemporalFlag.STATIC),
+        (TemporalFlag.STATIC, TemporalFlag.TEMPORAL),
+    ]
+    for a, b in pairs:
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
+def test_every_enum_label_is_unchanged():
+    expected = {
+        StructuralTag: ["unknown", "plausible", "causal"],
+        ParametricTag: ["nonparametric", "noise_model", "parametric", "fully_known"],
+        TemporalFlag: ["static", "temporal"],
+        TransitionKind: ["none", "structural", "parametric", "both"],
+        Tier: ["no_tests_needed", "testable", "untestable"],
+        Decision: ["reject_null", "fail_to_reject"],
+        CausalDirection: ["x_to_y", "y_to_x", "inconclusive"],
+    }
+    for enum_type, labels in expected.items():
+        assert [m.label for m in enum_type] == labels
+    for enum_type in (TemporalFlag, TransitionKind, Tier, Decision, CausalDirection):
+        assert all(m.label == m.value for m in enum_type)
 
 
 # ---------------------------------------------------------------------------

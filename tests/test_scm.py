@@ -168,6 +168,19 @@ class TestFactors:
         with pytest.raises(ValueError, match="negative"):
             Factor.from_table(["X"], {"X": [0.0]}, {(0.0,): -1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # NaN slips past a `< 0` test, and the mass check then sums to nan.
+        table = {(0.0,): bad, (1.0,): 1.0}
+        with pytest.raises(
+            ValueError, match=rf"^non-finite factor value {bad!r} at \(0\.0,\)$"
+        ):
+            Factor.from_table(["X"], {"X": [0.0, 1.0]}, table)
+
+    def test_negative_infinity_reported_as_negative(self):
+        with pytest.raises(ValueError, match=r"^negative factor value -inf at \(0\.0,\)$"):
+            Factor.from_table(["X"], {"X": [0.0]}, {(0.0,): -math.inf})
+
     def test_expression_factor(self):
         f = Factor.from_expression(["x"], "x * x")
         assert f.evaluate({"x": 3.0}) == 9.0
