@@ -7,11 +7,11 @@ the stage's outcome.  The fold stops at the first violation and reports
 which axis failed (structural first, then parametric, then temporal); a
 payload clash during the join is reported as a pipeline inconsistency.
 
-Planning searches the tag-level state space (payloads stripped, twelve
-states per temporal flag) by breadth-first search and returns every
-minimum-length card sequence that carries the start state to one
-satisfying the goal: ``[[]]`` when the start already suffices, ``[]``
-when no sequence does (or none short enough when a length cap is set).
+Planning searches breadth-first with the fold's own step, payloads kept,
+and returns every minimum-length card sequence that carries the start
+state to one satisfying the goal, so every plan validates: ``[[]]`` when
+the start already suffices, ``[]`` when no sequence does (or none short
+enough when a length cap is set).
 
 Auditing classifies each card's declared before/after pair into none /
 structural / parametric / both transitions, tallies the kinds, and lists
@@ -34,10 +34,9 @@ from .lattice import (
     PayloadConflictError,
     Transition,
     TransitionKind,
+    _shortfall,
     classify_transition,
     join_states,
-    knowledge_state,
-    leq,
     satisfies,
 )
 from .registry import Catalog, MethodCard
@@ -93,22 +92,31 @@ class ValidationReport:
 def _requirement_failure(state: KnowledgeState, card: MethodCard) -> str | None:
     """First unmet axis of the card's requirement, in fixed axis order."""
     req = card.a_priori
-    if not leq(req.structural.tag, state.structural.tag):
-        return (
-            f"structural requirement {req.structural.tag.label} "
-            f"exceeds held {state.structural.tag.label}"
-        )
-    if not leq(req.parametric.tag, state.parametric.tag):
-        return (
-            f"parametric requirement {req.parametric.tag.label} "
-            f"exceeds held {state.parametric.tag.label}"
-        )
-    if req.temporal is not state.temporal:
+    axis = _shortfall(state, req)
+    if axis is None:
+        return None
+    if axis == "temporal":
         return (
             f"temporal mismatch: card works on {req.temporal.label} data, "
             f"state is {state.temporal.label}"
         )
-    return None
+    return (
+        f"{axis} requirement {getattr(req, axis).tag.label} "
+        f"exceeds held {getattr(state, axis).tag.label}"
+    )
+
+
+def _step(
+    state: KnowledgeState, card: MethodCard
+) -> tuple[KnowledgeState | None, str | None]:
+    """Apply one card: the next state, or ``None`` and why it does not apply."""
+    problem = _requirement_failure(state, card)
+    if problem is not None:
+        return None, problem
+    try:
+        return join_states(state, card.a_posteriori), None
+    except PayloadConflictError as exc:
+        return None, f"pipeline inconsistency: {exc}"
 
 
 def validate_pipeline(
@@ -127,39 +135,22 @@ def validate_pipeline(
     state = start
     stages: list[StageRecord] = []
     for index, card in enumerate(cards, start=1):
-        problem = _requirement_failure(state, card)
-        if problem is None:
-            try:
-                after = join_states(state, card.a_posteriori)
-            except PayloadConflictError as exc:
-                problem = f"pipeline inconsistency: {exc}"
-        if problem is not None:
-            stages.append(
-                StageRecord(index, card.id, state, card.a_priori, None, False, problem)
-            )
-            return ValidationReport(
-                start,
-                tuple(stages),
-                None,
-                False,
-                f"stage {index} ({card.id}): {problem}",
-            )
+        after, problem = _step(state, card)
         stages.append(
-            StageRecord(index, card.id, state, card.a_priori, after, True)
+            StageRecord(
+                index, card.id, state, card.a_priori, after, after is not None, problem or ""
+            )
         )
+        if after is None:
+            return ValidationReport(
+                start, tuple(stages), None, False, f"stage {index} ({card.id}): {problem}"
+            )
         state = after
     return ValidationReport(start, tuple(stages), state, True, None)
 
 
 # ---------------------------------------------------------------------------
 # Planning
-
-
-def _tags_only(state: KnowledgeState) -> KnowledgeState:
-    """The state without payloads: planning compares tags only."""
-    if state.structural.payload is None and state.parametric.payload is None:
-        return state
-    return knowledge_state(state.structural.tag, state.parametric.tag, state.temporal)
 
 
 def plan_pipeline(
@@ -170,24 +161,22 @@ def plan_pipeline(
 ) -> list[list[str]]:
     """Every minimum-length card sequence from start to a goal-satisfying state.
 
-    Search runs breadth-first over payload-free states: a card applies when
-    the running state satisfies its requirement, and the next state is the
-    join with its outcome.  Payloads are ignored.  Cards on the other
-    temporal flag never apply, so a goal on a different flag is simply
-    unreachable.  Returns ``[[]]`` when the start already satisfies the
-    goal, ``[]`` when nothing does — including when the shortest sequence
-    would exceed ``max_len`` — and otherwise the full set of shortest plans
-    sorted by their id sequences.  Relaxing cards take part like any other;
-    auditing tells them apart.
+    Search runs breadth-first from ``start`` with the step that
+    :func:`validate_pipeline` folds, so every returned plan validates.
+    Payloads are kept: a card whose outcome payload conflicts with the
+    running state's at an equal tag does not apply, and states are hashed
+    with their payloads, which must therefore be hashable.  The goal is met
+    on tags alone.  Cards on the other temporal flag never apply, so a goal
+    on a different flag is simply unreachable.  Returns ``[[]]`` when the
+    start already satisfies the goal, ``[]`` when nothing does — including
+    when the shortest sequence would exceed ``max_len`` — and otherwise the
+    full set of shortest plans sorted by their id sequences.  Relaxing cards
+    take part like any other; auditing tells them apart.
     """
     if max_len is not None and max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
-    goal = _tags_only(goal)
-    steps = [
-        (_tags_only(c.a_priori), _tags_only(c.a_posteriori), c.id) for c in catalog.cards
-    ]
     # Each state of the newest layer maps to every shortest sequence reaching it.
-    layer = {_tags_only(start): [()]}
+    layer = {start: [()]}
     seen = set(layer)
     for depth in itertools.count():
         plans = sorted(
@@ -197,11 +186,10 @@ def plan_pipeline(
             return [list(path) for path in plans]
         grown: dict[KnowledgeState, list[tuple[str, ...]]] = {}
         for state, paths in layer.items():
-            for required, outcome, card_id in steps:
-                if satisfies(state, required):
-                    nxt = join_states(state, outcome)
-                    if nxt not in seen:
-                        grown.setdefault(nxt, []).extend(path + (card_id,) for path in paths)
+            for card in catalog.cards:
+                nxt, _ = _step(state, card)
+                if nxt is not None and nxt not in seen:
+                    grown.setdefault(nxt, []).extend(path + (card.id,) for path in paths)
         seen.update(grown)
         layer = grown
 

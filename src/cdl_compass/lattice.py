@@ -231,18 +231,33 @@ def knowledge_state(
     structural_payload: Any = None,
     parametric_payload: Any = None,
 ) -> KnowledgeState:
-    """Build a state from tags or their lowercase labels."""
-    if isinstance(structural, str):
+    """Build a state from tags or their lowercase labels; reject anything else."""
+    if not isinstance(structural, StructuralTag):
         structural = StructuralTag.from_label(structural)
-    if isinstance(parametric, str):
+    if not isinstance(parametric, ParametricTag):
         parametric = ParametricTag.from_label(parametric)
-    if isinstance(temporal, str):
+    if not isinstance(temporal, TemporalFlag):
         temporal = TemporalFlag.from_label(temporal)
     return KnowledgeState(
         StructuralLevel(structural, structural_payload),
         ParametricLevel(parametric, parametric_payload),
         temporal,
     )
+
+
+def _shortfall(possessed: KnowledgeState, required: KnowledgeState) -> str | None:
+    """The first axis on which possessed falls short of required, or ``None``.
+
+    Axes are checked in fixed order: ``"structural"``, ``"parametric"``,
+    then ``"temporal"``.
+    """
+    if not leq(required.structural.tag, possessed.structural.tag):
+        return "structural"
+    if not leq(required.parametric.tag, possessed.parametric.tag):
+        return "parametric"
+    if possessed.temporal is not required.temporal:
+        return "temporal"
+    return None
 
 
 def satisfies(possessed: KnowledgeState, required: KnowledgeState) -> bool:
@@ -252,11 +267,7 @@ def satisfies(possessed: KnowledgeState, required: KnowledgeState) -> bool:
     temporal regimes match exactly.  Payloads are not compared here; they
     only matter when two states are merged.
     """
-    return (
-        leq(required.structural.tag, possessed.structural.tag)
-        and leq(required.parametric.tag, possessed.parametric.tag)
-        and possessed.temporal is required.temporal
-    )
+    return _shortfall(possessed, required) is None
 
 
 def _join_level(a, b):

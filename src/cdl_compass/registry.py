@@ -152,6 +152,8 @@ def _state_from_json(value, where: str) -> KnowledgeState:
 
 
 def card_from_mapping(data: Mapping) -> MethodCard:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a card is a JSON object, not {type(data).__name__}")
     extra = set(data) - set(_CARD_KEYS)
     if extra:
         raise ValueError(f"unknown card keys {sorted(extra)}")

@@ -424,10 +424,7 @@ class Scm:
         )
 
     def sampleable(self) -> bool:
-        return all(
-            eq.level in (ParametricTag.NOISE_MODEL, ParametricTag.FULLY_KNOWN)
-            for eq in self.equations.values()
-        )
+        return all(eq.expr is not None for eq in self.equations.values())
 
 
 def _substream(seed: int, label: str) -> np.random.Generator:
@@ -457,7 +454,7 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
     if n < 0:
         raise ValueError(f"sample size must be non-negative, got {n}")
     for target, eq in m.equations.items():
-        if eq.level not in (ParametricTag.NOISE_MODEL, ParametricTag.FULLY_KNOWN):
+        if eq.expr is None:
             raise ValueError(
                 f"cannot sample: equation for {target!r} is at the "
                 f"{eq.level.label} level"
@@ -529,7 +526,7 @@ def oracle_cate(
         eq = m.equations.get(name)
         if eq is None:
             raise ValueError(f"missing outcome equation {name!r}")
-        if eq.level not in (ParametricTag.NOISE_MODEL, ParametricTag.FULLY_KNOWN):
+        if eq.expr is None:
             raise ValueError(
                 f"outcome equation {name!r} is at the {eq.level.label} level; "
                 "an explicit or additive-noise form is required"

@@ -478,11 +478,10 @@ def savitzky_golay_smooth(
     weights = np.linalg.lstsq(powers, unit, rcond=None)[0]
     out = np.empty(n)
     out[half : n - half] = np.correlate(arr, weights, mode="valid")
-    positions = np.arange(window)
-    head = np.polyfit(positions, arr[:window], degree)
-    out[:half] = np.polyval(head, positions[:half])
-    tail = np.polyfit(positions, arr[n - window :], degree)
-    out[n - half :] = np.polyval(tail, positions[window - half :])
+    head = np.linalg.lstsq(powers.T, arr[:window], rcond=None)[0]
+    out[:half] = head @ powers[:, :half]
+    tail = np.linalg.lstsq(powers.T, arr[n - window :], rcond=None)[0]
+    out[n - half :] = tail @ powers[:, half + 1 :]
     return out
 
 

@@ -1,19 +1,66 @@
-"""Planner oracle for cross-checking ``engine.plan_pipeline``.
+"""Planner oracles for cross-checking ``engine.plan_pipeline``.
 
-``reference_plan_pipeline`` is the earlier planner: it collapses each state
-to a ``(structural tag, parametric tag)`` pair, compares pairs with ``<=``
-and joins them with ``max`` directly, records every shortest-distance
-predecessor of each pair, and unwinds those predecessors recursively once a
-goal-satisfying layer is reached.  The program instead runs its search over
-``KnowledgeState`` values through ``satisfies`` and ``join_states`` and
-carries the sequences forward layer by layer, so the two share no search
-code.
+``reference_plan_pipeline`` is the earlier tag-only planner: it collapses
+each state to a ``(structural tag, parametric tag)`` pair, compares pairs
+with ``<=`` and joins them with ``max`` directly, records every
+shortest-distance predecessor of each pair, and unwinds those predecessors
+recursively once a goal-satisfying layer is reached.  It ignores payloads,
+so it speaks for the program only on payload-free catalogs and starts.
+
+``brute_force_plans`` keeps payloads: it folds every card-id sequence in
+order of length with ``satisfies`` and ``join_states``, treats a
+``PayloadConflictError`` as a dead end, and returns the shortest sequences
+that reach the goal.  It merges no sequences that reach the same state, and
+shares no code with the engine's step, which the program's breadth-first
+search and ``validate_pipeline`` both run.
 """
 
 from __future__ import annotations
 
-from cdl_compass.lattice import KnowledgeState
+from cdl_compass.lattice import (
+    KnowledgeState,
+    PayloadConflictError,
+    join_states,
+    satisfies,
+)
 from cdl_compass.registry import Catalog
+
+
+def _apply(state: KnowledgeState, card) -> KnowledgeState | None:
+    if not satisfies(state, card.a_priori):
+        return None
+    try:
+        return join_states(state, card.a_posteriori)
+    except PayloadConflictError:
+        return None
+
+
+def brute_force_plans(
+    catalog: Catalog,
+    start: KnowledgeState,
+    goal: KnowledgeState,
+    max_len: int | None = None,
+) -> list[list[str]]:
+    """Every shortest id sequence whose fold from start satisfies the goal.
+
+    Sequences grow one card at a time, each keeping its own folded state, so
+    every live sequence of each length is tried.  Without a cap they run up
+    to the catalog's size: a card applied a second time joins an outcome the
+    state already holds, so a shortest plan never repeats one.
+    """
+    longest = len(catalog.cards) if max_len is None else max_len
+    reached: list[tuple[tuple[str, ...], KnowledgeState]] = [((), start)]
+    for _ in range(longest + 1):
+        plans = sorted(list(ids) for ids, state in reached if satisfies(state, goal))
+        if plans:
+            return plans
+        reached = [
+            (ids + (card.id,), after)
+            for ids, state in reached
+            for card in catalog.cards
+            if (after := _apply(state, card)) is not None
+        ]
+    return []
 
 
 def _tag_key(state: KnowledgeState) -> tuple:

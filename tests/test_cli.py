@@ -551,6 +551,60 @@ class TestCatalogCommands:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [("catalog", "list"), ("audit",)])
+    @pytest.mark.parametrize(
+        "side,field,value,message",
+        [
+            (
+                "a_priori",
+                "structural",
+                1,
+                "error: unknown StructuralTag label 1; "
+                "expected one of unknown, plausible, causal\n",
+            ),
+            (
+                "a_posteriori",
+                "temporal",
+                ["static"],
+                "error: unknown TemporalFlag label ['static']; "
+                "expected 'static' or 'temporal'\n",
+            ),
+        ],
+        ids=["structural-int", "temporal-list"],
+    )
+    def test_state_field_that_is_not_a_label(
+        self, capsys, tmp_path, command, side, field, value, message
+    ):
+        card = {
+            "id": "only-card",
+            "name": "Only card",
+            "citation_key": "doe2020only",
+            "a_priori": {
+                "structural": "unknown",
+                "parametric": "nonparametric",
+                "temporal": "static",
+            },
+            "a_posteriori": {
+                "structural": "plausible",
+                "parametric": "nonparametric",
+                "temporal": "static",
+            },
+            "assumption_tags": [],
+            "notes": "",
+        }
+        card[side][field] = value
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps([card]))
+        code, out, err = run_cli(capsys, *command, "--catalog", str(path))
+        assert (code, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize("command", [("catalog", "list"), ("audit",)])
+    def test_card_that_is_not_an_object(self, capsys, tmp_path, command):
+        path = tmp_path / "cat.json"
+        path.write_text("[1]")
+        code, out, err = run_cli(capsys, *command, "--catalog", str(path))
+        assert (code, out, err) == (1, "", "error: a card is a JSON object, not int\n")
+
 
 class TestValidateCommand:
     def pipeline(self, tmp_path, ids):

@@ -407,6 +407,12 @@ class TestSavitzkyGolay:
         out = savitzky_golay_smooth(y, 17, 8)
         np.testing.assert_allclose(out, y, rtol=0, atol=1e-12 * np.max(np.abs(y)))
 
+    def test_interpolating_degree_reproduces_input(self):
+        # Degree window - 1 interpolates: the edge fits must return x itself.
+        x = np.random.default_rng(16).normal(size=17)
+        out = savitzky_golay_smooth(x, 17, 16)
+        assert np.max(np.abs(out - x)) <= 1e-9 * np.max(np.abs(x))
+
     def test_smooths_noise(self):
         rng = np.random.default_rng(14)
         y = rng.normal(size=101)
