@@ -89,34 +89,35 @@ class ValidationReport:
         }
 
 
-def _requirement_failure(state: KnowledgeState, card: MethodCard) -> str | None:
-    """First unmet axis of the card's requirement, in fixed axis order."""
-    req = card.a_priori
-    axis = _shortfall(state, req)
-    if axis is None:
-        return None
-    if axis == "temporal":
+def _step(
+    state: KnowledgeState, card: MethodCard
+) -> tuple[KnowledgeState | None, str | PayloadConflictError | None]:
+    """Apply one card: the next state, or ``None`` and why not: the first
+    unmet axis of the card's requirement, or the join's payload clash."""
+    axis = _shortfall(state, card.a_priori)
+    if axis is not None:
+        return None, axis
+    try:
+        return join_states(state, card.a_posteriori), None
+    except PayloadConflictError as exc:
+        return None, exc
+
+
+def _failure_message(
+    state: KnowledgeState, req: KnowledgeState, why: str | PayloadConflictError
+) -> str:
+    """The message for a card requiring ``req`` that :func:`_step` did not apply."""
+    if isinstance(why, PayloadConflictError):
+        return f"pipeline inconsistency: {why}"
+    if why == "temporal":
         return (
             f"temporal mismatch: card works on {req.temporal.label} data, "
             f"state is {state.temporal.label}"
         )
     return (
-        f"{axis} requirement {getattr(req, axis).tag.label} "
-        f"exceeds held {getattr(state, axis).tag.label}"
+        f"{why} requirement {getattr(req, why).tag.label} "
+        f"exceeds held {getattr(state, why).tag.label}"
     )
-
-
-def _step(
-    state: KnowledgeState, card: MethodCard
-) -> tuple[KnowledgeState | None, str | None]:
-    """Apply one card: the next state, or ``None`` and why it does not apply."""
-    problem = _requirement_failure(state, card)
-    if problem is not None:
-        return None, problem
-    try:
-        return join_states(state, card.a_posteriori), None
-    except PayloadConflictError as exc:
-        return None, f"pipeline inconsistency: {exc}"
 
 
 def validate_pipeline(
@@ -135,10 +136,11 @@ def validate_pipeline(
     state = start
     stages: list[StageRecord] = []
     for index, card in enumerate(cards, start=1):
-        after, problem = _step(state, card)
+        after, why = _step(state, card)
+        problem = "" if why is None else _failure_message(state, card.a_priori, why)
         stages.append(
             StageRecord(
-                index, card.id, state, card.a_priori, after, after is not None, problem or ""
+                index, card.id, state, card.a_priori, after, after is not None, problem
             )
         )
         if after is None:

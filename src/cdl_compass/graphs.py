@@ -506,9 +506,12 @@ def enumerate_mec(
     for ``u`` undecided pairs: every DAG follows some order of the
     variables, and within one order only the undecided pairs are free, so
     the cycle pruning keeps a full signature to its acyclic orientations.
-    Each DAG the search yields is checked against every constraint.
-    Capped at ``max_nodes``; results are sorted lexicographically by edge
-    list.
+    While pairs are undecided, each DAG found is checked against every
+    constraint.  Otherwise each is checked against one holding statement per
+    absent pair; these fix every unshielded collider, so the DAGs that pass
+    form one Markov class, which agrees with every constraint or with none
+    (Verma & Pearl 1990), as its first member shows.  Capped at
+    ``max_nodes``; results are sorted lexicographically by edge list.
     """
     names = sorted({_check_name(v) for v in variables})
     if len(names) > max_nodes:
@@ -518,7 +521,7 @@ def enumerate_mec(
     unknown = constraints.variables() - set(names)
     if unknown:
         raise ValueError(f"constraints mention unlisted variables: {sorted(unknown)}")
-    separated = {(s.x, s.y) for s in constraints.statements if s.holds}
+    separated = {(s.x, s.y): s for s in constraints.sorted_statements() if s.holds}
     dependent = Counter((s.x, s.y) for s in constraints.statements if not s.holds)
     # A pair's negations have distinct givens, each a subset of the other
     # variables, so a count of 2^(n-2) means every subset is covered.
@@ -540,7 +543,10 @@ def enumerate_mec(
             f"the constraints leave {undecided} of {len(choices)} variable pairs "
             f"undecided: {branches} search branches exceed the cap of {_MAX_BRANCHES} (3^10)"
         )
-    members = [g for g in _search_dags(names, choices) if consistent_with(g, constraints)]
+    checked = IndependenceSet.of(separated.values()) if undecided == 0 else constraints
+    members = [g for g in _search_dags(names, choices) if consistent_with(g, checked)]
+    if undecided == 0 and members and not consistent_with(members[0], constraints):
+        return []
     members.sort(key=lambda g: tuple(sorted(g.edges)))
     return members
 

@@ -167,7 +167,8 @@ class ParametricLevel:
 
     The payload is a noise-form descriptor for ``noise_model``, a function
     class descriptor for ``parametric``, or an equation-set reference for
-    ``fully_known``.  ``nonparametric`` carries none.
+    ``fully_known``.  ``nonparametric`` carries none.  A payload must be
+    hashable, since the planner hashes states with their payloads.
     """
 
     tag: ParametricTag
@@ -176,6 +177,11 @@ class ParametricLevel:
     def __post_init__(self) -> None:
         if self.tag is ParametricTag.NONPARAMETRIC and self.payload is not None:
             raise ValueError("a nonparametric level carries no payload")
+        try:
+            hash(self.payload)
+        except TypeError:
+            kind = type(self.payload).__name__
+            raise ValueError(f"a parametric payload must be hashable, not {kind}") from None
 
 
 @dataclass(frozen=True)

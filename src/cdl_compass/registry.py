@@ -148,7 +148,10 @@ class Catalog:
 def _state_from_json(value, where: str) -> KnowledgeState:
     if not isinstance(value, dict):
         raise ValueError(f"{where}: expected an object with level labels")
-    return KnowledgeState.from_mapping(value)
+    try:
+        return KnowledgeState.from_mapping(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def card_from_mapping(data: Mapping) -> MethodCard:
@@ -194,7 +197,8 @@ def card_to_mapping(card: MethodCard) -> dict:
 
 
 def load_catalog(source) -> Catalog:
-    """Read a catalog from a JSON array (path, file object, or text)."""
+    """Read a catalog from a JSON array (path, file object, or text); a fault
+    in a card names the card's 1-based position in the array."""
     if hasattr(source, "read"):
         text = source.read()
     elif isinstance(source, str) and source.lstrip().startswith("["):
@@ -205,7 +209,13 @@ def load_catalog(source) -> Catalog:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("a catalog file holds a JSON array of cards")
-    return Catalog.of(card_from_mapping(item) for item in data)
+    cards = []
+    for index, item in enumerate(data, start=1):
+        try:
+            cards.append(card_from_mapping(item))
+        except ValueError as exc:
+            raise ValueError(f"card {index}: {exc}") from None
+    return Catalog.of(cards)
 
 
 def save_catalog(catalog: Catalog, target=None) -> str | None:

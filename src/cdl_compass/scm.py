@@ -154,6 +154,21 @@ class Factor:
     def _table_map(self) -> dict[tuple[float, ...], float] | None:
         return dict(self.table) if self.table is not None else None
 
+    def _values(self, env: Mapping[str, float | np.ndarray]) -> np.ndarray:
+        """The factor where ``env`` binds each scope variable to a float or to
+        arrays that broadcast together, as an array: the one place a table is
+        looked up or an expression evaluated, and a negative value rejected."""
+        if self._table_map is None:
+            values = np.asarray(evaluate_expression(self.expr, env))
+        else:
+            cells = np.broadcast(*(env[v] for v in self.scope))
+            values = np.fromiter((self._table_map[key] for key in cells), float, cells.size)
+            values = values.reshape(cells.shape)
+        negative = values < 0.0
+        if negative.any():
+            raise ValueError(f"negative factor value {float(values[negative][0])!r} encountered")
+        return values
+
     def evaluate(self, assignment: Mapping[str, float]) -> float:
         for v in self.scope:
             if v not in assignment:
@@ -163,13 +178,7 @@ class Factor:
                 raise ValueError(
                     f"value {assignment[v]!r} outside the declared domain of {v!r}"
                 )
-        if self._table_map is not None:
-            key = tuple(float(assignment[v]) for v in self.scope)
-            return self._table_map[key]
-        value = evaluate_expression(self.expr, {v: assignment[v] for v in self.scope})
-        if value < 0.0:
-            raise ValueError(f"negative factor value {value!r} encountered")
-        return value
+        return float(self._values({v: float(assignment[v]) for v in self.scope}))
 
     def _joint_values(self, names: Sequence[str]) -> np.ndarray:
         """The factor at every joint assignment of its finite scope domains.
@@ -180,28 +189,8 @@ class Factor:
         """
         doms = dict(self.domains)
         axes = [v for v in names if v in doms]
-        sizes = [len(doms[v]) for v in axes]
-        if self._table_map is not None:
-            where = [axes.index(v) for v in self.scope]
-            values = np.array(
-                [
-                    self._table_map[tuple(float(combo[i]) for i in where)]
-                    for combo in itertools.product(*(doms[v] for v in axes))
-                ],
-                dtype=float,
-            ).reshape(sizes)
-        else:
-            grids = np.meshgrid(
-                *(np.asarray(doms[v], dtype=float) for v in axes), indexing="ij"
-            )
-            values = np.broadcast_to(
-                evaluate_expression(self.expr, dict(zip(axes, grids))), sizes
-            )
-            negative = values < 0.0
-            if negative.any():
-                raise ValueError(
-                    f"negative factor value {float(values[negative][0])!r} encountered"
-                )
+        grids = np.meshgrid(*(np.asarray(doms[v], dtype=float) for v in axes), indexing="ij")
+        values = np.broadcast_to(self._values(dict(zip(axes, grids))), grids[0].shape)
         return values.reshape([len(doms[v]) if v in doms else 1 for v in names])
 
 
@@ -434,12 +423,25 @@ def _substream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))
 
 
-def _evaluate_equation(target: str, eq: StructuralEquation, env: Mapping) -> np.ndarray | float:
-    """The right-hand side of ``target``'s equation; errors name the target."""
+def _equation_value(
+    target: str, eq: StructuralEquation, bound: Mapping, draws: Mapping, out: np.ndarray | None = None
+) -> np.ndarray | float:
+    """The value of ``target``'s equation given ``bound`` (the parents' values
+    or a covariate point), written into ``out`` when given.  The one statement
+    of the level rule: a noise-model equation is ``g(bound) + U_<target>``, a
+    fully-known one reads the noise symbols of ``draws`` over ``bound``.
+    Errors name the target."""
     try:
-        return evaluate_expression(eq.expr, env)
+        if eq.level is ParametricTag.NOISE_MODEL:
+            return np.add(
+                evaluate_expression(eq.expr, bound), draws[noise_symbol(target)], out=out
+            )
+        value = evaluate_expression(eq.expr, {**bound, **draws})
     except EvaluationError as exc:
         raise EvaluationError(f"equation for {target!r}: {exc}") from None
+    if out is not None:
+        out[:] = value
+    return value
 
 
 def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
@@ -472,13 +474,8 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
         eq = m.equations.get(node)
         if eq is None:
             row[:] = draws[noise_symbol(node)]
-        elif eq.level is ParametricTag.NOISE_MODEL:
-            env = {p: values[p] for p in eq.parents}
-            np.add(_evaluate_equation(node, eq, env), draws[noise_symbol(node)], out=row)
         else:
-            env = {p: values[p] for p in eq.parents}
-            env.update(draws)
-            row[:] = _evaluate_equation(node, eq, env)
+            _equation_value(node, eq, {p: values[p] for p in eq.parents}, draws, out=row)
         values[node] = row
     return Dataset({name: values[name] for name in sorted(values)})
 
@@ -534,38 +531,25 @@ def oracle_cate(
         outcome[name] = eq
 
     symbols = {noise_symbol(k): k for k in m.noise}
-    needed_keys: set[str] = set()
+    needed: set[str] = set()
     for name, eq in outcome.items():
         refs = free_variables(eq.expr)
-        covariates = refs - set(symbols)
-        if eq.level is ParametricTag.NOISE_MODEL:
-            needed_keys.add(name)
-            covariates = refs  # noise enters additively, not via the expression
-        else:
-            needed_keys.update(symbols[s] for s in refs & set(symbols))
-        missing = {v for v in covariates if v not in x and v not in symbols}
+        missing = refs - symbols.keys() - x.keys()
         if missing:
             raise ValueError(f"covariate assignment missing {sorted(missing)}")
+        needed |= refs & symbols.keys()
+        if eq.level is ParametricTag.NOISE_MODEL:
+            needed.add(noise_symbol(name))
 
     # Without noise the draws are empty and each equation gives one float.
-    if needed_keys and n_mc < 1:
+    if needed and n_mc < 1:
         raise ValueError(f"n_mc must be positive, got {n_mc}")
-    for key in needed_keys:
-        if key not in m.noise:
-            raise ValueError(f"no noise spec for U_{key}")
     draws = {
-        noise_symbol(key): m.noise[key].draw(_substream(seed, f"noise:{key}"), n_mc)
-        for key in sorted(needed_keys)
+        s: m.noise[symbols[s]].draw(_substream(seed, f"noise:{symbols[s]}"), n_mc)
+        for s in sorted(needed)
     }
-    results: dict[str, np.ndarray] = {}
-    for name, eq in outcome.items():
-        env: dict[str, np.ndarray | float] = dict(x)
-        env.update(draws)
-        if eq.level is ParametricTag.NOISE_MODEL:
-            results[name] = _evaluate_equation(name, eq, env) + draws[noise_symbol(name)]
-        else:
-            results[name] = _evaluate_equation(name, eq, env)
-    return float(np.mean(results["Y1"] - results["Y0"]))
+    y0, y1 = (_equation_value(name, eq, x, draws) for name, eq in outcome.items())
+    return float(np.mean(y1 - y0))
 
 
 # ---------------------------------------------------------------------------
@@ -592,42 +576,33 @@ def parse_scm(text: str) -> Scm:
 
     ``#`` starts a comment anywhere; errors carry the line number.
     """
-    section: str | None = None
-    graph_lines: list[tuple[int, str]] = []
-    equation_lines: list[tuple[int, str]] = []
-    noise_lines: list[tuple[int, str]] = []
+    sections: dict[str, list[tuple[int, str]]] = {"graph": [], "equations": [], "noise": []}
+    section: list[tuple[int, str]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.endswith(":") and " " not in line:
             name = line[:-1]
-            if name not in ("graph", "equations", "noise"):
+            if name not in sections:
                 raise ScmFormatError(lineno, f"unknown section {name!r}")
-            section = name
-            continue
-        if section == "graph":
-            graph_lines.append((lineno, line))
-        elif section == "equations":
-            equation_lines.append((lineno, line))
-        elif section == "noise":
-            noise_lines.append((lineno, line))
+            section = sections[name]
+        elif section is None:
+            raise ScmFormatError(lineno, "content before the first section header")
         else:
-            raise ScmFormatError(
-                lineno, "content before the first section header"
-            )
+            section.append((lineno, line))
 
     try:
-        graph = parse_graph("\n".join(line for _, line in graph_lines))
+        graph = parse_graph("\n".join(line for _, line in sections["graph"]))
     except GraphFormatError as exc:
         # parse_graph numbers the section's lines; map back to the file's
-        at = None if exc.line is None else graph_lines[exc.line - 1][0]
+        at = None if exc.line is None else sections["graph"][exc.line - 1][0]
         raise ScmFormatError(at, f"graph section: {exc.reason}") from None
     if isinstance(graph, Pdag):
         raise ScmFormatError(None, "graph section: a model graph must be directed")
 
     noise: dict[str, NoiseSpec] = {}
-    for lineno, line in noise_lines:
+    for lineno, line in sections["noise"]:
         match = _NOISE_LINE.match(line)
         if match is None:
             raise ScmFormatError(
@@ -643,7 +618,7 @@ def parse_scm(text: str) -> Scm:
             raise ScmFormatError(lineno, str(exc)) from None
 
     equations: list[StructuralEquation] = []
-    for lineno, line in equation_lines:
+    for lineno, line in sections["equations"]:
         if ":=" in line:
             target, _, rhs = line.partition(":=")
             level = ParametricTag.FULLY_KNOWN

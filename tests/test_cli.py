@@ -559,14 +559,14 @@ class TestCatalogCommands:
                 "a_priori",
                 "structural",
                 1,
-                "error: unknown StructuralTag label 1; "
+                "error: card 1: a_priori: unknown StructuralTag label 1; "
                 "expected one of unknown, plausible, causal\n",
             ),
             (
                 "a_posteriori",
                 "temporal",
                 ["static"],
-                "error: unknown TemporalFlag label ['static']; "
+                "error: card 1: a_posteriori: unknown TemporalFlag label ['static']; "
                 "expected 'static' or 'temporal'\n",
             ),
         ],
@@ -603,7 +603,7 @@ class TestCatalogCommands:
         path = tmp_path / "cat.json"
         path.write_text("[1]")
         code, out, err = run_cli(capsys, *command, "--catalog", str(path))
-        assert (code, out, err) == (1, "", "error: a card is a JSON object, not int\n")
+        assert (code, out, err) == (1, "", "error: card 1: a card is a JSON object, not int\n")
 
 
 class TestValidateCommand:

@@ -9,6 +9,8 @@ DAG.  ``Dag`` answers parents, children, descendants and topological order
 from an index built once; the oracles here scan the edge set on every call.
 """
 
+import dataclasses
+import functools
 import heapq
 import itertools
 import random
@@ -17,6 +19,8 @@ from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from helpers_dsep import all_queries, moralized_d_separated  # noqa: E402
@@ -286,6 +290,77 @@ class TestClassSearch:
         ]
         g = Dag.of(edges, seven)
         assert enumerate_mec(full_signature(g), seven, max_nodes=7) == (
+            same_v_structure_orientations(g)
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def every_dag(n: int) -> tuple[Dag, ...]:
+    return tuple(enumerate_dags([f"V{i}" for i in range(n)]))
+
+
+@st.composite
+def dags(draw, n: int, max_edges: int | None = None) -> Dag:
+    """A DAG on ``V0 .. V<n-1>``: some pairs, oriented along a drawn order."""
+    names = [f"V{i}" for i in range(n)]
+    pairs = list(itertools.combinations(names, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges))
+    rank = {v: i for i, v in enumerate(draw(st.permutations(names)))}
+    return Dag.of([(a, b) if rank[a] < rank[b] else (b, a) for a, b in chosen], names)
+
+
+def statements_by_pair(constraints: IndependenceSet):
+    by_pair = {}
+    for s in constraints.sorted_statements():
+        by_pair.setdefault((s.x, s.y), []).append(s)
+    return by_pair
+
+
+@st.composite
+def pinned_constraints(draw):
+    """Constraints on 3-5 variables that decide every pair: a full
+    signature; one statement of it flipped; a share of it that keeps every
+    negation of each edge and some holding statements of each absent pair;
+    or that share with the separating sets of a second DAG wherever the
+    second DAG separates the pair too."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    g = draw(dags(n))
+    full = full_signature(g)
+    kind = draw(st.sampled_from(["full", "flipped", "share", "second"]))
+    if kind == "full":
+        return n, full
+    if kind == "flipped":
+        s = draw(st.sampled_from(full.sorted_statements()))
+        flipped = dataclasses.replace(s, holds=not s.holds)
+        return n, IndependenceSet.of((full.statements - {s}) | {flipped})
+    other = statements_by_pair(full_signature(draw(dags(n))))
+    kept = []
+    for pair, statements in statements_by_pair(full).items():
+        held = [s for s in statements if s.holds]
+        if not held:
+            kept += statements
+        elif kind == "second" and any(s.holds for s in other[pair]):
+            kept += [s for s in other[pair] if s.holds]
+        else:
+            share = draw(st.lists(st.sampled_from(statements), unique=True))
+            kept += share if any(s.holds for s in share) else share + held[:1]
+    return n, IndependenceSet.of(kept)
+
+
+class TestPinnedSkeletons:
+    @settings(max_examples=100, deadline=None)
+    @given(pinned_constraints())
+    def test_match_brute_force(self, case):
+        n, constraints = case
+        names = [f"V{i}" for i in range(n)]
+        assert enumerate_mec(constraints, names) == brute_force_mec(
+            constraints, names, every_dag(n)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 7).flatmap(lambda n: dags(n, max_edges=11)))
+    def test_full_signatures_on_six_and_seven_variables(self, g):
+        assert enumerate_mec(full_signature(g), g.nodes, max_nodes=7) == (
             same_v_structure_orientations(g)
         )
 

@@ -239,6 +239,11 @@ def test_payload_rules_parametric():
     assert ParametricLevel(ParametricTag.NOISE_MODEL, "additive gaussian").payload
 
 
+def test_unhashable_parametric_payload_is_rejected():
+    with pytest.raises(ValueError, match="a parametric payload must be hashable, not dict"):
+        knowledge_state("causal", "parametric", "static", parametric_payload={"family": "linear"})
+
+
 def test_join_merges_payload_with_none():
     bare = knowledge_state("causal", "nonparametric", "static")
     loaded = knowledge_state(

@@ -1,9 +1,14 @@
-"""Differential tests: block CSV reading against the row-by-row reader.
+"""Differential tests: block CSV reading against the row-by-row reader, and
+the shared equation step against per-level loops.
 
 ``Dataset.from_csv`` hands whole blocks of lines to numpy's parser and
 falls back to ``csv.reader`` and ``float`` from the first block numpy
 cannot read exactly; ``helpers_scm.read_csv_rows`` reads every record that
 way.  Both must give the same column bytes or the same error.
+
+``sample`` and ``oracle_cate`` evaluate every equation through one step;
+``helpers_scm.sample_by_level`` and ``oracle_cate_by_level`` branch on the
+level themselves.  Both must give the same bits or the same error.
 """
 
 import csv
@@ -20,10 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers_scm import read_csv_rows  # noqa: E402
+from helpers_scm import oracle_cate_by_level, read_csv_rows, sample_by_level  # noqa: E402
 
 from cdl_compass import datasets
-from cdl_compass.scm import Dataset
+from cdl_compass.scm import Dataset, oracle_cate, parse_scm, sample
 
 BLOCK = datasets._CSV_BLOCK_ROWS
 
@@ -155,3 +160,84 @@ def test_quoted_record_over_two_lines_keeps_record_numbers(quoted):
     check_text(text)
     with pytest.raises(ValueError, match=f"row {BLOCK + 8}: non-numeric value 'oops'"):
         Dataset.from_csv(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# Equation levels
+
+TERMS = st.sampled_from(
+    ["{p}", "{p}", "sin({p})", "{p} * {p}", "exp(0.5 * {p})", "log(1 + {p} * {p})", "log({p})"]
+)
+COEFFICIENTS = st.sampled_from(["0.5", "-1.25", "2", "3e-3"])
+
+
+@st.composite
+def mixed_models(draw):
+    """Model text over covariates ``X<i>`` and outcomes ``Y0``, ``Y1``:
+    exogenous, noise-model and fully-known nodes mixed, free-standing noise
+    keys ``S`` and ``T`` that several equations share, and fully-known
+    equations that name no noise at all."""
+    nodes = [f"X{i}" for i in range(draw(st.integers(1, 4)))] + ["Y0", "Y1"]
+    edges = [
+        (a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :] if draw(st.booleans())
+    ]
+    parents = {v: [a for a, b in edges if b == v] for v in nodes}
+    kinds = {
+        v: draw(st.sampled_from(["noise", "known"] + ["exogenous"] * (not parents[v] and v[0] == "X")))
+        for v in nodes
+    }
+    keys = ["S", "T"] + [v for v in nodes if kinds[v] != "known" or draw(st.booleans())]
+    equations = []
+    for v in nodes:
+        terms = [
+            f"{draw(COEFFICIENTS)} * {draw(TERMS).format(p=p)}"
+            for p in parents[v]
+            if draw(st.integers(0, 3))
+        ]
+        if kinds[v] == "noise":
+            equations.append(f"{v} = {' + '.join(terms) or draw(COEFFICIENTS)} + U")
+        elif kinds[v] == "known":
+            symbols = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
+            terms += [f"{draw(COEFFICIENTS)} * U_{k}" for k in symbols]
+            equations.append(f"{v} := {' + '.join(terms) or draw(COEFFICIENTS)}")
+    noise = [
+        f"U_{k} ~ Normal({draw(COEFFICIENTS)}, 0.5)"
+        if draw(st.booleans())
+        else f"U_{k} ~ Uniform(-1, {draw(st.sampled_from(['0.5', '2']))})"
+        for k in keys
+    ]
+    return "\n".join(
+        ["graph:", *nodes, *(f"{a} -> {b}" for a, b in edges), "equations:", *equations, "noise:", *noise]
+    )
+
+
+def value_or_error(call):
+    """The call's value, or the error's type and message."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def column_bytes(d: Dataset):
+    return d.names, [d.column(c).tobytes() for c in d.names]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mixed_models(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 5, 300]),
+    st.sampled_from([40, 1, 0]),
+    st.lists(st.floats(-3, 3), min_size=6, max_size=6),
+    st.booleans(),
+)
+def test_equation_step_matches_per_level_loops(text, seed, n, n_mc, point, partial):
+    m = parse_scm(text)
+    assert value_or_error(lambda: column_bytes(sample(m, n, seed))) == value_or_error(
+        lambda: column_bytes(sample_by_level(m, n, seed))
+    )
+    names = sorted(m.graph.nodes - {"Y1"})[: len(m.graph.nodes) - 1 - partial]
+    x = dict(zip(names, point))
+    want = value_or_error(lambda: oracle_cate_by_level(m, x, n_mc, seed))
+    assert value_or_error(lambda: oracle_cate(m, x, n_mc, seed)) == want
