@@ -302,19 +302,13 @@ def evaluate_expression(e: Expression, env: Mapping[str, Any]) -> Any:
     give finite values throughout, or :class:`EvaluationError` names it: one
     rule for division by zero, logarithms of non-positive values, invalid
     powers and overflow.  An unbound identifier raises it too, and so does
-    a result that is a non-finite binding, perhaps negated.
+    a non-finite binding that the expression reads, even where an operator
+    or function would map it to a finite value (``exp(-X)`` at X = inf).
     """
     import numpy as np
 
     with np.errstate(all="ignore"):
         value = _evaluate(e, env, np)
-    # Operators and functions check their own values, so only a bare
-    # identifier under any number of negations can still be non-finite.
-    root = e
-    while isinstance(root, Neg):
-        root = root.operand
-    if isinstance(root, Var) and not np.isfinite(value).all():
-        raise EvaluationError(f"non-finite value bound to {root.name!r}")
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -324,9 +318,12 @@ def _evaluate(e: Expression, env: Mapping[str, Any], np) -> Any:
         return e.value
     if isinstance(e, Var):
         try:
-            return np.asarray(env[e.name], dtype=float)
+            value = np.asarray(env[e.name], dtype=float)
         except KeyError:
             raise EvaluationError(f"unbound identifier {e.name!r}") from None
+        if not np.isfinite(value).all():
+            raise EvaluationError(f"non-finite value bound to {e.name!r}")
+        return value
     if isinstance(e, Neg):
         return -_evaluate(e.operand, env, np)
     if isinstance(e, Call):

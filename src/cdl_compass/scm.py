@@ -370,6 +370,12 @@ class Scm:
         self.noise: dict[str, NoiseSpec] = dict(sorted((noise or {}).items()))
 
         symbols = {noise_symbol(k) for k in self.noise}
+        shadowed = sorted(graph.nodes & symbols)
+        if shadowed:
+            raise ValueError(
+                f"graph node {shadowed[0]!r} has the name of the noise symbol "
+                f"of noise key {shadowed[0][2:]!r}"
+            )
         for target, eq in self.equations.items():
             if target not in graph.nodes:
                 raise ValueError(f"equation target {target!r} is not a graph node")
@@ -450,8 +456,9 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
     Deterministic per seed: each noise symbol gets its own substream keyed
     by name, so the same seed reproduces the same dataset byte for byte
     regardless of declaration order.  Columns come out in sorted name
-    order, as rows of one array.  Models holding any equation below the
-    noise-model level cannot be sampled.
+    order, as rows of one array.  Beside that n x k block, memory holds
+    only the noise symbols that fully-known equations name.  Models holding
+    any equation below the noise-model level cannot be sampled.
     """
     if n < 0:
         raise ValueError(f"sample size must be non-negative, got {n}")
@@ -461,20 +468,35 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
                 f"cannot sample: equation for {target!r} is at the "
                 f"{eq.level.label} level"
             )
-    # Noise and values each fill the rows of one (k, n) block.  One array per
-    # variable left thousands of small chunks on the C heap, and how much of
-    # them stayed resident, and so the peak memory, varied from run to run.
-    draws: dict[str, np.ndarray] = {}
-    for row, (key, spec) in zip(np.empty((len(m.noise), n)), m.noise.items()):
-        row[:] = spec.draw(_substream(seed, f"noise:{key}"), n)
-        draws[noise_symbol(key)] = row
+
+    def draw(key: str) -> np.ndarray:
+        return m.noise[key].draw(_substream(seed, f"noise:{key}"), n)
+
+    # The values fill the rows of one (k, n) block.  One array per variable
+    # left thousands of small chunks on the C heap, and how much of them
+    # stayed resident, and so the peak memory, varied from run to run.  An
+    # exogenous or noise-model node draws its own noise into its row, where
+    # a noise-model node then adds g(parents); only the symbols a fully-known
+    # equation names are held apart.  Each key has its own substream, so a
+    # key that nothing reads is not drawn and no column changes.
+    keys = {noise_symbol(k): k for k in m.noise}
+    named = {
+        target: keys.keys() & free_variables(eq.expr)
+        for target, eq in m.equations.items()
+        if eq.level is ParametricTag.FULLY_KNOWN
+    }
+    shared = {s: draw(keys[s]) for s in set().union(*named.values())}
     order = m.graph.topological_order()
     values: dict[str, np.ndarray] = {}
     for row, node in zip(np.empty((len(order), n)), order):
         eq = m.equations.get(node)
-        if eq is None:
-            row[:] = draws[noise_symbol(node)]
+        if eq is None or eq.level is ParametricTag.NOISE_MODEL:
+            own = noise_symbol(node)
+            row[:] = shared[own] if own in shared else draw(node)
+            draws = {own: row}
         else:
+            draws = {s: shared[s] for s in named[node]}
+        if eq is not None:
             _equation_value(node, eq, {p: values[p] for p in eq.parents}, draws, out=row)
         values[node] = row
     return Dataset({name: values[name] for name in sorted(values)})

@@ -317,6 +317,20 @@ class TestSimulate:
         assert "'Y'" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_node_named_like_a_noise_symbol(self, capsys, tmp_path):
+        # Y := 2 * U_Z would read the key Z's noise, not the node U_Z.
+        path = tmp_path / "shadow.scm"
+        path.write_text(
+            "graph:\nU_Z -> Y\nZ\nequations:\nY := 2 * U_Z\nnoise:\n"
+            "U_Z ~ Normal(0, 1)\nU_U_Z ~ Normal(5, 0.001)\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", str(path), "--n", "5")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: graph node 'U_Z' has the name of the noise symbol of noise key 'Z'\n"
+        )
+
     def test_bad_graph_line_names_file_line(self, capsys, tmp_path):
         path = tmp_path / "bad.scm"
         path.write_text(LINEAR_MODEL.replace("graph:\n", "graph:\n# edges\nX\nY => Z\n"))

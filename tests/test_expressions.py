@@ -128,12 +128,13 @@ def test_unbound_variable_is_an_evaluation_error():
 def test_domain_errors_are_evaluation_errors():
     with pytest.raises(EvaluationError):
         value("log(0 - 1)")
-    # Each names the first operator or function whose value is not finite.
+    # Each names the first binding, operator or function whose value is not
+    # finite.
     cases = [
         ("sin(X * X)", {"X": 1e200}, "operator '*'"),
         ("X * X - X * X", {"X": 1e200}, "operator '*'"),
         ("X / Y", {"X": 1e300, "Y": 1e-300}, "operator '/'"),
-        ("sin(X)", {"X": float("inf")}, "sin()"),
+        ("sin(X)", {"X": float("inf")}, "non-finite value bound to 'X'"),
         ("log(X)", {"X": 0.0}, "log()"),
         ("X ** 0.5", {"X": -1.0}, "operator '**'"),
     ]

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,19 @@ Y = 2 * X + U
 noise:
 U_X ~ Normal(0.0, 1.0)
 U_Y ~ Normal(0.0, 1.0)
+"""
+
+CHAIN_MODEL = """\
+graph:
+X -> Y
+Y -> Z
+equations:
+Y = 0.8 * X + U
+Z = -0.6 * Y + U
+noise:
+U_X ~ Normal(0.0, 1.0)
+U_Y ~ Normal(0.0, 1.0)
+U_Z ~ Normal(0.0, 1.0)
 """
 
 
@@ -328,6 +342,13 @@ class TestScmValidation:
         with pytest.raises(ValueError, match="undeclared symbols"):
             Scm(g, [eq], {"X": NormalNoise()})
 
+    def test_node_named_like_a_noise_symbol(self):
+        g = Dag.of([("U_Z", "Y")], nodes=["Z"])
+        eq = StructuralEquation("Y", ("U_Z",), ParametricTag.FULLY_KNOWN, expr_of("2 * U_Z"))
+        noise = {"Z": NormalNoise(), "U_Z": NormalNoise(5.0, 0.001)}
+        with pytest.raises(ValueError, match="^graph node 'U_Z' .* noise key 'Z'$"):
+            Scm(g, [eq], noise)
+
     def test_exogenous_needs_noise(self):
         g = Dag.of(nodes=["X"])
         with pytest.raises(ValueError, match="no noise spec"):
@@ -419,6 +440,28 @@ class TestSampling:
         m = parse_scm(LINEAR_MODEL.replace("2 * X", "log(X)"))
         with pytest.raises(EvaluationError, match=r"^equation for 'Y': .*log\(\)"):
             sample(m, 50, seed=0)
+
+    def test_peak_memory_is_one_block(self):
+        # The values fill one n x k block, and each node's noise is drawn
+        # into its own row: a second block of draws would double the peak.
+        m = parse_scm(CHAIN_MODEL)
+        sample(m, 1)  # the first draw imports numpy.random: keep it out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = sample(m, 200_000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = sum(d.column(c).nbytes for c in d.names)
+        assert peak <= 1.5 * output
+
+    def test_unused_noise_key_changes_no_column(self):
+        m = parse_scm(CHAIN_MODEL)
+        extra = parse_scm(CHAIN_MODEL + "U_Unused ~ Uniform(0.0, 1.0)\n")
+        a, b = sample(m, 300, seed=8), sample(extra, 300, seed=8)
+        assert a.names == b.names
+        assert all(a.column(c).tobytes() == b.column(c).tobytes() for c in a.names)
 
     def test_slope_recovered(self):
         d = sample(parse_scm(LINEAR_MODEL), 20000, seed=11)

@@ -224,7 +224,7 @@ MODEL = (
 )
 
 
-@pytest.mark.parametrize("text", ["X", "-X", "-(-X)"])
+@pytest.mark.parametrize("text", ["X", "-X", "-(-X)", "exp(-X)", "X ** 0", "1 ** X"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
 def test_non_finite_binding_is_named(text, bad, as_array):
