@@ -334,18 +334,3 @@ def render_audit_text(report: AuditReport) -> str:
         f"{kind.label}={report.counts[kind]}" for kind in TransitionKind
     )
     return f"{_grid(rows)}\ncounts: {counts}"
-
-
-__all__ = [
-    "AuditReport",
-    "StageRecord",
-    "ValidationReport",
-    "audit_transitions",
-    "format_pipeline",
-    "parse_pipeline",
-    "plan_pipeline",
-    "render_audit_text",
-    "render_plans_text",
-    "render_validation_text",
-    "validate_pipeline",
-]

@@ -97,115 +97,96 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<pow>\*\*)
-  | (?P<op>[+\-*/()])
+  | (?P<op>\*\*|[+\-*/()])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | ident | op | end
-    text: str
-    offset: int  # byte offset into the UTF-8 encoding of the source
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    byte_pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionSyntaxError(byte_pos, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        segment = m.group()
-        if kind != "ws":
-            label = {"number": "number", "ident": "ident"}.get(kind, "op")
-            tokens.append(_Token(label, segment, byte_pos))
-        pos = m.end()
-        byte_pos += len(segment.encode("utf-8"))
-    tokens.append(_Token("end", "", byte_pos))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over ``(kind, text, start)`` tokens, where ``kind``
+    is number, ident, op or end and ``start`` a character index; only an
+    error turns ``start`` into the byte offset it reports."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise self.error(m.start(), f"unexpected character {m.group()!r}")
+            if kind != "ws":
+                self.tokens.append((kind, m.group(), m.start()))
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, start: int, message: str) -> ExpressionSyntaxError:
+        return ExpressionSyntaxError(len(self.text[:start].encode("utf-8")), message)
 
-    def take(self) -> _Token:
+    def peek(self) -> str:
+        """The text of the next token; an operator is known by its text alone."""
+        return self.tokens[self.pos][1]
+
+    def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            found = repr(tok.text) if tok.text else "end of input"
-            raise ExpressionSyntaxError(tok.offset, f"expected {text!r}, found {found}")
-        return self.take()
-
     def parse_expr(self) -> Expression:
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.take().text
-            node = BinOp(op, node, self.parse_term())
+        while self.peek() in ("+", "-"):
+            node = BinOp(self.take()[1], node, self.parse_term())
         return node
 
     def parse_term(self) -> Expression:
         node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
-            op = self.take().text
-            rhs_tok = self.peek()
+        while self.peek() in ("*", "/"):
+            op = self.take()[1]
+            rhs_start = self.tokens[self.pos][2]
             rhs = self.parse_factor()
             if op == "/" and isinstance(rhs, Num) and rhs.value == 0.0:
-                raise ExpressionSyntaxError(rhs_tok.offset, "division by literal zero")
+                raise self.error(rhs_start, "division by literal zero")
             node = BinOp(op, node, rhs)
         return node
 
     def parse_factor(self) -> Expression:
         base = self.parse_unary()
-        if self.peek().kind == "op" and self.peek().text == "**":
+        if self.peek() == "**":
             self.take()
             return BinOp("**", base, self.parse_factor())  # right-associative
         return base
 
     def parse_unary(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.peek() == "-":
             self.take()
             return Neg(self.parse_unary())
         return self.parse_atom()
 
     def parse_atom(self) -> Expression:
-        tok = self.take()
-        if tok.kind == "number":
-            return Num(float(tok.text))
-        if tok.kind == "ident":
-            if self.peek().kind == "op" and self.peek().text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ExpressionSyntaxError(
-                        tok.offset,
-                        f"unknown function {tok.text!r}; expected one of {FUNCTIONS}",
-                    )
-                self.take()
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return Call(tok.text, arg)
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        found = repr(tok.text) if tok.text else "end of input"
-        raise ExpressionSyntaxError(
-            tok.offset, f"expected a number, identifier, or '(', found {found}"
-        )
+        """A number, an identifier, or a parenthesized body, which a function
+        name before it makes a call."""
+        kind, text, start = self.take()
+        if kind == "number":
+            return Num(float(text))
+        if kind == "ident":
+            if self.peek() != "(":
+                return Var(text)
+            if text not in FUNCTIONS:
+                raise self.error(start, f"unknown function {text!r}; expected one of {FUNCTIONS}")
+            self.take()
+        elif text != "(":
+            found = _shown(text)
+            raise self.error(start, f"expected a number, identifier, or '(', found {found}")
+        inner = self.parse_expr()
+        _, close, end = self.take()
+        if close != ")":
+            raise self.error(end, f"expected ')', found {_shown(close)}")
+        return Call(text, inner) if kind == "ident" else inner
+
+
+def _shown(text: str) -> str:
+    return repr(text) if text else "end of input"
 
 
 def parse_expression(text: str) -> Expression:
@@ -215,11 +196,11 @@ def parse_expression(text: str) -> Expression:
     offending token for malformed input, unknown functions, and division by
     a literal zero.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ExpressionSyntaxError(tail.offset, f"unexpected trailing {tail.text!r}")
+    _, tail, start = parser.take()
+    if tail:
+        raise parser.error(start, f"unexpected trailing {tail!r}")
     return node
 
 

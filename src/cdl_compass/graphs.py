@@ -609,6 +609,16 @@ class Pdag:
 # Text exchange format
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The line rule of the graph, constraint and model formats: each line
+    of ``text`` with its 1-based number, less its ``#`` comment and the
+    whitespace around it; lines left blank are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_graph(text: str) -> Dag | Pdag:
     """Parse edge-list text into a :class:`Dag`, or a :class:`Pdag` if any
     undirected edge appears.
@@ -617,29 +627,23 @@ def parse_graph(text: str) -> Dag | Pdag:
     declares an isolated node; ``#`` starts a comment; blank lines are
     skipped.
     """
+    return _graph_of_lines(_content_lines(text))
+
+
+def _graph_of_lines(lines: Iterable[tuple[int, str]]) -> Dag | Pdag:
+    """:func:`parse_graph` over numbered content lines, which a model file's
+    graph section passes with the file's own numbers."""
     nodes: set[str] = set()
     directed: list[tuple[str, str]] = []
     undirected: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         tokens = line.split()
-        try:
-            if len(tokens) == 1:
-                nodes.add(_check_name(tokens[0]))
-            elif len(tokens) == 3 and tokens[1] == "->":
-                directed.append((_check_name(tokens[0]), _check_name(tokens[2])))
-            elif len(tokens) == 3 and tokens[1] == "--":
-                undirected.append((_check_name(tokens[0]), _check_name(tokens[2])))
-            else:
-                raise ValueError(
-                    "expected 'a -> b', 'a -- b', or a bare node name"
-                )
-        except GraphFormatError:
-            raise
-        except ValueError as exc:
-            raise GraphFormatError(lineno, str(exc)) from None
+        if len(tokens) == 1:
+            nodes.add(tokens[0])
+        elif len(tokens) == 3 and tokens[1] in ("->", "--"):
+            (directed if tokens[1] == "->" else undirected).append((tokens[0], tokens[2]))
+        else:
+            raise GraphFormatError(lineno, "expected 'a -> b', 'a -- b', or a bare node name")
     try:
         if undirected:
             return Pdag.of(directed, undirected, nodes)
@@ -690,10 +694,7 @@ def parse_constraints(text: str, variables: Iterable[str]) -> IndependenceSet:
     names = sorted({_check_name(v) for v in variables})
     name_set = set(names)
     statements: list[IndependenceStatement] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         holds = True
         if line.startswith("not "):
             holds = False
@@ -709,20 +710,17 @@ def parse_constraints(text: str, variables: Iterable[str]) -> IndependenceSet:
         if len(x_tokens) != 1 or len(y_tokens) != 1:
             raise GraphFormatError(lineno, "expected '<x> _||_ <y> [| <given>]'")
         x, y = x_tokens[0], y_tokens[0]
-        tail = tail.strip()
-        for v in (x, y):
+        every = tail.strip() == "*"
+        given = [] if every else tail.replace(",", " ").split()
+        for v in (x, y, *given):
             if v not in name_set:
                 raise GraphFormatError(lineno, f"undeclared variable {v!r}")
-        if tail == "*":
+        if every:
             rest = [v for v in names if v not in (x, y)]
             for size in range(len(rest) + 1):
                 for z in itertools.combinations(rest, size):
                     statements.append(IndependenceStatement(x, y, frozenset(z), holds))
             continue
-        given = [t for chunk in tail.split(",") for t in chunk.split() if t]
-        for v in given:
-            if v not in name_set:
-                raise GraphFormatError(lineno, f"undeclared variable {v!r}")
         try:
             statements.append(IndependenceStatement(x, y, frozenset(given), holds))
         except ValueError as exc:

@@ -7,12 +7,11 @@ share one temporal flag; a method either works on static data or on time
 series, never both under one id.  Assumption tags are free-form slugs used
 for filtering and cross-referencing.
 
-A catalog is an id-sorted collection of cards with a format version.  The
-on-disk form is a JSON array of card objects with a fixed key set; the
-packaged default catalog covers sixteen standard discovery and estimation
-methods.  Cards built in code may attach payloads (a concrete graph, say)
-to their states; the JSON form is tag-only and refuses payload-bearing
-cards.
+A catalog is an id-sorted collection of cards.  The on-disk form is a JSON
+array of card objects with a fixed key set; the packaged default catalog
+covers sixteen standard discovery and estimation methods.  Cards built in
+code may attach payloads (a concrete graph, say) to their states; the JSON
+form is tag-only and refuses payload-bearing cards.
 
 Querying filters by temporal flag, by a lower bound on what the method
 delivers, by an upper bound on what it demands, and by assumption tag;
@@ -109,11 +108,8 @@ class Catalog:
     """Id-sorted card collection; duplicate ids are rejected."""
 
     cards: tuple[MethodCard, ...]
-    version: int = 1
 
     def __post_init__(self) -> None:
-        if self.version < 1:
-            raise ValueError(f"catalog version must be >= 1, got {self.version}")
         ordered = tuple(sorted(self.cards, key=lambda c: c.id))
         ids = [c.id for c in ordered]
         for a, b in zip(ids, ids[1:]):
@@ -122,8 +118,8 @@ class Catalog:
         object.__setattr__(self, "cards", ordered)
 
     @classmethod
-    def of(cls, cards: Iterable[MethodCard], version: int = 1) -> "Catalog":
-        return cls(tuple(cards), version)
+    def of(cls, cards: Iterable[MethodCard]) -> "Catalog":
+        return cls(tuple(cards))
 
     def ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.cards)
@@ -286,16 +282,3 @@ def query_catalog(
             continue
         out.append(card)
     return tuple(out)
-
-
-__all__ = [
-    "Catalog",
-    "MethodCard",
-    "UnknownCardError",
-    "card_from_mapping",
-    "card_to_mapping",
-    "default_catalog",
-    "load_catalog",
-    "query_catalog",
-    "save_catalog",
-]

@@ -54,21 +54,17 @@ from .expressions import (
     free_variables,
     parse_expression,
 )
-from .graphs import Dag, GraphFormatError, Pdag, format_graph, parse_graph
+from .graphs import Dag, GraphFormatError, Pdag, _content_lines, _graph_of_lines, format_graph
 from .lattice import ParametricTag
 
 
-class ScmFormatError(ValueError):
+class ScmFormatError(GraphFormatError):
     """Malformed model definition text.
 
     ``line`` is the 1-based number of the line at fault, or ``None`` when the
     fault lies in the model as a whole: a directed cycle or an undirected
     edge in its graph, or equations that disagree with the graph.
     """
-
-    def __init__(self, line: int | None, message: str):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +432,16 @@ def _equation_value(
     or a covariate point), written into ``out`` when given.  The one statement
     of the level rule: a noise-model equation is ``g(bound) + U_<target>``, a
     fully-known one reads the noise symbols of ``draws`` over ``bound``.
+    The noise sum must be finite, as every operator of an expression must.
     Errors name the target."""
     try:
         if eq.level is ParametricTag.NOISE_MODEL:
-            return np.add(
-                evaluate_expression(eq.expr, bound), draws[noise_symbol(target)], out=out
-            )
+            g = evaluate_expression(eq.expr, bound)
+            with np.errstate(all="ignore"):
+                value = np.add(g, draws[noise_symbol(target)], out=out)
+            if not np.isfinite(value).all():
+                raise EvaluationError("non-finite result from operator '+'")
+            return value
         value = evaluate_expression(eq.expr, {**bound, **draws})
     except EvaluationError as exc:
         raise EvaluationError(f"equation for {target!r}: {exc}") from None
@@ -600,10 +600,7 @@ def parse_scm(text: str) -> Scm:
     """
     sections: dict[str, list[tuple[int, str]]] = {"graph": [], "equations": [], "noise": []}
     section: list[tuple[int, str]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line.endswith(":") and " " not in line:
             name = line[:-1]
             if name not in sections:
@@ -615,11 +612,9 @@ def parse_scm(text: str) -> Scm:
             section.append((lineno, line))
 
     try:
-        graph = parse_graph("\n".join(line for _, line in sections["graph"]))
+        graph = _graph_of_lines(sections["graph"])
     except GraphFormatError as exc:
-        # parse_graph numbers the section's lines; map back to the file's
-        at = None if exc.line is None else sections["graph"][exc.line - 1][0]
-        raise ScmFormatError(at, f"graph section: {exc.reason}") from None
+        raise ScmFormatError(exc.line, f"graph section: {exc.reason}") from None
     if isinstance(graph, Pdag):
         raise ScmFormatError(None, "graph section: a model graph must be directed")
 

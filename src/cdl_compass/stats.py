@@ -752,26 +752,3 @@ def partial_correlation_ci_test(
         bears_on=StructuralTag.PLAUSIBLE,
         details={"n": int(n), "given": ",".join(given), "z": float(z)},
     )
-
-
-__all__ = [
-    "AnmResult",
-    "CausalDirection",
-    "Decision",
-    "TestReport",
-    "TestabilityTier",
-    "anm_direction",
-    "cusum_critical_coefficient",
-    "cusum_crossing_probability",
-    "cusum_linearity_test",
-    "gaussian_cdf",
-    "jarque_bera_test",
-    "ks_test",
-    "partial_correlation",
-    "partial_correlation_ci_test",
-    "recursive_residuals",
-    "residual_independence_test",
-    "savitzky_golay_smooth",
-    "testability_tier",
-    "uniform_cdf",
-]

@@ -317,6 +317,23 @@ class TestSimulate:
         assert "'Y'" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_overflowing_noise_sum_exits_1(self, tmp_path):
+        # A child process, so that a numpy warning would reach stderr.
+        path = tmp_path / "overflow.scm"
+        path.write_text(
+            "graph:\nX -> Y\nequations:\nY = X * 1e308 + U\nnoise:\n"
+            "U_X ~ Uniform(1.0, 1.5)\nU_Y ~ Normal(1e308, 1.0)\n"
+        )
+        proc = subprocess.run(
+            [*declared_entry_point("cdl-compass"), "simulate", str(path), "--n", "5"],
+            capture_output=True,
+            text=True,
+            env=env_importing_this_package(),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: equation for 'Y': non-finite result from operator '+'\n"
+
     def test_node_named_like_a_noise_symbol(self, capsys, tmp_path):
         # Y := 2 * U_Z would read the key Z's noise, not the node U_Z.
         path = tmp_path / "shadow.scm"

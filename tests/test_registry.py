@@ -105,10 +105,6 @@ class TestCatalog:
         assert exc.value.card_id == "two"
         assert isinstance(exc.value, ValueError)
 
-    def test_version_floor(self):
-        with pytest.raises(ValueError, match="version"):
-            Catalog.of([make_card()], version=0)
-
 
 # ---------------------------------------------------------------------------
 # JSON form
@@ -176,10 +172,6 @@ class TestJson:
     def test_non_array_rejected(self):
         with pytest.raises(ValueError, match="JSON array"):
             load_catalog(io.StringIO("{}"))
-
-    def test_version_not_persisted(self):
-        cat = Catalog.of([make_card()], version=7)
-        assert load_catalog(io.StringIO(save_catalog(cat))).version == 1
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,19 @@ class TestSampling:
         with pytest.raises(EvaluationError, match=r"^equation for 'Y': .*log\(\)"):
             sample(m, 50, seed=0)
 
+    def test_overflowing_noise_sum_names_the_equation(self):
+        # g(X) and U_Y are finite on their own; only their sum overflows.
+        text = (
+            "graph:\nX -> Y\nequations:\nY = X * 1e308 + U\nnoise:\n"
+            "U_X ~ Uniform(1.0, 1.5)\nU_Y ~ Normal(1e308, 1.0)\n"
+        )
+        message = "^equation for 'Y': non-finite result from operator '\\+'$"
+        with pytest.raises(EvaluationError, match=message):
+            sample(parse_scm(text), 5, seed=0)
+        # The fully-known form of the same model has said so all along.
+        with pytest.raises(EvaluationError, match=message):
+            sample(parse_scm(text.replace("Y = X * 1e308 + U", "Y := X * 1e308 + U_Y")), 5)
+
     def test_peak_memory_is_one_block(self):
         # The values fill one n x k block, and each node's noise is drawn
         # into its own row: a second block of draws would double the peak.
@@ -562,6 +575,14 @@ C ~ Normal(0.0, 1.0)
         m = parse_scm(IHDP_SCALAR)
         with pytest.raises(ValueError, match="missing"):
             oracle_cate(m, {})
+
+    def test_overflowing_noise_sum_names_the_outcome(self):
+        text = (
+            "graph:\nX -> Y0\nX -> Y1\nequations:\nY0 := X\nY1 = X * 1e308 + U\n"
+            "noise:\nU_X ~ Normal(0.0, 1.0)\nU_Y1 ~ Normal(1e308, 1.0)\n"
+        )
+        with pytest.raises(EvaluationError, match="^equation for 'Y1': .*operator '\\+'$"):
+            oracle_cate(parse_scm(text), {"X": 1.5}, n_mc=10)
 
     def test_non_finite_values_name_the_outcome(self):
         text = (
