@@ -1,19 +1,23 @@
 """Golden digests of the command line's front end.
 
 Each case is an argv run in process through ``cli.main``; ``golden/front_end.json``
-holds its exit code and the SHA-256 of its stdout and of its stderr.  The
-cases run the bench fixtures through ``dsep``, ``mec``, ``simulate``,
-``validate``, ``plan``, ``audit`` and ``catalog``, and every format error of
-the graph, constraint, model, expression and pipeline readers that the CLI
-and model tests raise, so a rewrite of those readers must keep every output
-byte.
+holds its exit code (argparse's own exit code for a usage error it finds) and
+the SHA-256 of its stdout and of its stderr.  The cases run the bench
+fixtures through every subcommand in both formats, ``sample``'s columns at
+n = 2000 for three models and two seeds, the usage errors that exit 2, every
+format error of the graph, constraint, model, expression and pipeline readers
+that the CLI and model tests raise, and the ways names, labels and catalog
+sources are given on the command line, so a rewrite of those readers must
+keep every output byte.
 
 The digests pin the numpy build that made them, whose ``exp``, ``log`` and
-``sin`` may round otherwise elsewhere: on another numpy version or platform
-the test fails rather than skips.  Regenerate the file, as a deliberate act,
-with::
+``sin`` may round otherwise elsewhere, and the Python version, whose argparse
+words the usage errors: on another numpy, Python or platform the test fails
+rather than skips.  Regenerate the file, as a deliberate act, with::
 
     PYTHONPATH=src python tests/test_front_end_golden.py --write
+
+which prints every argv it adds, removes or changes against the old file.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -51,8 +57,37 @@ def _model_with_equation(equation: str) -> str:
     return LINEAR_MODEL.replace("Y = 2 * X + U", equation)
 
 
-# Input files by name; an argv names one as ``@<name>`` and a bench fixture
-# as ``fixtures/<name>``.
+CHAIN_MODEL = (
+    "graph:\n"
+    "A -> B\nB -> C\nC -> D\n"
+    "equations:\n"
+    "B = 0.5 * A + U\n"
+    "C := exp(0 - B * B) + U_C\n"
+    "D = -1.5 * C + U\n"
+    "noise:\n"
+    "U_A ~ Normal(0.0, 1.0)\n"
+    "U_B ~ Normal(0.0, 0.5)\n"
+    "U_C ~ Uniform(-0.25, 0.25)\n"
+    "U_D ~ Normal(1.0, 2.0)\n"
+)
+CUBIC_MODEL = (
+    "graph:\nX -> Y\nW\nequations:\nY = X ** 3 + U\n"
+    "noise:\nU_X ~ Uniform(0.0, 1.0)\nU_Y ~ Uniform(-0.1, 0.1)\nU_W ~ Normal(0.0, 1.0)\n"
+)
+# A one-card catalog; its file name starts with "[".
+CATALOG = (
+    '[{"id": "only-card", "name": "Only card", "citation_key": "doe2020only", '
+    '"a_priori": {"structural": "unknown", "parametric": "nonparametric", '
+    '"temporal": "static"}, '
+    '"a_posteriori": {"structural": "plausible", "parametric": "nonparametric", '
+    '"temporal": "static"}, '
+    '"assumption_tags": ["faithfulness"], "notes": ""}]\n'
+)
+
+
+# Input files by name; an argv names one as ``@<name>``, which runs as the
+# relative path ``<name>`` from the directory that holds them, and a bench
+# fixture as ``fixtures/<name>``.
 INPUTS = {
     # graphs
     "crlf.graph": "X -> Y\r\nY -> Z  # trailing comment\r\n",
@@ -80,6 +115,7 @@ INPUTS = {
     "undeclared_star.constraints": "S _||_ Q | *\n",
     "overlap.constraints": "\nS _||_ D | S\n",
     "contradiction.constraints": "S _||_ D\nnot S _||_ D\n",
+    "self_star.constraints": "S _||_ S | *\n",
     # models
     "linear.scm": LINEAR_MODEL,
     "commented.scm": LINEAR_MODEL.replace("graph:", "# model\ngraph:  # sections"),
@@ -103,6 +139,8 @@ INPUTS = {
     ),
     "undeclared_symbol.scm": _model_with_equation("Y := X + U_Q"),
     "overflow.scm": _model_with_equation("Y = X * 1e300 * 1e300 + U"),
+    "chain.scm": CHAIN_MODEL,
+    "cubic.scm": CUBIC_MODEL,
     # expressions, inside model equations
     "expr_char.scm": _model_with_equation("Y = 2 * @X + U"),
     "expr_function.scm": _model_with_equation("Y := foo(X) + U_Y"),
@@ -121,9 +159,12 @@ INPUTS = {
     "truncated.json": '["resit",\n',
     "lines.pipeline": "# two stages\nresit\n\ndecaf  # last\n",
     "empty.pipeline": "\n  # only a comment\n",
+    # catalogs
+    "[cat].json": CATALOG,
 }
 
 START = ("--start", "unknown:noise_model:static")
+DATA = "fixtures/data.csv"
 CASES = [
     # the bench fixtures, in both formats
     ("dsep", "fixtures/dag.graph", "--x", "A", "--y", "G"),
@@ -141,6 +182,35 @@ CASES = [
     ("audit", "--format", "json"),
     ("catalog", "list"),
     ("catalog", "show", "resit", "--format", "json"),
+    *[
+        (*argv, *fmt)
+        for argv in (
+            ("test", DATA, "--test", "ks", "--column", "X"),
+            ("test", DATA, "--test", "ks", "--column", "E", "--uniform", "0", "1"),
+            ("test", DATA, "--test", "jb", "--column", "Y"),
+            ("test", DATA, "--test", "cusum", "--x", "X", "--y", "Y"),
+            ("test", DATA, "--test", "resid", "--x", "X", "--resid", "R", "--seed", "3"),
+            ("test", DATA, "--test", "pcorr", "--x", "X", "--y", "Z", "--given", "Y"),
+            ("anm", DATA, "--x", "C", "--y", "E", "--seed", "5"),
+        )
+        for fmt in ((), ("--format", "json"))
+    ],
+    # sample's columns, bit for bit
+    *[
+        ("simulate", model, "--n", "2000", "--seed", seed)
+        for model in ("fixtures/model.scm", "@chain.scm", "@cubic.scm")
+        for seed in ("0", "11")
+    ],
+    # usage errors, exit 2
+    ("test", DATA, "--test", "resid", "--x", "X"),
+    ("dsep", "fixtures/dag.graph", "--y", "G"),
+    ("frobnicate",),
+    # names, labels and catalog sources as the command line gives them
+    ("plan", "--start", "unknown:noise_model:weekly", "--goal", "causal:nonparametric:static"),
+    ("mec", "@self_star.constraints", "--vars", "S,C,D"),
+    ("mec", "fixtures/smoking.constraints", "--vars", "S C D"),
+    ("dsep", "fixtures/dag.graph", "--x", "A", "--y", "F", "--given", "B E"),
+    ("catalog", "list", "--catalog", "@[cat].json"),
     # graph files
     ("dsep", "@crlf.graph", "--x", "X", "--y", "Z", "--given", "Y"),
     ("dsep", "@cycle.graph", "--x", "X", "--y", "Z"),
@@ -168,20 +238,21 @@ CASES = [
     *[
         ("simulate", f"@{name}", "--n", "3", "--seed", "0")
         for name in sorted(INPUTS)
-        if name.endswith(".scm") and name not in ("linear.scm", "commented.scm")
+        if name.endswith(".scm")
+        and name not in ("linear.scm", "commented.scm", "chain.scm", "cubic.scm")
     ],
     # pipeline files
     *[
         ("validate", f"@{name}", *START)
         for name in sorted(INPUTS)
-        if name.endswith((".json", ".pipeline"))
+        if name.endswith((".json", ".pipeline")) and name != "[cat].json"
     ],
 ]
 
 
-def _resolve(arg: str, workdir: Path) -> str:
+def _resolve(arg: str) -> str:
     if arg.startswith("@"):
-        return str(workdir / arg[1:])
+        return arg[1:]
     if arg.startswith("fixtures/"):
         return str(FIXTURES / arg.split("/", 1)[1])
     return arg
@@ -191,37 +262,60 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue())}
+
+
 def run_cases(workdir: Path) -> dict:
-    """The golden record of every case, with ``INPUTS`` written to ``workdir``."""
+    """The golden record of every case, run from ``workdir`` with ``INPUTS`` in it.
+
+    The default seed is the built-in one, and argparse wraps its usage text
+    at 80 columns whatever terminal the run has.
+    """
     for name, text in INPUTS.items():
         (workdir / name).write_bytes(text.encode("utf-8"))
-    cases = {}
-    for argv in CASES:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([_resolve(arg, workdir) for arg in argv])
-        cases[" ".join(argv)] = {
-            "exit": code,
-            "stdout": _sha256(out.getvalue()),
-            "stderr": _sha256(err.getvalue()),
-        }
-    return {"numpy": np.__version__, "platform": platform.machine(), "cases": cases}
+    home = os.getcwd()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        os.environ.pop("CDL_COMPASS_SEED", None)
+        os.chdir(workdir)
+        try:
+            cases = {" ".join(argv): _run([_resolve(arg) for arg in argv]) for argv in CASES}
+        finally:
+            os.chdir(home)
+    return {
+        "numpy": np.__version__,
+        "platform": platform.machine(),
+        "python": ".".join(platform.python_version_tuple()[:2]),
+        "cases": cases,
+    }
 
 
-def test_front_end_outputs_match_golden(tmp_path, monkeypatch):
-    monkeypatch.delenv("CDL_COMPASS_SEED", raising=False)
+def changed_cases(want: dict, got: dict) -> list[tuple[str, str]]:
+    """``(added | removed | changed, argv)`` for every case ``got`` records otherwise."""
+    return [
+        ("added" if argv not in want else "removed" if argv not in got else "changed", argv)
+        for argv in sorted(want.keys() | got.keys())
+        if want.get(argv) != got.get(argv)
+    ]
+
+
+_ENVIRONMENT = ("numpy", "platform", "python")
+
+
+def test_front_end_outputs_match_golden(tmp_path):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = run_cases(tmp_path)
-    assert (got["numpy"], got["platform"]) == (want["numpy"], want["platform"]), (
-        "the digests were written under another numpy or platform; "
+    assert [got[key] for key in _ENVIRONMENT] == [want.get(key) for key in _ENVIRONMENT], (
+        "the digests were written under another numpy, Python or platform; "
         "regenerate them deliberately with --write"
     )
-    changed = sorted(
-        argv
-        for argv in want["cases"].keys() | got["cases"].keys()
-        if want["cases"].get(argv) != got["cases"].get(argv)
-    )
-    assert changed == []
+    assert changed_cases(want["cases"], got["cases"]) == []
 
 
 def test_every_input_is_used():
@@ -234,8 +328,14 @@ if __name__ == "__main__":
     parser.add_argument("--write", action="store_true", help=f"regenerate {GOLDEN.name}")
     if not parser.parse_args().write:
         parser.error("pass --write to regenerate the golden file")
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {"cases": {}}
     with tempfile.TemporaryDirectory() as tmp:
         record = run_cases(Path(tmp))
+    for key in _ENVIRONMENT:
+        if old.get(key) != record[key]:
+            print(f"{key}: {old.get(key)} -> {record[key]}")
+    for kind, argv in changed_cases(old["cases"], record["cases"]):
+        print(f"{kind}: {argv}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(record['cases'])} cases to {GOLDEN}", file=sys.stderr)
