@@ -77,11 +77,8 @@ def _state(triple: str) -> KnowledgeState:
 
 
 def _name_list(raw: list[str] | None) -> tuple[str, ...]:
-    # accept both space- and comma-separated node lists
-    out: list[str] = []
-    for chunk in raw or ():
-        out.extend(part.strip() for part in chunk.split(",") if part.strip())
-    return tuple(out)
+    # names split on commas and/or whitespace, the rule of a constraint file's givens
+    return tuple(" ".join(raw or ()).replace(",", " ").split())
 
 
 def _render_report_text(report: TestReport, indent: int = 0) -> list[str]:
@@ -413,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mec", parents=[common], help="enumerate graphs consistent with constraints"
     )
     p.add_argument("constraints", metavar="CONSTRAINTS", help="constraint file")
-    p.add_argument("--vars", required=True, help="comma-separated variable names")
+    p.add_argument("--vars", required=True, help="variable names, comma- or space-separated")
     p.add_argument("--max-nodes", type=int, default=6)
     p.set_defaults(handler=_cmd_mec)
 
@@ -436,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None, help="input column for cusum/resid/pcorr")
     p.add_argument("--y", default=None, help="response column for cusum/pcorr")
     p.add_argument("--resid", default=None, help="residual column for resid")
-    p.add_argument("--given", default=None, help="comma-separated conditioners (pcorr)")
+    p.add_argument("--given", default=None, help="comma- or space-separated conditioners (pcorr)")
     p.add_argument("--mu", type=float, default=0.0, help="ks reference mean")
     p.add_argument("--sigma", type=float, default=1.0, help="ks reference sd")
     p.add_argument(

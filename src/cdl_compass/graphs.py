@@ -715,14 +715,12 @@ def parse_constraints(text: str, variables: Iterable[str]) -> IndependenceSet:
         for v in (x, y, *given):
             if v not in name_set:
                 raise GraphFormatError(lineno, f"undeclared variable {v!r}")
+        given_sets = [given]
         if every:
             rest = [v for v in names if v not in (x, y)]
-            for size in range(len(rest) + 1):
-                for z in itertools.combinations(rest, size):
-                    statements.append(IndependenceStatement(x, y, frozenset(z), holds))
-            continue
+            given_sets = [z for k in range(len(rest) + 1) for z in itertools.combinations(rest, k)]
         try:
-            statements.append(IndependenceStatement(x, y, frozenset(given), holds))
+            statements.extend(IndependenceStatement(x, y, frozenset(z), holds) for z in given_sets)
         except ValueError as exc:
             raise GraphFormatError(lineno, str(exc)) from None
     try:

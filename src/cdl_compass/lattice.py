@@ -41,11 +41,21 @@ class PayloadConflictError(ValueError):
 
 
 class _Labelled(enum.Enum):
-    """Enum base whose members are named by their lowercase member name."""
+    """Enum base whose members are named, and read back, by their lowercase name."""
 
     @property
     def label(self) -> str:
         return self.name.lower()
+
+    @classmethod
+    def from_label(cls, label: str) -> "_Labelled":
+        for member in cls:
+            if member.label == label:
+                return member
+        raise ValueError(
+            f"unknown {cls.__name__} label {label!r}; "
+            f"expected one of {', '.join(m.label for m in cls)}"
+        )
 
 
 @functools.total_ordering
@@ -60,16 +70,6 @@ class _OrderedTag(_Labelled):
         if self.__class__ is not other.__class__:
             return NotImplemented
         return self.value < other.value
-
-    @classmethod
-    def from_label(cls, label: str) -> "_OrderedTag":
-        for member in cls:
-            if member.label == label:
-                return member
-        raise ValueError(
-            f"unknown {cls.__name__} label {label!r}; "
-            f"expected one of {', '.join(m.label for m in cls)}"
-        )
 
 
 class StructuralTag(_OrderedTag):
@@ -90,15 +90,6 @@ class TemporalFlag(_Labelled):
 
     STATIC = "static"
     TEMPORAL = "temporal"
-
-    @classmethod
-    def from_label(cls, label: str) -> "TemporalFlag":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(
-            f"unknown TemporalFlag label {label!r}; expected 'static' or 'temporal'"
-        )
 
 
 def leq(a: _OrderedTag, b: _OrderedTag) -> bool:

@@ -193,16 +193,13 @@ def card_to_mapping(card: MethodCard) -> dict:
 
 
 def load_catalog(source) -> Catalog:
-    """Read a catalog from a JSON array (path, file object, or text); a fault
-    in a card names the card's 1-based position in the array."""
+    """Read a catalog from a JSON array (path or file object); a fault in a
+    card names the card's 1-based position in the array."""
     if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and source.lstrip().startswith("["):
-        text = source
+        data = json.load(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    data = json.loads(text)
+            data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("a catalog file holds a JSON array of cards")
     cards = []
@@ -229,9 +226,9 @@ def save_catalog(catalog: Catalog, target=None) -> str | None:
 
 def default_catalog() -> Catalog:
     """The packaged sixteen-card catalog."""
-    return load_catalog(
-        resources.files("cdl_compass").joinpath("data/default_catalog.json").read_text("utf-8")
-    )
+    packaged = resources.files("cdl_compass").joinpath("data/default_catalog.json")
+    with packaged.open("r", encoding="utf-8") as fh:
+        return load_catalog(fh)
 
 
 # ---------------------------------------------------------------------------

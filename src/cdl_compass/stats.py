@@ -41,13 +41,6 @@ class Decision(_Labelled):
     REJECT_NULL = "reject_null"
     FAIL_TO_REJECT = "fail_to_reject"
 
-    @classmethod
-    def from_label(cls, label: str) -> "Decision":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown decision {label!r}")
-
 
 _DETAIL_TYPES = (float, int, str, bool)
 
@@ -161,11 +154,6 @@ class TestReport:
                 cls.from_mapping(sub) for sub in data.get("sub_reports", ())
             ),
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TestReport):
-            return NotImplemented
-        return self.to_mapping() == other.to_mapping()
 
 
 def _as_vector(values: Sequence[float], name: str, minimum: int = 1) -> np.ndarray:

@@ -132,6 +132,18 @@ class TestDsep:
         )
         assert out == "d-separated: true\n"
 
+    @pytest.mark.parametrize(
+        "given", [["B", "C"], ["B,C"], ["B C"], [" B,\tC, "], ["B", "C,"]]
+    )
+    def test_name_list_splits_on_commas_and_whitespace(self, capsys, tmp_path, given):
+        path = tmp_path / "chain4.graph"
+        path.write_text("A -> B\nB -> C\nC -> D\n")
+        code, out, _ = run_cli(
+            capsys, "dsep", str(path), "--x", "A", "--y", "D", "--given", *given,
+            "--format", "json",
+        )
+        assert (code, json.loads(out)["given"]) == (0, ["B", "C"])
+
     def test_json(self, capsys, chain_graph):
         code, out, _ = run_cli(
             capsys,
@@ -598,7 +610,7 @@ class TestCatalogCommands:
                 "temporal",
                 ["static"],
                 "error: card 1: a_posteriori: unknown TemporalFlag label ['static']; "
-                "expected 'static' or 'temporal'\n",
+                "expected one of static, temporal\n",
             ),
         ],
         ids=["structural-int", "temporal-list"],

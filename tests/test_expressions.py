@@ -154,6 +154,7 @@ def test_format_minimal_parens():
     assert roundtrip("(x + y) * z") == "(x + y) * z"
     assert roundtrip("x ** (y ** z)") == "x ** y ** z"
     assert roundtrip("(x ** y) ** z") == "(x ** y) ** z"
+    assert roundtrip("2 ** (X + 1)") == "2.0 ** (X + 1.0)"
     assert roundtrip("-(x ** 2)") == "-(x ** 2.0)"
     assert roundtrip("-x ** 2") == "-x ** 2.0"
     assert roundtrip("a - (b - c)") == "a - (b - c)"

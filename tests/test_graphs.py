@@ -473,6 +473,12 @@ class TestConstraintText:
             parse_constraints("S _||_ D\nS D\n", ["S", "C", "D"])
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("tail", ["", " | C", " | *"])
+    def test_same_variable_twice_names_the_line(self, tail):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_constraints(f"S _||_ D\nS _||_ S{tail}\n", ["S", "C", "D"])
+        assert str(exc.value) == "line 2: an independence statement needs two distinct variables"
+
     def test_contradiction_across_lines(self):
         with pytest.raises(GraphFormatError, match="contradictory"):
             parse_constraints("S _||_ D\nnot D _||_ S\n", ["S", "C", "D"])
@@ -542,6 +548,19 @@ class TestTemplates:
     def test_backward_lag_rejected(self):
         with pytest.raises(ValueError, match="forward in time"):
             TemporalTemplate.of(["A", "B"], across_step=[("A", "B", 0)])
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ({"within_step": [("A",)]}, "within-step entries are"),
+            ({"across_step": [("A", "B", 1, 2)]}, "across-step entries are"),
+            ({"across_step": [("A", "B", 2)]}, "only lag-1 cross-step edges are supported, got 2"),
+        ],
+        ids=["within-arity", "across-arity", "lag-2"],
+    )
+    def test_malformed_entry_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            TemporalTemplate.of(["A", "B"], **entries)
 
     def test_within_step_cycle_fails_on_unroll(self):
         t = TemporalTemplate.of(

@@ -122,6 +122,20 @@ def test_every_enum_label_is_unchanged():
         assert all(m.label == m.value for m in enum_type)
 
 
+@pytest.mark.parametrize(
+    "enum_type",
+    [StructuralTag, ParametricTag, TemporalFlag, TransitionKind, Tier, Decision, CausalDirection],
+)
+def test_every_enum_reads_its_labels_by_one_rule(enum_type):
+    assert [enum_type.from_label(m.label) for m in enum_type] == list(enum_type)
+    expected = ", ".join(m.label for m in enum_type)
+    with pytest.raises(ValueError) as exc:
+        enum_type.from_label("weekly")
+    assert str(exc.value) == (
+        f"unknown {enum_type.__name__} label 'weekly'; expected one of {expected}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # State order (satisfies) — exhaustive over all 24 tag states
 

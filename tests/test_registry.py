@@ -124,12 +124,23 @@ class TestJson:
 
     def test_load_from_text(self):
         text = save_catalog(Catalog.of([make_card()]))
-        assert load_catalog(text).ids() == ("demo-method",)
+        assert load_catalog(io.StringIO(text)).ids() == ("demo-method",)
+
+    def test_save_into_handle(self):
+        cat = Catalog.of([make_card()])
+        handle = io.StringIO()
+        assert save_catalog(cat, handle) is None
+        assert handle.getvalue() == save_catalog(cat)
 
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "cat.json"
         save_catalog(Catalog.of([make_card()]), path)
         assert load_catalog(path).ids() == ("demo-method",)
+
+    def test_path_that_starts_with_a_bracket(self, tmp_path, monkeypatch):
+        save_catalog(Catalog.of([make_card()]), tmp_path / "[cat].json")
+        monkeypatch.chdir(tmp_path)
+        assert load_catalog("[cat].json").ids() == ("demo-method",)
 
     def test_extra_keys_rejected(self):
         data = card_to_mapping(make_card())

@@ -349,6 +349,12 @@ class TestScmValidation:
         with pytest.raises(ValueError, match="^graph node 'U_Z' .* noise key 'Z'$"):
             Scm(g, [eq], noise)
 
+    def test_equation_target_must_be_graph_node(self):
+        g = Dag.of(nodes=["X"])
+        eq = StructuralEquation("Y", (), ParametricTag.FULLY_KNOWN, expr_of("1.0"))
+        with pytest.raises(ValueError, match="^equation target 'Y' is not a graph node$"):
+            Scm(g, [eq], {"X": NormalNoise()})
+
     def test_exogenous_needs_noise(self):
         g = Dag.of(nodes=["X"])
         with pytest.raises(ValueError, match="no noise spec"):

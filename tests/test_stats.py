@@ -43,7 +43,10 @@ class TestReportPlumbing:
         assert Decision.from_label("reject_null") is Decision.REJECT_NULL
 
     def test_unknown_decision_label(self):
-        with pytest.raises(ValueError, match="unknown decision"):
+        with pytest.raises(
+            ValueError,
+            match="^unknown Decision label 'maybe'; expected one of reject_null, fail_to_reject$",
+        ):
             Decision.from_label("maybe")
 
     def test_contradictory_decision_rejected(self):
@@ -227,6 +230,11 @@ class TestJarqueBera:
         with pytest.raises(ValueError, match="at least 3"):
             jarque_bera_test([1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="^values contains non-finite values$"):
+            jarque_bera_test([1.0, bad, 2.0, 3.0])
+
     def test_skewed_sample_detected(self):
         rng = np.random.default_rng(8)
         r = jarque_bera_test(np.exp(rng.normal(size=300)))
@@ -349,6 +357,11 @@ class TestCusum:
     def test_needs_x_variation(self):
         with pytest.raises(ValueError, match="no variation"):
             cusum_linearity_test([1.0] * 10, list(range(10)))
+
+    def test_needs_two_recursive_residuals(self):
+        # x varies only at the last point, so the recursion starts there.
+        with pytest.raises(ValueError, match="too few recursive residuals"):
+            cusum_linearity_test([0.0, 0.0, 0.0, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_recursive_residuals_iid_under_null(self):
         rng = np.random.default_rng(13)
