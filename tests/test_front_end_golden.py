@@ -181,6 +181,8 @@ CASES = [
     ("audit",),
     ("audit", "--format", "json"),
     ("catalog", "list"),
+    ("catalog", "list", "--format", "json"),
+    ("catalog", "show", "resit"),
     ("catalog", "show", "resit", "--format", "json"),
     *[
         (*argv, *fmt)
