@@ -116,6 +116,7 @@ INPUTS = {
     "overlap.constraints": "\nS _||_ D | S\n",
     "contradiction.constraints": "S _||_ D\nnot S _||_ D\n",
     "self_star.constraints": "S _||_ S | *\n",
+    "star_cap.constraints": "not V0 _||_ V1 | *\n",
     # models
     "linear.scm": LINEAR_MODEL,
     "commented.scm": LINEAR_MODEL.replace("graph:", "# model\ngraph:  # sections"),
@@ -213,6 +214,16 @@ CASES = [
     ("mec", "fixtures/smoking.constraints", "--vars", "S C D"),
     ("dsep", "fixtures/dag.graph", "--x", "A", "--y", "F", "--given", "B E"),
     ("catalog", "list", "--catalog", "@[cat].json"),
+    ("catalog", "list", "--temporal", "weekly"),
+    ("catalog", "list", "--temporal"),
+    ("mec", "fixtures/smoking.constraints", "--vars", "S,S,C,D"),
+    ("dsep", "fixtures/dag.graph", "--x", "A", "--y", "F", "--given", "B", "B"),
+    ("dsep", "fixtures/dag.graph", "--x", "A", "--y", "F", "--given", "B", "B", "--format", "json"),
+    ("test", DATA, "--test", "pcorr", "--x", "X", "--y", "Z", "--given", "Y Y"),
+    ("test", DATA, "--test", "pcorr", "--x", "X", "--y", "Z", "--given", "X"),
+    # the enumeration cap, with a file that expands and with one that is missing
+    ("mec", "@star_cap.constraints", "--vars", ",".join(f"V{i}" for i in range(8))),
+    ("mec", "missing.constraints", "--vars", ",".join(f"V{i}" for i in range(7))),
     # graph files
     ("dsep", "@crlf.graph", "--x", "X", "--y", "Z", "--given", "Y"),
     ("dsep", "@cycle.graph", "--x", "X", "--y", "Z"),
