@@ -3,7 +3,11 @@
 Subcommands: ``dsep``, ``mec``, ``simulate``, ``test`` (``--test`` picks
 ks / jb / cusum / resid / pcorr), ``anm``, ``catalog`` (list / show),
 ``validate``, ``plan``, ``audit``.  Every subcommand takes
-``--format text|json``.
+``--format text|json`` and prints through one rule, ``_show``: each
+handler states its JSON payload and its text once, and only the form
+asked for is built, so text ``simulate`` makes no column lists, JSON
+``simulate`` formats no CSV, and JSON ``plan --show-relaxing`` runs no
+transition audit.
 
 Exit codes: 0 on success, 1 on a domain error (bad input file, unknown
 node or card, invalid pipeline, empty plan under ``--strict``), 2 on a
@@ -42,12 +46,11 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
+def _show(args, payload, text) -> None:
+    """Print the form ``--format`` asks for, building only that one: the
+    indented JSON of ``payload()``, or ``text()``, ending in one newline."""
+    shown = json.dumps(payload(), indent=2) if args.format == "json" else text()
+    sys.stdout.write(shown if shown.endswith("\n") else shown + "\n")
 
 
 def _resolve_seed(args) -> int:
@@ -101,13 +104,6 @@ def _render_report_text(report: TestReport, indent: int = 0) -> list[str]:
     return lines
 
 
-def _emit_report(report: TestReport, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(report.to_mapping())
-    else:
-        _emit("\n".join(_render_report_text(report)))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -118,17 +114,16 @@ def _cmd_dsep(args) -> int:
     graph = parse_dag(_read_text(args.graph))
     given = _name_list(args.given)
     separated = d_separated(graph, args.x, args.y, given)
-    if args.format == "json":
-        _emit_json(
-            {
-                "x": args.x,
-                "y": args.y,
-                "given": sorted(given),
-                "d_separated": separated,
-            }
-        )
-    else:
-        _emit(f"d-separated: {'true' if separated else 'false'}")
+    _show(
+        args,
+        lambda: {
+            "x": args.x,
+            "y": args.y,
+            "given": sorted(given),
+            "d_separated": separated,
+        },
+        lambda: f"d-separated: {'true' if separated else 'false'}",
+    )
     return 0
 
 
@@ -139,18 +134,14 @@ def _cmd_mec(args) -> int:
     constraints = parse_constraints(_read_text(args.constraints), variables)
     graphs = enumerate_mec(constraints, variables, max_nodes=args.max_nodes)
     texts = [format_graph(g).rstrip("\n") for g in graphs]
-    if args.format == "json":
-        _emit_json(
-            {
-                "count": len(graphs),
-                "graphs": [text.split("\n") if text else [] for text in texts],
-            }
-        )
-    else:
-        if not graphs:
-            _emit("no consistent graph")
-        else:
-            _emit("\n\n".join(texts))
+    _show(
+        args,
+        lambda: {
+            "count": len(graphs),
+            "graphs": [text.split("\n") if text else [] for text in texts],
+        },
+        lambda: "\n\n".join(texts) if graphs else "no consistent graph",
+    )
     return 0
 
 
@@ -162,15 +153,14 @@ def _cmd_simulate(args) -> int:
     if args.out is not None:
         data.to_csv(args.out)
         return 0
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": data.n,
-                "columns": {name: list(data.column(name)) for name in data.names},
-            }
-        )
-    else:
-        _emit(data.to_csv())
+    _show(
+        args,
+        lambda: {
+            "n": data.n,
+            "columns": {name: list(data.column(name)) for name in data.names},
+        },
+        data.to_csv,
+    )
     return 0
 
 
@@ -233,7 +223,7 @@ def _cmd_test(args) -> int:
         report = partial_correlation_ci_test(
             data, args.x, args.y, given, alpha=args.alpha
         )
-    _emit_report(report, args.format)
+    _show(args, report.to_mapping, lambda: "\n".join(_render_report_text(report)))
     return 0
 
 
@@ -248,20 +238,23 @@ def _cmd_anm(args) -> int:
         alpha=args.alpha,
         seed=_resolve_seed(args),
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "direction": result.direction.label,
-                "forward": result.forward.to_mapping(),
-                "backward": result.backward.to_mapping(),
-            }
-        )
-    else:
-        lines = [f"direction: {result.direction.label}", "forward:"]
-        lines.extend(_render_report_text(result.forward, 1))
-        lines.append("backward:")
-        lines.extend(_render_report_text(result.backward, 1))
-        _emit("\n".join(lines))
+    _show(
+        args,
+        lambda: {
+            "direction": result.direction.label,
+            "forward": result.forward.to_mapping(),
+            "backward": result.backward.to_mapping(),
+        },
+        lambda: "\n".join(
+            [
+                f"direction: {result.direction.label}",
+                "forward:",
+                *_render_report_text(result.forward, 1),
+                "backward:",
+                *_render_report_text(result.backward, 1),
+            ]
+        ),
+    )
     return 0
 
 
@@ -276,17 +269,15 @@ def _cmd_catalog_list(args) -> int:
         max_a_priori=args.max_a_priori,
         tag=args.tag,
     )
-    if args.format == "json":
-        _emit_json([card_to_mapping(c) for c in cards])
-    elif not cards:
-        _emit("no matching cards")
-    else:
-        _emit(
-            "\n".join(
-                f"{c.id}: {c.a_priori.triple} -> {c.a_posteriori.triple}  ({c.name})"
-                for c in cards
-            )
+    _show(
+        args,
+        lambda: [card_to_mapping(c) for c in cards],
+        lambda: "\n".join(
+            f"{c.id}: {c.a_priori.triple} -> {c.a_posteriori.triple}  ({c.name})"
+            for c in cards
         )
+        or "no matching cards",
+    )
     return 0
 
 
@@ -304,33 +295,39 @@ def _cmd_catalog_show(args) -> int:
 
     catalog = _load_cli_catalog(args)
     card = catalog.card(args.id)
-    if args.format == "json":
-        payload = card_to_mapping(card)
-        payload["testability"] = {
-            "a_priori": _tier_mapping(card.a_priori),
-            "a_posteriori": _tier_mapping(card.a_posteriori),
-        }
-        _emit_json(payload)
-        return 0
-    lines = [
-        f"id: {card.id}",
-        f"name: {card.name}",
-        f"citation: {card.citation_key}",
-        f"a_priori: {card.a_priori.triple}",
-        f"a_posteriori: {card.a_posteriori.triple}",
-        f"tags: {', '.join(card.assumption_tags) if card.assumption_tags else '(none)'}",
-        f"notes: {card.notes}",
-        "testability:",
-    ]
-    for label, state in (("a_priori", card.a_priori), ("a_posteriori", card.a_posteriori)):
-        tiers = _tier_mapping(state)
-        lines.append(
-            f"  {label} structural {state.structural.tag.label}: {tiers['structural']}"
-        )
-        lines.append(
-            f"  {label} parametric {state.parametric.tag.label}: {tiers['parametric']}"
-        )
-    _emit("\n".join(lines))
+
+    def text() -> str:
+        lines = [
+            f"id: {card.id}",
+            f"name: {card.name}",
+            f"citation: {card.citation_key}",
+            f"a_priori: {card.a_priori.triple}",
+            f"a_posteriori: {card.a_posteriori.triple}",
+            f"tags: {', '.join(card.assumption_tags) if card.assumption_tags else '(none)'}",
+            f"notes: {card.notes}",
+            "testability:",
+        ]
+        for label, state in (("a_priori", card.a_priori), ("a_posteriori", card.a_posteriori)):
+            tiers = _tier_mapping(state)
+            lines.append(
+                f"  {label} structural {state.structural.tag.label}: {tiers['structural']}"
+            )
+            lines.append(
+                f"  {label} parametric {state.parametric.tag.label}: {tiers['parametric']}"
+            )
+        return "\n".join(lines)
+
+    _show(
+        args,
+        lambda: {
+            **card_to_mapping(card),
+            "testability": {
+                "a_priori": _tier_mapping(card.a_priori),
+                "a_posteriori": _tier_mapping(card.a_posteriori),
+            },
+        },
+        text,
+    )
     return 0
 
 
@@ -340,10 +337,7 @@ def _cmd_validate(args) -> int:
     catalog = _load_cli_catalog(args)
     ids = parse_pipeline(_read_text(args.pipeline))
     report = validate_pipeline(catalog, ids, _state(args.start))
-    if args.format == "json":
-        _emit_json(report.to_mapping())
-    else:
-        _emit(render_validation_text(report))
+    _show(args, report.to_mapping, lambda: render_validation_text(report))
     return 0 if report.overall else 1
 
 
@@ -354,11 +348,13 @@ def _cmd_plan(args) -> int:
     plans = plan_pipeline(
         catalog, _state(args.start), _state(args.goal), max_len=args.max_len
     )
-    if args.format == "json":
-        _emit_json(plans)
-    else:
-        relaxing = audit_transitions(catalog).relaxing if args.show_relaxing else ()
-        _emit(render_plans_text(plans, relaxing))
+    _show(
+        args,
+        lambda: plans,
+        lambda: render_plans_text(
+            plans, audit_transitions(catalog).relaxing if args.show_relaxing else ()
+        ),
+    )
     if args.strict and not plans:
         return 1
     return 0
@@ -369,10 +365,7 @@ def _cmd_audit(args) -> int:
 
     catalog = _load_cli_catalog(args)
     report = audit_transitions(catalog)
-    if args.format == "json":
-        _emit_json(report.to_mapping())
-    else:
-        _emit(render_audit_text(report))
+    _show(args, report.to_mapping, lambda: render_audit_text(report))
     return 0
 
 
