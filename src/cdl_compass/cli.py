@@ -3,11 +3,8 @@
 Subcommands: ``dsep``, ``mec``, ``simulate``, ``test`` (``--test`` picks
 ks / jb / cusum / resid / pcorr), ``anm``, ``catalog`` (list / show),
 ``validate``, ``plan``, ``audit``.  Every subcommand takes
-``--format text|json`` and prints through one rule, ``_show``: each
-handler states its JSON payload and its text once, and only the form
-asked for is built, so text ``simulate`` makes no column lists, JSON
-``simulate`` formats no CSV, and JSON ``plan --show-relaxing`` runs no
-transition audit.
+``--format text|json`` and prints through ``_show``, which builds only
+the form asked for from the handler's JSON payload or text.
 
 Exit codes: 0 on success, 1 on a domain error (bad input file, unknown
 node or card, invalid pipeline, empty plan under ``--strict``), 2 on a
@@ -47,8 +44,7 @@ def _read_text(path: str) -> str:
 
 
 def _show(args, payload, text) -> None:
-    """Print the form ``--format`` asks for, building only that one: the
-    indented JSON of ``payload()``, or ``text()``, ending in one newline."""
+    """Print ``payload()`` as indented JSON or ``text()``, as ``--format`` asks."""
     shown = json.dumps(payload(), indent=2) if args.format == "json" else text()
     sys.stdout.write(shown if shown.endswith("\n") else shown + "\n")
 
@@ -80,8 +76,8 @@ def _state(triple: str) -> KnowledgeState:
 
 
 def _name_list(raw: list[str] | None) -> tuple[str, ...]:
-    # names split on commas and/or whitespace, the rule of a constraint file's givens
-    return tuple(" ".join(raw or ()).replace(",", " ").split())
+    # split on commas and/or whitespace, as a constraint file's givens; repeats count once
+    return tuple(dict.fromkeys(" ".join(raw or ()).replace(",", " ").split()))
 
 
 def _render_report_text(report: TestReport, indent: int = 0) -> list[str]:
@@ -128,9 +124,10 @@ def _cmd_dsep(args) -> int:
 
 
 def _cmd_mec(args) -> int:
-    from .graphs import enumerate_mec, format_graph, parse_constraints
+    from .graphs import _enumeration_names, enumerate_mec, format_graph, parse_constraints
 
     variables = _name_list([args.vars])
+    _enumeration_names(variables, args.max_nodes)  # before "| *" lines expand 2^(n-2)-fold
     constraints = parse_constraints(_read_text(args.constraints), variables)
     graphs = enumerate_mec(constraints, variables, max_nodes=args.max_nodes)
     texts = [format_graph(g).rstrip("\n") for g in graphs]
@@ -295,38 +292,30 @@ def _cmd_catalog_show(args) -> int:
 
     catalog = _load_cli_catalog(args)
     card = catalog.card(args.id)
-
-    def text() -> str:
-        lines = [
-            f"id: {card.id}",
-            f"name: {card.name}",
-            f"citation: {card.citation_key}",
-            f"a_priori: {card.a_priori.triple}",
-            f"a_posteriori: {card.a_posteriori.triple}",
-            f"tags: {', '.join(card.assumption_tags) if card.assumption_tags else '(none)'}",
-            f"notes: {card.notes}",
-            "testability:",
-        ]
-        for label, state in (("a_priori", card.a_priori), ("a_posteriori", card.a_posteriori)):
-            tiers = _tier_mapping(state)
-            lines.append(
-                f"  {label} structural {state.structural.tag.label}: {tiers['structural']}"
-            )
-            lines.append(
-                f"  {label} parametric {state.parametric.tag.label}: {tiers['parametric']}"
-            )
-        return "\n".join(lines)
-
+    sides = (("a_priori", card.a_priori), ("a_posteriori", card.a_posteriori))
     _show(
         args,
         lambda: {
             **card_to_mapping(card),
-            "testability": {
-                "a_priori": _tier_mapping(card.a_priori),
-                "a_posteriori": _tier_mapping(card.a_posteriori),
-            },
+            "testability": {side: _tier_mapping(state) for side, state in sides},
         },
-        text,
+        lambda: "\n".join(
+            [
+                f"id: {card.id}",
+                f"name: {card.name}",
+                f"citation: {card.citation_key}",
+                f"a_priori: {card.a_priori.triple}",
+                f"a_posteriori: {card.a_posteriori.triple}",
+                f"tags: {', '.join(card.assumption_tags) if card.assumption_tags else '(none)'}",
+                f"notes: {card.notes}",
+                "testability:",
+                *(
+                    f"  {side} {axis} {getattr(state, axis).tag.label}: {tier}"
+                    for side, state in sides
+                    for axis, tier in _tier_mapping(state).items()
+                ),
+            ]
+        ),
     )
     return 0
 
@@ -454,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="catalog_command", required=True)
 
     c = csub.add_parser("list", parents=[common, catalog_opt], help="list/filter cards")
-    c.add_argument("--temporal", choices=("static", "temporal"), default=None)
+    c.add_argument("--temporal", metavar="FLAG", default=None, help="static or temporal")
     c.add_argument("--min-a-posteriori", metavar="TRIPLE", default=None)
     c.add_argument("--max-a-priori", metavar="TRIPLE", default=None)
     c.add_argument("--tag", default=None)

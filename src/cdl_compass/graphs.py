@@ -386,18 +386,21 @@ class IndependenceSet:
         return tuple((x, z, tuple(sep), tuple(con)) for (x, z), (sep, con) in groups.items())
 
 
-def implied_independencies(g: Dag, max_nodes: int = 8) -> IndependenceSet:
+_IMPLIED_MAX_NODES = 8
+
+
+def implied_independencies(g: Dag) -> IndependenceSet:
     """Every conditional independence the DAG entails.
 
     Checks each unordered variable pair against every conditioning subset of
     the remaining variables, with one walk per first endpoint and subset
-    answering every later endpoint at once.  Refuses graphs beyond
-    ``max_nodes`` (the subset lattice is exponential).
+    answering every later endpoint at once.  Refuses graphs of more than
+    8 nodes (the subset lattice is exponential).
     """
-    if len(g.nodes) > max_nodes:
+    if len(g.nodes) > _IMPLIED_MAX_NODES:
         raise ValueError(
             f"graph has {len(g.nodes)} nodes; implied_independencies is capped at "
-            f"{max_nodes}"
+            f"{_IMPLIED_MAX_NODES}"
         )
     order = g._order
     found: list[IndependenceStatement] = []
@@ -476,6 +479,14 @@ def _search_dags(
 _MAX_BRANCHES = 3**10
 
 
+def _enumeration_names(variables: Iterable[str], max_nodes: int) -> list[str]:
+    """The sorted, checked names to enumerate over, refused beyond ``max_nodes``."""
+    names = sorted({_check_name(v) for v in variables})
+    if len(names) > max_nodes:
+        raise ValueError(f"{len(names)} variables exceed the enumeration cap of {max_nodes}")
+    return names
+
+
 def enumerate_mec(
     constraints: IndependenceSet,
     variables: Iterable[str],
@@ -513,11 +524,7 @@ def enumerate_mec(
     (Verma & Pearl 1990), as its first member shows.  Capped at
     ``max_nodes``; results are sorted lexicographically by edge list.
     """
-    names = sorted({_check_name(v) for v in variables})
-    if len(names) > max_nodes:
-        raise ValueError(
-            f"{len(names)} variables exceed the enumeration cap of {max_nodes}"
-        )
+    names = _enumeration_names(variables, max_nodes)
     unknown = constraints.variables() - set(names)
     if unknown:
         raise ValueError(f"constraints mention unlisted variables: {sorted(unknown)}")

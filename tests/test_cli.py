@@ -133,7 +133,8 @@ class TestDsep:
         assert out == "d-separated: true\n"
 
     @pytest.mark.parametrize(
-        "given", [["B", "C"], ["B,C"], ["B C"], [" B,\tC, "], ["B", "C,"]]
+        "given",
+        [["B", "C"], ["B,C"], ["B C"], [" B,\tC, "], ["B", "C,"], ["B", "B", "C"], ["C,B,C"]],
     )
     def test_name_list_splits_on_commas_and_whitespace(self, capsys, tmp_path, given):
         path = tmp_path / "chain4.graph"
@@ -246,6 +247,29 @@ class TestMec:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_repeated_variable_counts_once(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text(CHAIN_CONSTRAINTS)
+        once = run_cli(capsys, "mec", str(path), "--vars", "S,C,D")
+        assert run_cli(capsys, "mec", str(path), "--vars", "S,S,C,D,C") == once
+
+    def test_cap_is_checked_before_the_file_is_read(self, capsys, tmp_path, monkeypatch):
+        # A "| *" line states 2^(n-2) statements; at 20 variables reading it
+        # takes seconds, so the file must not be read at all.
+        from cdl_compass import graphs
+
+        def unread(*_):
+            raise AssertionError("the constraint file was read")
+
+        monkeypatch.setattr(graphs, "parse_constraints", unread)
+        star = tmp_path / "star.txt"
+        star.write_text("not V0 _||_ V1 | *\n")
+        twenty = ",".join(f"V{i}" for i in range(20))
+        for path in (star, tmp_path / "missing.txt"):
+            code, out, err = run_cli(capsys, "mec", str(path), "--vars", twenty)
+            assert (code, out) == (1, "")
+            assert err == "error: 20 variables exceed the enumeration cap of 6\n"
+
 
 class TestSimulate:
     def test_header_and_shape(self, capsys, model_file):
@@ -304,6 +328,19 @@ class TestSimulate:
         assert payload["n"] == 4
         assert sorted(payload["columns"]) == ["X", "Y"]
         assert len(payload["columns"]["X"]) == 4
+
+    @pytest.mark.parametrize(
+        "fmt,unbuilt", [("text", "column"), ("json", "to_csv")], ids=["text", "json"]
+    )
+    def test_builds_only_the_chosen_form(self, capsys, model_file, monkeypatch, fmt, unbuilt):
+        # the JSON form reads each column into a list; the text form formats the CSV
+        want = run_cli(capsys, "simulate", model_file, "--n", "5", "--format", fmt)
+
+        def unbuilt_form(*_):
+            raise AssertionError(f"Dataset.{unbuilt} called")
+
+        monkeypatch.setattr(Dataset, unbuilt, unbuilt_form)
+        assert run_cli(capsys, "simulate", model_file, "--n", "5", "--format", fmt) == want
 
     def test_bad_model_file(self, capsys, tmp_path):
         path = tmp_path / "bad.scm"
@@ -399,6 +436,27 @@ class TestAssumptionTests:
         assert "test: cusum" in out
         assert "advisory:" in out
         assert "decision: fail_to_reject" in out
+
+    @pytest.fixture()
+    def three_columns(self, tmp_path):
+        x, y, z = np.random.default_rng(2).normal(size=(3, 80))
+        path = tmp_path / "xyz.csv"
+        Dataset({"X": x, "Y": y, "Z": z}).to_csv(str(path))
+        return str(path)
+
+    def test_pcorr_repeated_given_counts_once(self, capsys, three_columns):
+        argv = ("test", three_columns, "--test", "pcorr", "--x", "X", "--y", "Y", "--given")
+        code, out, err = run_cli(capsys, *argv, "Z,Z")
+        assert (code, out, err) == run_cli(capsys, *argv, "Z")
+        assert code == 0
+
+    def test_pcorr_given_may_not_repeat_x(self, capsys, three_columns):
+        code, out, err = run_cli(
+            capsys, "test", three_columns, "--test", "pcorr", "--x", "X", "--y", "Y",
+            "--given", "X",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: variables must be distinct, got ['X', 'Y', 'X']\n"
 
     def test_pcorr_runs(self, capsys, linear_csv):
         code, out, _ = run_cli(
@@ -519,6 +577,18 @@ class TestCatalogCommands:
         _, out, _ = run_cli(capsys, "catalog", "list", "--temporal", "temporal")
         ids = [line.split(":")[0] for line in out.rstrip("\n").split("\n")]
         assert ids == ["msm", "ode-discovery", "pcmci", "var-granger"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--temporal", "weekly"), ("--min-a-posteriori", "causal:noise_model:weekly")],
+        ids=["temporal", "triple"],
+    )
+    def test_bad_temporal_label_one_rule(self, capsys, flags):
+        code, out, err = run_cli(capsys, "catalog", "list", *flags)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: unknown TemporalFlag label 'weekly'; expected one of static, temporal\n"
+        )
 
     def test_list_tag(self, capsys):
         _, out, _ = run_cli(capsys, "catalog", "list", "--tag", "ignorability")
@@ -726,6 +796,22 @@ class TestPlanCommand:
             "--format", "json",
         )
         assert json.loads(out) == [["resit"]]
+
+    def test_json_runs_no_transition_audit(self, capsys, monkeypatch):
+        # --show-relaxing marks only the text form
+        from cdl_compass import engine
+
+        argv = (
+            "plan", "--start", "unknown:noise_model:static",
+            "--goal", "causal:nonparametric:static", "--format", "json",
+        )
+        want = run_cli(capsys, *argv)
+
+        def no_audit(*_):
+            raise AssertionError("audit_transitions called")
+
+        monkeypatch.setattr(engine, "audit_transitions", no_audit)
+        assert run_cli(capsys, *argv, "--show-relaxing") == want
 
     def test_no_plan(self, capsys):
         code, out, _ = run_cli(

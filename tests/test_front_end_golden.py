@@ -8,7 +8,9 @@ n = 2000 for three models and two seeds, the usage errors that exit 2, every
 format error of the graph, constraint, model, expression and pipeline readers
 that the CLI and model tests raise, and the ways names, labels and catalog
 sources are given on the command line, so a rewrite of those readers must
-keep every output byte.
+keep every output byte.  The file also holds, under ``sample``, the SHA-256
+of the bench's wide 1000-variable model and narrow chain and of the columns
+``sample`` draws from each, in process, at the sizes the bench draws them.
 
 The digests pin the numpy build that made them, whose ``exp``, ``log`` and
 ``sin`` may round otherwise elsewhere, and the Python version, whose argparse
@@ -37,9 +39,11 @@ from unittest import mock
 import numpy as np
 
 from cdl_compass.cli import main
+from cdl_compass.scm import parse_scm, sample
 
 HERE = Path(__file__).resolve().parent
-FIXTURES = HERE.parent / "bench" / "fixtures"
+BENCH = HERE.parent / "bench"
+FIXTURES = BENCH / "fixtures"
 GOLDEN = HERE / "golden" / "front_end.json"
 
 LINEAR_MODEL = (
@@ -263,6 +267,13 @@ CASES = [
 ]
 
 
+# (bench model, seed, n): the wide model as the bench samples it, and the
+# narrow chain at a tenth of the bench's million rows.
+SAMPLES = [("wide", seed, 2000) for seed in (0, 7)] + [
+    ("narrow", seed, 100_000) for seed in (0, 7)
+]
+
+
 def _resolve(arg: str) -> str:
     if arg.startswith("@"):
         return arg[1:]
@@ -283,6 +294,29 @@ def _run(argv: list[str]) -> dict:
         except SystemExit as exc:
             code = exc.code
     return {"exit": code, "stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue())}
+
+
+def sample_digests() -> dict:
+    """The SHA-256 of each ``SAMPLES`` model's text and of the names and
+    float64 bytes of the columns ``sample`` draws from it."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import inputs  # bench/inputs.py, which imports bench/oracles.py
+    finally:
+        sys.path.remove(str(BENCH))
+    digests = {}
+    for model, seed, n in SAMPLES:
+        text = getattr(inputs, f"{model}_scm")(seed)[0]
+        data = sample(parse_scm(text), n, seed=seed)
+        columns = hashlib.sha256()
+        for name in data.names:
+            columns.update(name.encode("utf-8") + b"\0")
+            columns.update(np.ascontiguousarray(data.column(name), dtype="<f8").tobytes())
+        digests[f"{model} seed={seed} n={n}"] = {
+            "model": _sha256(text),
+            "columns": columns.hexdigest(),
+        }
+    return digests
 
 
 def run_cases(workdir: Path) -> dict:
@@ -306,6 +340,7 @@ def run_cases(workdir: Path) -> dict:
         "platform": platform.machine(),
         "python": ".".join(platform.python_version_tuple()[:2]),
         "cases": cases,
+        "sample": sample_digests(),
     }
 
 
@@ -319,6 +354,7 @@ def changed_cases(want: dict, got: dict) -> list[tuple[str, str]]:
 
 
 _ENVIRONMENT = ("numpy", "platform", "python")
+_SECTIONS = ("cases", "sample")
 
 
 def test_front_end_outputs_match_golden(tmp_path):
@@ -328,7 +364,8 @@ def test_front_end_outputs_match_golden(tmp_path):
         "the digests were written under another numpy, Python or platform; "
         "regenerate them deliberately with --write"
     )
-    assert changed_cases(want["cases"], got["cases"]) == []
+    for section in _SECTIONS:
+        assert changed_cases(want[section], got[section]) == [], section
 
 
 def test_every_input_is_used():
@@ -341,14 +378,15 @@ if __name__ == "__main__":
     parser.add_argument("--write", action="store_true", help=f"regenerate {GOLDEN.name}")
     if not parser.parse_args().write:
         parser.error("pass --write to regenerate the golden file")
-    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {"cases": {}}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         record = run_cases(Path(tmp))
     for key in _ENVIRONMENT:
         if old.get(key) != record[key]:
             print(f"{key}: {old.get(key)} -> {record[key]}")
-    for kind, argv in changed_cases(old["cases"], record["cases"]):
-        print(f"{kind}: {argv}")
+    for section in _SECTIONS:
+        for kind, key in changed_cases(old.get(section, {}), record[section]):
+            print(f"{kind}: {key}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(record['cases'])} cases to {GOLDEN}", file=sys.stderr)
