@@ -121,6 +121,11 @@ INPUTS = {
     "contradiction.constraints": "S _||_ D\nnot S _||_ D\n",
     "self_star.constraints": "S _||_ S | *\n",
     "star_cap.constraints": "not V0 _||_ V1 | *\n",
+    # every pair of seven variables dependent given every subset: the
+    # complete graph's class, all 5,040 orderings of V0..V6
+    "complete7.constraints": "".join(
+        f"not V{i} _||_ V{j} | *\n" for i in range(7) for j in range(i + 1, 7)
+    ),
     # models
     "linear.scm": LINEAR_MODEL,
     "commented.scm": LINEAR_MODEL.replace("graph:", "# model\ngraph:  # sections"),
@@ -138,6 +143,8 @@ INPUTS = {
     "graph_line_cli.scm": LINEAR_MODEL.replace("graph:\n", "graph:\n# edges\nX\nY => Z\n"),
     "cycle.scm": "graph:\nX -> Y\nY -> X\nequations:\nnoise:\n",
     "no_noise.scm": "graph:\nX\nequations:\nnoise:\n",
+    # a node that no equation or noise line can name
+    "dash_name.scm": "graph:\nX-1 -> Y\nequations:\nY := 1.0\nnoise:\n",
     "shadow.scm": (
         "graph:\nU_Z -> Y\nZ\nequations:\nY := 2 * U_Z\nnoise:\n"
         "U_Z ~ Normal(0, 1)\nU_U_Z ~ Normal(5, 0.001)\n"
@@ -228,6 +235,11 @@ CASES = [
     # the enumeration cap, with a file that expands and with one that is missing
     ("mec", "@star_cap.constraints", "--vars", ",".join(f"V{i}" for i in range(8))),
     ("mec", "missing.constraints", "--vars", ",".join(f"V{i}" for i in range(7))),
+    ("mec", "@complete7.constraints", "--vars", ",".join(f"V{i}" for i in range(7))),
+    (
+        "mec", "@complete7.constraints", "--vars", ",".join(f"V{i}" for i in range(7)),
+        "--max-nodes", "7",
+    ),
     # graph files
     ("dsep", "@crlf.graph", "--x", "X", "--y", "Z", "--given", "Y"),
     ("dsep", "@cycle.graph", "--x", "X", "--y", "Z"),
