@@ -9,9 +9,8 @@ the form asked for from the handler's JSON payload or text.
 Exit codes: 0 on success, 1 on a domain error (bad input file, unknown
 node or card, invalid pipeline, empty plan under ``--strict``), 2 on a
 usage error (unknown flags, missing or incompatible options).  Output
-is byte-identical for identical argv, input files, and seeds.  The
-environment variable ``CDL_COMPASS_SEED`` replaces the built-in default
-seed 0; an explicit ``--seed`` wins over both.
+is byte-identical for identical argv and input files; ``--seed``
+defaults to 0.
 
 Every handler imports the package modules it runs, and nothing else loads
 at start-up, so a cold process compiles and runs only those: ``dsep`` and
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -47,18 +45,6 @@ def _show(args, payload, text) -> None:
     """Print ``payload()`` as indented JSON or ``text()``, as ``--format`` asks."""
     shown = json.dumps(payload(), indent=2) if args.format == "json" else text()
     sys.stdout.write(shown if shown.endswith("\n") else shown + "\n")
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get("CDL_COMPASS_SEED")
-    if raw is None or raw == "":
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CDL_COMPASS_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_cli_catalog(args):
@@ -127,9 +113,9 @@ def _cmd_mec(args) -> int:
     from .graphs import _enumeration_names, enumerate_mec, format_graph, parse_constraints
 
     variables = _name_list([args.vars])
-    _enumeration_names(variables, args.max_nodes)  # before "| *" lines expand 2^(n-2)-fold
+    _enumeration_names(variables)  # before "| *" lines expand 2^(n-2)-fold
     constraints = parse_constraints(_read_text(args.constraints), variables)
-    graphs = enumerate_mec(constraints, variables, max_nodes=args.max_nodes)
+    graphs = enumerate_mec(constraints, variables)
     texts = [format_graph(g).rstrip("\n") for g in graphs]
     _show(
         args,
@@ -146,7 +132,7 @@ def _cmd_simulate(args) -> int:
     from .scm import parse_scm, sample
 
     model = parse_scm(_read_text(args.model))
-    data = sample(model, args.n, seed=_resolve_seed(args))
+    data = sample(model, args.n, seed=args.seed)
     if args.out is not None:
         data.to_csv(args.out)
         return 0
@@ -213,7 +199,7 @@ def _cmd_test(args) -> int:
             data.column(args.resid),
             alpha=args.alpha,
             n_permutations=args.permutations,
-            seed=_resolve_seed(args),
+            seed=args.seed,
         )
     else:  # pcorr
         given = _name_list([args.given]) if args.given else ()
@@ -233,7 +219,7 @@ def _cmd_anm(args) -> int:
         data.column(args.x),
         data.column(args.y),
         alpha=args.alpha,
-        seed=_resolve_seed(args),
+        seed=args.seed,
     )
     _show(
         args,
@@ -393,13 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("constraints", metavar="CONSTRAINTS", help="constraint file")
     p.add_argument("--vars", required=True, help="variable names, comma- or space-separated")
-    p.add_argument("--max-nodes", type=int, default=6)
     p.set_defaults(handler=_cmd_mec)
 
     p = sub.add_parser("simulate", parents=[common], help="sample a structural model")
     p.add_argument("model", metavar="SCM", help="structural model file")
     p.add_argument("--n", required=True, type=int, help="number of samples")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="FILE", default=None, help="write CSV here")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -427,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ks reference: uniform on [LOW, HIGH] instead of normal",
     )
     p.add_argument("--permutations", type=int, default=999)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(handler=_cmd_test)
 
@@ -436,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_anm)
 
     p = sub.add_parser("catalog", help="browse method cards")

@@ -45,6 +45,10 @@ Expression = Union["Num", "Var", "Neg", "BinOp", "Call"]
 
 FUNCTIONS = ("exp", "log", "sin")
 
+# The one identifier rule: expression variables, and so model node names
+# and noise keys.
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 @dataclass(frozen=True)
 class Num:
@@ -62,7 +66,7 @@ class Var:
     name: str
 
     def __post_init__(self) -> None:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
+        if not _IDENTIFIER.fullmatch(self.name):
             raise ValueError(f"bad identifier {self.name!r}")
 
 
@@ -93,10 +97,10 @@ class Call:
 
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{_IDENTIFIER.pattern})
   | (?P<op>\*\*|[+\-*/()])
   | (?P<bad>.)
     """,

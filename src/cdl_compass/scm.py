@@ -47,6 +47,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .expressions import (
+    _IDENTIFIER,
     EvaluationError,
     Expression,
     evaluate_expression,
@@ -317,15 +318,12 @@ class StructuralEquation:
     """
 
     target: str
-    parents: tuple[str, ...]
     level: ParametricTag
     expr: Expression | None = None
 
     def __post_init__(self) -> None:
         if not self.target:
             raise ValueError("equation target must be a variable name")
-        if len(set(self.parents)) != len(self.parents):
-            raise ValueError(f"equation for {self.target!r} repeats a parent")
         needs_expr = self.level in (ParametricTag.NOISE_MODEL, ParametricTag.FULLY_KNOWN)
         if needs_expr and self.expr is None:
             raise ValueError(
@@ -345,7 +343,8 @@ class Scm:
     ``noise`` maps keys to distributions; key ``k`` backs the symbol
     ``U_k``.  Keys need not be node names — a free-standing symbol shared by
     several fully-known equations models common noise (the potential-outcome
-    construction relies on this).
+    construction relies on this).  An equation's parents are its target's
+    parents in ``graph``.
     """
 
     def __init__(
@@ -372,27 +371,23 @@ class Scm:
                 f"graph node {shadowed[0]!r} has the name of the noise symbol "
                 f"of noise key {shadowed[0][2:]!r}"
             )
+        self._parents: dict[str, frozenset[str]] = {}
         for target, eq in self.equations.items():
             if target not in graph.nodes:
                 raise ValueError(f"equation target {target!r} is not a graph node")
-            graph_parents = tuple(sorted(graph.parents(target)))
-            if tuple(sorted(eq.parents)) != graph_parents:
-                raise ValueError(
-                    f"equation for {target!r} declares parents {sorted(eq.parents)} "
-                    f"but the graph says {list(graph_parents)}"
-                )
+            parents = self._parents[target] = graph.parents(target)
             if eq.expr is None:
                 continue
             refs = free_variables(eq.expr)
             if eq.level is ParametricTag.NOISE_MODEL:
-                allowed = set(eq.parents)
+                allowed = parents
                 if target not in self.noise:
                     raise ValueError(
                         f"noise-model equation for {target!r} needs a noise spec "
                         f"for U_{target}"
                     )
             else:
-                allowed = set(eq.parents) | symbols
+                allowed = parents | symbols
             unknown = refs - allowed
             if unknown:
                 raise ValueError(
@@ -497,7 +492,7 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
         else:
             draws = {s: shared[s] for s in named[node]}
         if eq is not None:
-            _equation_value(node, eq, {p: values[p] for p in eq.parents}, draws, out=row)
+            _equation_value(node, eq, {p: values[p] for p in m._parents[node]}, draws, out=row)
         values[node] = row
     return Dataset({name: values[name] for name in sorted(values)})
 
@@ -578,7 +573,7 @@ def oracle_cate(
 # Model definition file format
 
 _NOISE_LINE = re.compile(
-    r"^U_([A-Za-z_][A-Za-z0-9_]*)\s*~\s*(Normal|Uniform)\s*\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)$"
+    rf"^U_({_IDENTIFIER.pattern})\s*~\s*(Normal|Uniform)\s*\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)$"
 )
 
 
@@ -617,6 +612,14 @@ def parse_scm(text: str) -> Scm:
         raise ScmFormatError(exc.line, f"graph section: {exc.reason}") from None
     if isinstance(graph, Pdag):
         raise ScmFormatError(None, "graph section: a model graph must be directed")
+    for lineno, line in sections["graph"]:
+        for name in line.split()[::2]:  # "a -> b" or a bare name
+            if not _IDENTIFIER.fullmatch(name):
+                raise ScmFormatError(
+                    lineno,
+                    f"graph section: node {name!r} is not an identifier, "
+                    "so no equation or noise line can name it",
+                )
 
     noise: dict[str, NoiseSpec] = {}
     for lineno, line in sections["noise"]:
@@ -660,14 +663,7 @@ def parse_scm(text: str) -> Scm:
             expr = parse_expression(body)
         except ValueError as exc:
             raise ScmFormatError(lineno, f"bad expression: {exc}") from None
-        equations.append(
-            StructuralEquation(
-                target,
-                tuple(sorted(graph.parents(target))),
-                level,
-                expr,
-            )
-        )
+        equations.append(StructuralEquation(target, level, expr))
 
     try:
         return Scm(graph, equations, noise)

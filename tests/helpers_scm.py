@@ -104,10 +104,10 @@ def sample_by_level(m: Scm, n: int, seed: int = 0) -> Dataset:
         if eq is None:
             values[node] = draws[noise_symbol(node)].copy()
         elif eq.level is ParametricTag.NOISE_MODEL:
-            env = {p: values[p] for p in eq.parents}
+            env = {p: values[p] for p in m.graph.parents(node)}
             values[node] = np.add(_evaluate(node, eq, env), draws[noise_symbol(node)])
         else:
-            env = {p: values[p] for p in eq.parents}
+            env = {p: values[p] for p in m.graph.parents(node)}
             env.update(draws)
             values[node] = np.broadcast_to(_evaluate(node, eq, env), (n,)).astype(float)
     return Dataset({name: values[name] for name in sorted(values)})

@@ -54,11 +54,6 @@ LINEAR_MODEL = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("CDL_COMPASS_SEED", raising=False)
-
-
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -268,7 +263,7 @@ class TestMec:
         for path in (star, tmp_path / "missing.txt"):
             code, out, err = run_cli(capsys, "mec", str(path), "--vars", twenty)
             assert (code, out) == (1, "")
-            assert err == "error: 20 variables exceed the enumeration cap of 6\n"
+            assert err == "error: 20 variables exceed the enumeration cap of 7\n"
 
 
 class TestSimulate:
@@ -289,26 +284,31 @@ class TestSimulate:
         seeded = run_cli(capsys, "simulate", model_file, "--n", "20", "--seed", "0")
         assert plain == seeded
 
-    def test_env_seed(self, capsys, model_file, monkeypatch):
-        base = run_cli(capsys, "simulate", model_file, "--n", "20")
-        monkeypatch.setenv("CDL_COMPASS_SEED", "7")
-        from_env = run_cli(capsys, "simulate", model_file, "--n", "20")
-        explicit = run_cli(capsys, "simulate", model_file, "--n", "20", "--seed", "7")
-        assert from_env == explicit
-        assert from_env != base
-
-    def test_explicit_seed_beats_env(self, capsys, model_file, monkeypatch):
-        monkeypatch.setenv("CDL_COMPASS_SEED", "3")
-        override = run_cli(capsys, "simulate", model_file, "--n", "20", "--seed", "9")
-        monkeypatch.delenv("CDL_COMPASS_SEED")
-        plain = run_cli(capsys, "simulate", model_file, "--n", "20", "--seed", "9")
-        assert override == plain
-
-    def test_bad_env_seed(self, capsys, model_file, monkeypatch):
-        monkeypatch.setenv("CDL_COMPASS_SEED", "soon")
-        code, _, err = run_cli(capsys, "simulate", model_file, "--n", "5")
-        assert code == 1
-        assert "CDL_COMPASS_SEED" in err
+    def test_output_ignores_the_environment(self, model_file, linear_csv):
+        # Child processes, each with its own environment.  The seed comes
+        # from --seed alone: CDL_COMPASS_SEED, which once replaced the
+        # default, changes nothing.
+        unset = env_importing_this_package()
+        unset.pop("CDL_COMPASS_SEED", None)
+        for argv in (
+            ("simulate", model_file, "--n", "20"),
+            ("test", linear_csv, "--test", "resid", "--x", "X", "--resid", "Y",
+             "--permutations", "99"),
+            ("anm", linear_csv, "--x", "X", "--y", "Y"),
+        ):
+            runs = [
+                subprocess.run(
+                    [*declared_entry_point("cdl-compass"), *argv],
+                    capture_output=True,
+                    env=env,
+                    timeout=120,
+                )
+                for env in (unset, {**unset, "CDL_COMPASS_SEED": "7"})
+            ]
+            assert runs[0].returncode == 0, runs[0].stderr
+            assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+                (0, runs[0].stdout, runs[0].stderr)
+            ], argv
 
     def test_out_matches_stdout(self, capsys, tmp_path, model_file):
         streamed = run_cli(capsys, "simulate", model_file, "--n", "30", "--seed", "4")

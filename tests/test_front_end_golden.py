@@ -334,14 +334,12 @@ def sample_digests() -> dict:
 def run_cases(workdir: Path) -> dict:
     """The golden record of every case, run from ``workdir`` with ``INPUTS`` in it.
 
-    The default seed is the built-in one, and argparse wraps its usage text
-    at 80 columns whatever terminal the run has.
+    argparse wraps its usage text at 80 columns whatever terminal the run has.
     """
     for name, text in INPUTS.items():
         (workdir / name).write_bytes(text.encode("utf-8"))
     home = os.getcwd()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        os.environ.pop("CDL_COMPASS_SEED", None)
         os.chdir(workdir)
         try:
             cases = {" ".join(argv): _run([_resolve(arg) for arg in argv]) for argv in CASES}

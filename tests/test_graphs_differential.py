@@ -289,7 +289,7 @@ class TestClassSearch:
             ("V0", "V6"), ("V1", "V5"), ("V0", "V3"), ("V2", "V6"), ("V1", "V4"),
         ]
         g = Dag.of(edges, seven)
-        assert enumerate_mec(full_signature(g), seven, max_nodes=7) == (
+        assert enumerate_mec(full_signature(g), seven) == (
             same_v_structure_orientations(g)
         )
 
@@ -360,7 +360,7 @@ class TestPinnedSkeletons:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(6, 7).flatmap(lambda n: dags(n, max_edges=11)))
     def test_full_signatures_on_six_and_seven_variables(self, g):
-        assert enumerate_mec(full_signature(g), g.nodes, max_nodes=7) == (
+        assert enumerate_mec(full_signature(g), g.nodes) == (
             same_v_structure_orientations(g)
         )
 

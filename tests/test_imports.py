@@ -34,9 +34,7 @@ def _child_env():
     package_root = str(Path(cdl_compass.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     paths = [package_root, inherited] if inherited else [package_root]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    env.pop("CDL_COMPASS_SEED", None)
-    return env
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 # Runs cli.main on its argv with stdout and stderr swallowed, then reports its
 # exit code and the package modules the process loaded.

@@ -324,34 +324,39 @@ class TestNoise:
 
 
 class TestScmValidation:
-    def test_parents_must_match_graph(self):
-        g = Dag.of([("X", "Y")])
-        eq = StructuralEquation("Y", (), ParametricTag.NOISE_MODEL, expr_of("1.0"))
-        with pytest.raises(ValueError, match="declares parents"):
-            Scm(g, [eq], {"X": NormalNoise(), "Y": NormalNoise()})
+    def test_parents_come_from_the_graph(self):
+        # Y's parent is X because the graph says so, whether or not its
+        # equation reads X; Z is no parent, so no equation of Y may read it.
+        g = Dag.of([("X", "Y")], nodes=["Z"])
+        noise = {"X": NormalNoise(), "Y": NormalNoise(), "Z": NormalNoise()}
+        constant = StructuralEquation("Y", ParametricTag.NOISE_MODEL, expr_of("1.0"))
+        assert Scm(g, [constant], noise).equations == {"Y": constant}
+        reads_z = StructuralEquation("Y", ParametricTag.NOISE_MODEL, expr_of("X + Z"))
+        with pytest.raises(ValueError, match=r"references undeclared symbols \['Z'\]$"):
+            Scm(g, [reads_z], noise)
 
     def test_noise_model_needs_own_noise(self):
         g = Dag.of([("X", "Y")])
-        eq = StructuralEquation("Y", ("X",), ParametricTag.NOISE_MODEL, expr_of("X"))
+        eq = StructuralEquation("Y", ParametricTag.NOISE_MODEL, expr_of("X"))
         with pytest.raises(ValueError, match="needs a noise spec"):
             Scm(g, [eq], {"X": NormalNoise()})
 
     def test_fully_known_undeclared_symbol(self):
         g = Dag.of([("X", "Y")])
-        eq = StructuralEquation("Y", ("X",), ParametricTag.FULLY_KNOWN, expr_of("X + U_Q"))
+        eq = StructuralEquation("Y", ParametricTag.FULLY_KNOWN, expr_of("X + U_Q"))
         with pytest.raises(ValueError, match="undeclared symbols"):
             Scm(g, [eq], {"X": NormalNoise()})
 
     def test_node_named_like_a_noise_symbol(self):
         g = Dag.of([("U_Z", "Y")], nodes=["Z"])
-        eq = StructuralEquation("Y", ("U_Z",), ParametricTag.FULLY_KNOWN, expr_of("2 * U_Z"))
+        eq = StructuralEquation("Y", ParametricTag.FULLY_KNOWN, expr_of("2 * U_Z"))
         noise = {"Z": NormalNoise(), "U_Z": NormalNoise(5.0, 0.001)}
         with pytest.raises(ValueError, match="^graph node 'U_Z' .* noise key 'Z'$"):
             Scm(g, [eq], noise)
 
     def test_equation_target_must_be_graph_node(self):
         g = Dag.of(nodes=["X"])
-        eq = StructuralEquation("Y", (), ParametricTag.FULLY_KNOWN, expr_of("1.0"))
+        eq = StructuralEquation("Y", ParametricTag.FULLY_KNOWN, expr_of("1.0"))
         with pytest.raises(ValueError, match="^equation target 'Y' is not a graph node$"):
             Scm(g, [eq], {"X": NormalNoise()})
 
@@ -362,13 +367,13 @@ class TestScmValidation:
 
     def test_duplicate_equation(self):
         g = Dag.of(nodes=["X"])
-        eq = StructuralEquation("X", (), ParametricTag.FULLY_KNOWN, expr_of("1.0"))
+        eq = StructuralEquation("X", ParametricTag.FULLY_KNOWN, expr_of("1.0"))
         with pytest.raises(ValueError, match="duplicate equation"):
             Scm(g, [eq, eq])
 
     def test_shape_only_levels_not_sampleable(self):
         g = Dag.of([("X", "Y")])
-        eq = StructuralEquation("Y", ("X",), ParametricTag.PARAMETRIC)
+        eq = StructuralEquation("Y", ParametricTag.PARAMETRIC)
         m = Scm(g, [eq], {"X": NormalNoise()})
         assert not m.sampleable()
         with pytest.raises(ValueError, match="cannot sample"):
@@ -376,11 +381,11 @@ class TestScmValidation:
 
     def test_shape_levels_refuse_expressions(self):
         with pytest.raises(ValueError, match="cannot carry"):
-            StructuralEquation("Y", ("X",), ParametricTag.PARAMETRIC, expr_of("X"))
+            StructuralEquation("Y", ParametricTag.PARAMETRIC, expr_of("X"))
 
     def test_expr_required_when_sampleable(self):
         with pytest.raises(ValueError, match="needs an expression"):
-            StructuralEquation("Y", ("X",), ParametricTag.NOISE_MODEL)
+            StructuralEquation("Y", ParametricTag.NOISE_MODEL)
 
 
 def expr_of(text):
@@ -662,6 +667,21 @@ class TestScmText:
     def test_undirected_graph_rejected(self):
         with pytest.raises(ScmFormatError, match="must be directed"):
             parse_scm("graph:\nA -- B\nequations:\nnoise:\n")
+
+    @pytest.mark.parametrize("line", ["X-1 -> Y", "Y -> X-1", "X-1"])
+    def test_node_no_line_can_name_is_refused(self, line):
+        # U_X-1 is no noise line and X-1 in an equation reads X minus 1.
+        text = f"graph:\nY\n{line}\nequations:\nY := 1.0\nnoise:\n"
+        with pytest.raises(ScmFormatError) as exc:
+            parse_scm(text)
+        assert str(exc.value) == (
+            "line 3: graph section: node 'X-1' is not an identifier, "
+            "so no equation or noise line can name it"
+        )
+
+    def test_library_model_keeps_any_node_name(self):
+        m = Scm(Dag.of(nodes=["X-1"]), noise={"X-1": NormalNoise()})
+        assert sample(m, 3).names == ("X-1",)
 
     def test_graph_line_fault_carries_file_line(self):
         bad = LINEAR_MODEL.replace("graph:\n", "graph:\n\n# edges\nX\nY => Z\n")

@@ -32,7 +32,6 @@ def test_script_runs(argv):
         **os.environ,
         "PYTHONPATH": os.pathsep.join([package_root, inherited] if inherited else [package_root]),
     }
-    env.pop("CDL_COMPASS_SEED", None)
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
         capture_output=True,

@@ -5,9 +5,11 @@ A ``Dag`` names a directed cycle from the nodes Kahn's pass leaves over; a
 ``Dag`` it builds from its directed part; and ``evaluate_expression`` checks
 a result that no operator or function has checked, a bare identifier's
 binding, once.  Where a graph holds several faults, the one named first
-does not depend on string hashing.
+does not depend on string hashing, and no module reads the environment, so
+output depends only on argv and the input files.
 """
 
+import ast
 import math
 import os
 import subprocess
@@ -245,3 +247,17 @@ def test_oracle_cate_names_the_equation(bad):
     noisy = parse_scm(MODEL.replace(":= X", "= X + U") + noise)
     with pytest.raises(EvaluationError, match=NAMED):
         oracle_cate(noisy, {"X": bad}, n_mc=10)
+
+
+def test_no_module_reads_the_environment():
+    # An attribute catches os.environ and os.getenv under any alias of os.
+    names = {"environ", "environb", "getenv", "getenvb"}
+    package = Path(cdl_compass.__file__).resolve().parent
+    reads = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in names]
+    assert reads == []
