@@ -486,7 +486,7 @@ _MEC_MAX_NODES = 7
 
 
 def _enumeration_names(variables: Iterable[str]) -> list[str]:
-    """The sorted, checked names to enumerate over, refused beyond 7."""
+    """The sorted, checked names to enumerate over, refused beyond ``_MEC_MAX_NODES``."""
     names = sorted({_check_name(v) for v in variables})
     if len(names) > _MEC_MAX_NODES:
         raise ValueError(f"{len(names)} variables exceed the enumeration cap of {_MEC_MAX_NODES}")
