@@ -102,6 +102,10 @@ INPUTS = {
     "mixed.graph": "X -> Y\nX -- Y\n",
     "undirected.graph": "X -- Y\nY -> Z\n",
     "empty.graph": "# nothing here\n\n",
+    # names that are no identifier
+    "comma_name.graph": "A,B -> C\nA\nD\n",
+    "dash_name.graph": "X-1 -> Y\n",
+    "zero_width.graph": "A\u200b -> B\n",
     # constraints
     "chain.constraints": (
         "S _||_ D | C\nnot S _||_ D\nnot S _||_ C\n"
@@ -121,6 +125,8 @@ INPUTS = {
     "contradiction.constraints": "S _||_ D\nnot S _||_ D\n",
     "self_star.constraints": "S _||_ S | *\n",
     "star_cap.constraints": "not V0 _||_ V1 | *\n",
+    "bar_left.constraints": "not A|B _||_ C\n",
+    "bar_right.constraints": "not C _||_ A|B\n",
     # every pair of seven variables dependent given every subset: the
     # complete graph's class, all 5,040 orderings of V0..V6
     "complete7.constraints": "".join(
@@ -249,6 +255,13 @@ CASES = [
     ("dsep", "@mixed.graph", "--x", "X", "--y", "Y"),
     ("dsep", "@undirected.graph", "--x", "X", "--y", "Z"),
     ("dsep", "@empty.graph", "--x", "X", "--y", "Y"),
+    # names that are no identifier, in graph files and in --vars
+    ("dsep", "@comma_name.graph", "--x", "A,B", "--y", "C"),
+    ("dsep", "@comma_name.graph", "--x", "C", "--y", "D", "--given", "A,B"),
+    ("dsep", "@dash_name.graph", "--x", "X-1", "--y", "Y"),
+    ("dsep", "@zero_width.graph", "--x", "A\u200b", "--y", "B"),
+    ("mec", "@bar_left.constraints", "--vars", "A|B,C"),
+    ("mec", "@bar_right.constraints", "--vars", "A|B,C"),
     # constraint files
     ("mec", "@chain.constraints", "--vars", "S,C,D", "--format", "json"),
     ("mec", "@impossible.constraints", "--vars", "S,C,D"),
