@@ -28,6 +28,8 @@ import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
+from .graphs import _NAME, _check_name
+
 
 class ExpressionSyntaxError(ValueError):
     """Malformed expression text; ``offset`` is the byte position (UTF-8)."""
@@ -44,10 +46,6 @@ class EvaluationError(ValueError):
 Expression = Union["Num", "Var", "Neg", "BinOp", "Call"]
 
 FUNCTIONS = ("exp", "log", "sin")
-
-# The one identifier rule: expression variables, and so model node names
-# and noise keys.
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,7 @@ class Var:
     name: str
 
     def __post_init__(self) -> None:
-        if not _IDENTIFIER.fullmatch(self.name):
-            raise ValueError(f"bad identifier {self.name!r}")
+        _check_name(self.name)
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ _TOKEN_RE = re.compile(
     rf"""
     (?P<ws>\s+)
   | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>{_IDENTIFIER.pattern})
+  | (?P<ident>{_NAME.pattern})
   | (?P<op>\*\*|[+\-*/()])
   | (?P<bad>.)
     """,

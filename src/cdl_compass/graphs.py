@@ -1,7 +1,7 @@
 """Directed and partially directed graphs, d-separation, and equivalence classes.
 
-Graphs are immutable values over string-named variables.  The central
-operations are:
+Graphs are immutable values over variables named by identifiers (see
+``_NAME``).  The central operations are:
 
 * :func:`d_separated` — decide whether a DAG implies a conditional
   independence, via the Reachable (Bayes-ball) walk over cached bitmasks;
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,9 +61,15 @@ class GraphFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def _check_name(name: object) -> str:
-    if not isinstance(name, str) or not name or any(c.isspace() for c in name):
-        raise ValueError(f"variable names are nonempty strings without whitespace: {name!r}")
+# The one variable-name rule.  Every format can write an identifier, so each
+# reader refuses any other name, and every Dag prints as text that reads back.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_name(name: object, lineno: int | None = None) -> str:
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        message = f"variable name {name!r} is not an identifier"
+        raise ValueError(message) if lineno is None else GraphFormatError(lineno, message)
     return name
 
 
@@ -88,9 +95,9 @@ class Dag:
         return cls(node_set, edge_set)
 
     def __post_init__(self) -> None:
-        for v in self.nodes:
+        order = tuple(sorted(self.nodes, key=str))  # str: a bad name is named, not a TypeError
+        for v in order:
             _check_name(v)
-        order = tuple(sorted(self.nodes))
         index = {v: i for i, v in enumerate(order)}
         parent_masks = [0] * len(order)
         child_masks = [0] * len(order)
@@ -160,7 +167,7 @@ class Dag:
         return frozenset(self._order[i] for i in _bits(mask))
 
     def _require(self, *names: str) -> None:
-        for v in names:
+        for v in names:  # the first unknown one, in the order given
             if v not in self.nodes:
                 raise ValueError(f"unknown variable {v!r}")
 
@@ -295,7 +302,7 @@ def d_separated(g: Dag, x: str, y: str, given: Iterable[str] = ()) -> bool:
     inside the conditioning set.
     """
     z = frozenset(given)
-    g._require(x, y, *z)
+    g._require(x, y, *(given if isinstance(given, (list, tuple)) else sorted(z)))
     if x == y:
         raise ValueError("d-separation needs two distinct variables")
     if x in z or y in z:
@@ -317,8 +324,8 @@ class IndependenceStatement:
     holds: bool = True
 
     def __post_init__(self) -> None:
-        _check_name(self.x)
-        _check_name(self.y)
+        for v in (self.x, self.y, *sorted(self.given, key=str)):
+            _check_name(v)
         if self.x == self.y:
             raise ValueError("an independence statement needs two distinct variables")
         if self.x in self.given or self.y in self.given:
@@ -421,7 +428,7 @@ def consistent_with(g: Dag, constraints: IndependenceSet) -> bool:
     """Does the DAG agree with every constraint, negations included?"""
     if not constraints.variables() <= g.nodes:
         for s in constraints.sorted_statements():
-            g._require(s.x, s.y, *s.given)
+            g._require(s.x, s.y, *sorted(s.given))
     for x, given, separated, connected in constraints._by_source:
         sep, con = _mask(g, separated), _mask(g, connected)
         if _d_connected(g, g._index[x], _mask(g, given), sep | con) != con:
@@ -661,6 +668,8 @@ def _graph_of_lines(lines: Iterable[tuple[int, str]]) -> Dag | Pdag:
             (directed if tokens[1] == "->" else undirected).append((tokens[0], tokens[2]))
         else:
             raise GraphFormatError(lineno, "expected 'a -> b', 'a -- b', or a bare node name")
+        for name in tokens[::2]:
+            _check_name(name, lineno)
     try:
         if undirected:
             return Pdag.of(directed, undirected, nodes)
@@ -719,10 +728,7 @@ def parse_constraints(text: str, variables: Iterable[str]) -> IndependenceSet:
         if "_||_" not in line:
             raise GraphFormatError(lineno, "expected '<x> _||_ <y> [| <given>]'")
         left, _, right = line.partition("_||_")
-        if "|" in right:
-            y_part, _, tail = right.partition("|")
-        else:
-            y_part, tail = right, ""
+        y_part, _, tail = right.partition("|")
         x_tokens, y_tokens = left.split(), y_part.split()
         if len(x_tokens) != 1 or len(y_tokens) != 1:
             raise GraphFormatError(lineno, "expected '<x> _||_ <y> [| <given>]'")
@@ -820,14 +826,18 @@ class TemporalTemplate:
 def unroll(template: TemporalTemplate, steps: int) -> Dag:
     """Instantiate a template into a concrete DAG over ``steps`` time steps.
 
-    Nodes are named ``<role><step>`` with steps counted from 1.  Within-step
-    edges are instantiated at the steps their qualifier selects; cross-step
-    edges connect consecutive steps.  The result is validated as a DAG, so a
-    template whose within-step edges form a cycle fails loudly.
+    Nodes are named ``<role><step>`` from step 1, and two pairs may not share
+    a name (``X11`` for roles ``X`` and ``X1``).  Within-step edges follow
+    their qualifier's steps; cross-step edges join consecutive steps.  The
+    result is validated as a DAG, so a within-step cycle fails loudly.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    nodes = [f"{role}{t}" for role in sorted(template.roles) for t in range(1, steps + 1)]
+    nodes: dict[str, tuple[str, int]] = {}
+    for role, t in itertools.product(sorted(template.roles), range(1, steps + 1)):
+        first = nodes.setdefault(f"{role}{t}", (role, t))
+        if first != (role, t):
+            raise ValueError(f"node '{role}{t}' is both (role, step) {first} and {(role, t)}")
     edges: list[tuple[str, str]] = []
     for src, dst, when in template.within_step:
         if when == EVERY_STEP:

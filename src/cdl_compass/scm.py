@@ -47,7 +47,6 @@ import numpy as np
 
 from .datasets import Dataset
 from .expressions import (
-    _IDENTIFIER,
     EvaluationError,
     Expression,
     evaluate_expression,
@@ -55,7 +54,8 @@ from .expressions import (
     free_variables,
     parse_expression,
 )
-from .graphs import Dag, GraphFormatError, Pdag, _content_lines, _graph_of_lines, format_graph
+from .graphs import _NAME, Dag, GraphFormatError, Pdag, _check_name, _content_lines
+from .graphs import _graph_of_lines, format_graph
 from .lattice import ParametricTag
 
 
@@ -322,8 +322,7 @@ class StructuralEquation:
     expr: Expression | None = None
 
     def __post_init__(self) -> None:
-        if not self.target:
-            raise ValueError("equation target must be a variable name")
+        _check_name(self.target)
         needs_expr = self.level in (ParametricTag.NOISE_MODEL, ParametricTag.FULLY_KNOWN)
         if needs_expr and self.expr is None:
             raise ValueError(
@@ -363,6 +362,8 @@ class Scm:
             sorted(eq_map.items())
         )
         self.noise: dict[str, NoiseSpec] = dict(sorted((noise or {}).items()))
+        for key in self.noise:
+            _check_name(key)
 
         symbols = {noise_symbol(k) for k in self.noise}
         shadowed = sorted(graph.nodes & symbols)
@@ -573,7 +574,7 @@ def oracle_cate(
 # Model definition file format
 
 _NOISE_LINE = re.compile(
-    rf"^U_({_IDENTIFIER.pattern})\s*~\s*(Normal|Uniform)\s*\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)$"
+    rf"^U_({_NAME.pattern})\s*~\s*(Normal|Uniform)\s*\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)$"
 )
 
 
@@ -612,14 +613,6 @@ def parse_scm(text: str) -> Scm:
         raise ScmFormatError(exc.line, f"graph section: {exc.reason}") from None
     if isinstance(graph, Pdag):
         raise ScmFormatError(None, "graph section: a model graph must be directed")
-    for lineno, line in sections["graph"]:
-        for name in line.split()[::2]:  # "a -> b" or a bare name
-            if not _IDENTIFIER.fullmatch(name):
-                raise ScmFormatError(
-                    lineno,
-                    f"graph section: node {name!r} is not an identifier, "
-                    "so no equation or noise line can name it",
-                )
 
     noise: dict[str, NoiseSpec] = {}
     for lineno, line in sections["noise"]:

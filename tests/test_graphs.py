@@ -557,6 +557,18 @@ class TestTemplates:
         with pytest.raises(ValueError, match=message):
             TemporalTemplate.of(["A", "B"], **entries)
 
+    def test_roles_that_spell_one_node_are_refused(self):
+        # X at step 11 and X1 at step 1 are both X11.
+        t = TemporalTemplate.of(("X", "X1"), [("X", "X1")])
+        assert len(unroll(t, 10).nodes) == 20
+        with pytest.raises(ValueError) as exc:
+            unroll(t, 11)
+        assert str(exc.value) == "node 'X11' is both (role, step) ('X', 11) and ('X1', 1)"
+
+    def test_role_names_are_identifiers(self):
+        with pytest.raises(ValueError, match="variable name 'a-b' is not an identifier"):
+            TemporalTemplate.of(["A", "a-b"])
+
     def test_within_step_cycle_fails_on_unroll(self):
         t = TemporalTemplate.of(
             ["A", "B"], within_step=[("A", "B", "every"), ("B", "A", "every")]

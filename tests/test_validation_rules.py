@@ -4,9 +4,10 @@ A ``Dag`` names a directed cycle from the nodes Kahn's pass leaves over; a
 ``Pdag`` leaves names, directed endpoints, self loops and cycles to the
 ``Dag`` it builds from its directed part; and ``evaluate_expression`` checks
 a result that no operator or function has checked, a bare identifier's
-binding, once.  Where a graph holds several faults, the one named first
-does not depend on string hashing, and no module reads the environment, so
-output depends only on argv and the input files.
+binding, once.  Where a graph holds several faults, or a query several
+unknown names, the one named first does not depend on string hashing; no
+module reads the environment, so output depends only on argv and the input
+files; and the variable-name pattern is written once, in ``graphs``.
 """
 
 import ast
@@ -87,6 +88,34 @@ def test_cycle_name_does_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
 
 
+def test_unknown_name_does_not_depend_on_the_hash_seed(tmp_path):
+    # dsep names the first unknown given in the order given, and
+    # consistent_with the first of a statement's givens in sorted order.
+    (tmp_path / "xy.graph").write_text("X -> P\nP -> Y\n")
+    code = (
+        "import sys\n"
+        "from cdl_compass.cli import main\n"
+        "from cdl_compass.graphs import Dag, IndependenceSet, IndependenceStatement, consistent_with\n"
+        "main(['dsep', 'xy.graph', '--x', 'X', '--y', 'Y', '--given', 'P', 'Q', 'R', 'S'])\n"
+        "s = IndependenceStatement('X', 'Y', frozenset({'P', 'Q', 'R', 'S'}))\n"
+        "try:\n"
+        "    consistent_with(Dag.of([('X', 'P'), ('P', 'Y')]), IndependenceSet.of([s]))\n"
+        "except ValueError as exc:\n"
+        "    print(exc, file=sys.stderr)\n"
+    )
+    paths = [str(Path(cdl_compass.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    for hash_seed in map(str, range(8)):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(paths)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "")
+        assert proc.stderr == "error: unknown variable 'Q'\nunknown variable 'Q'\n", hash_seed
+
+
 def test_cycle_walks_from_the_lowest_leftover_node():
     # Kahn's pass leaves a, b, c, d and e over (f is a source).  From a, the
     # lowest leftover parent is c, then b, whose parent a closes the cycle.
@@ -110,7 +139,7 @@ BOTH_ORIENTATIONS = {
         pytest.param(
             lambda: Pdag.of([("A", "B")], nodes=["B C"]),
             ValueError,
-            {"variable names are nonempty strings without whitespace: 'B C'"},
+            {"variable name 'B C' is not an identifier"},
             id="bad-name",
         ),
         pytest.param(
@@ -261,3 +290,16 @@ def test_no_module_reads_the_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 reads += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in names]
     assert reads == []
+
+
+def test_name_pattern_is_written_once():
+    # Every reader takes its name rule from graphs._NAME; a second copy of
+    # the pattern could drift from it.
+    pattern = "[A-Za-z_][A-Za-z0-9_]*"
+    package = Path(cdl_compass.__file__).resolve().parent
+    copies = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                copies += [f"{path.name}:{node.lineno}"] * node.value.count(pattern)
+    assert len(copies) == 1 and copies[0].startswith("graphs.py:"), copies
