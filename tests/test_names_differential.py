@@ -35,9 +35,9 @@ def reads(read, name: str) -> bool:
         return False
 
 
-def constraint_pairs(name: str) -> set[tuple]:
-    text = f"{name} _||_ Z | W\nnot Z _||_ {name}\n"
-    return {(s.x, s.y, s.given, s.holds) for s in parse_constraints(text, [name, "Z", "W"]).statements}
+def constraint_statements(name: str) -> set[tuple]:
+    statements = parse_constraints(f"{name} _||_ Z | W\nnot Z _||_ {name}\n", [name, "Z", "W"])
+    return {(s.x, s.y, s.given, s.holds) for s in statements.statements}
 
 
 @settings(max_examples=300, deadline=None)
@@ -59,7 +59,7 @@ def test_readers_agree_with_the_name_rule(name):
             name,
         ),
         "constraint line": reads(
-            lambda s: constraint_pairs(s)
+            lambda s: constraint_statements(s)
             == {(*pair, frozenset({"W"}), True), (*pair, frozenset(), False)},
             name,
         ),

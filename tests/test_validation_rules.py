@@ -95,7 +95,8 @@ def test_unknown_name_does_not_depend_on_the_hash_seed(tmp_path):
     code = (
         "import sys\n"
         "from cdl_compass.cli import main\n"
-        "from cdl_compass.graphs import Dag, IndependenceSet, IndependenceStatement, consistent_with\n"
+        "from cdl_compass.graphs import Dag, IndependenceSet, IndependenceStatement\n"
+        "from cdl_compass.graphs import consistent_with\n"
         "main(['dsep', 'xy.graph', '--x', 'X', '--y', 'Y', '--given', 'P', 'Q', 'R', 'S'])\n"
         "s = IndependenceStatement('X', 'Y', frozenset({'P', 'Q', 'R', 'S'}))\n"
         "try:\n"
