@@ -132,6 +132,13 @@ INPUTS = {
     "complete7.constraints": "".join(
         f"not V{i} _||_ V{j} | *\n" for i in range(7) for j in range(i + 1, 7)
     ),
+    # the same less the pair V0, V1, which is independent: the 120 orderings
+    # with V0 and V1 first
+    "complete7_less_one.constraints": "V0 _||_ V1\n" + "".join(
+        f"not V{i} _||_ V{j} | *\n" for i in range(7) for j in range(i + 1, 7) if j > 1
+    ),
+    # five variables with six pairs left undecided
+    "undecided5.constraints": "V0 _||_ V2 | V1\nnot V0 _||_ V1 | *\nnot V1 _||_ V2 | *\nV3 _||_ V4\n",
     # models
     "linear.scm": LINEAR_MODEL,
     "commented.scm": LINEAR_MODEL.replace("graph:", "# model\ngraph:  # sections"),
@@ -246,6 +253,8 @@ CASES = [
         "mec", "@complete7.constraints", "--vars", ",".join(f"V{i}" for i in range(7)),
         "--max-nodes", "7",
     ),
+    ("mec", "@complete7_less_one.constraints", "--vars", ",".join(f"V{i}" for i in range(7))),
+    ("mec", "@undecided5.constraints", "--vars", "V0,V1,V2,V3,V4", "--format", "json"),
     # graph files
     ("dsep", "@crlf.graph", "--x", "X", "--y", "Z", "--given", "Y"),
     ("dsep", "@cycle.graph", "--x", "X", "--y", "Z"),
