@@ -73,6 +73,14 @@ def _check_name(name: object, lineno: int | None = None) -> str:
     return name
 
 
+def _check_names(names) -> None:
+    """Check a collection of names in one pass; sort only to name the first bad one."""
+    for v in names:
+        if not isinstance(v, str) or not _NAME.fullmatch(v):
+            for w in sorted(names, key=str):  # str: a bad name is named, not a TypeError
+                _check_name(w)
+
+
 @dataclass(frozen=True)
 class Dag:
     """A directed acyclic graph over named variables.
@@ -88,16 +96,12 @@ class Dag:
     @classmethod
     def of(cls, edges: Iterable[tuple[str, str]] = (), nodes: Iterable[str] = ()) -> "Dag":
         """Build a DAG, adding edge endpoints to the node set automatically."""
-        edge_set = frozenset((str(a), str(b)) for a, b in edges)
-        node_set = frozenset(str(v) for v in nodes) | frozenset(
-            v for e in edge_set for v in e
-        )
-        return cls(node_set, edge_set)
+        edge_set = frozenset((a, b) for a, b in edges)
+        return cls(frozenset(nodes).union(*edge_set), edge_set)
 
     def __post_init__(self) -> None:
-        order = tuple(sorted(self.nodes, key=str))  # str: a bad name is named, not a TypeError
-        for v in order:
-            _check_name(v)
+        _check_names(self.nodes)
+        order = tuple(sorted(self.nodes))
         index = {v: i for i, v in enumerate(order)}
         parent_masks = [0] * len(order)
         child_masks = [0] * len(order)
@@ -123,18 +127,6 @@ class Dag:
     # -- __dict__, which is fine for derived data on a frozen dataclass) ----
 
     @cached_property
-    def _descendant_masks(self) -> tuple[int, ...]:
-        """Strict descendants of each node, as bitmasks, via reverse topological order."""
-        masks = [0] * len(self._order)
-        for v in reversed(self._topological_order):
-            i = self._index[v]
-            acc = 0
-            for j in _bits(self._child_masks[i]):
-                acc |= (1 << j) | masks[j]
-            masks[i] = acc
-        return tuple(masks)
-
-    @cached_property
     def _ancestor_masks(self) -> tuple[int, ...]:
         """Each node and its ancestors, as bitmasks, via topological order."""
         masks = [0] * len(self._order)
@@ -155,9 +147,10 @@ class Dag:
         return self._names_of(self._child_masks[self._index[node]])
 
     def descendants(self, node: str) -> frozenset[str]:
-        """Strict descendants (the node itself excluded)."""
+        """Strict descendants: the nodes other than ``node`` whose ancestor mask holds it."""
         self._require(node)
-        return self._names_of(self._descendant_masks[self._index[node]])
+        bit, masks = 1 << self._index[node], self._ancestor_masks
+        return frozenset(v for v, mask in zip(self._order, masks) if mask & bit and v != node)
 
     def topological_order(self) -> tuple[str, ...]:
         """A deterministic topological order (lexicographic among ready nodes)."""
@@ -237,11 +230,12 @@ def _leftover_cycle(parent_masks: list[int], topo: list[int]) -> list[int]:
     return list(step)[step[i]:][::-1]
 
 
-def _d_connected(g: Dag, xi: int, zmask: int, targets: int) -> int:
-    """The nodes of ``targets`` d-connected to node ``xi`` given ``zmask``.
+def _d_connected(parent_masks, child_masks, ancestors, xi: int, zmask: int, targets: int) -> int:
+    """The nodes of ``targets`` d-connected to node ``xi`` given ``zmask``, in
+    the graph of those parent, child and ancestor (node included) bitmasks.
 
     Koller and Friedman's Reachable walk (Probabilistic Graphical Models,
-    2009, Alg. 3.1; Shachter's Bayes-ball) over the cached bitmasks.  A
+    2009, Alg. 3.1; Shachter's Bayes-ball) over those bitmasks.  A
     trail arrives at a node either up, from a child, or down, from a
     parent.  A node outside Z passes a trail on to its children either way,
     and to its parents when it arrived up; a node that is in Z or has a
@@ -250,14 +244,12 @@ def _d_connected(g: Dag, xi: int, zmask: int, targets: int) -> int:
     endpoint or of Z, so the walk stays inside An({x} ∪ Z ∪ targets).  It
     stops once every target is reached.
     """
-    ancestors = g._ancestor_masks
     opened = 0  # An(Z): colliders here pass a trail
     for i in _bits(zmask):
         opened |= ancestors[i]
     inside = opened | ancestors[xi]
     for i in _bits(targets):
         inside |= ancestors[i]
-    parent_masks, child_masks = g._parent_masks, g._child_masks
     up, down = 1 << xi, 0  # arrivals of the current round
     reach = sent_down = sent_up = 0
     while up or down:
@@ -282,10 +274,10 @@ def _d_connected(g: Dag, xi: int, zmask: int, targets: int) -> int:
     return reach & targets
 
 
-def _mask(g: Dag, names: Iterable[str]) -> int:
+def _mask(index: dict[str, int], names: Iterable[str]) -> int:
     mask = 0
     for v in names:
-        mask |= 1 << g._index[v]
+        mask |= 1 << index[v]
     return mask
 
 
@@ -307,7 +299,8 @@ def d_separated(g: Dag, x: str, y: str, given: Iterable[str] = ()) -> bool:
         raise ValueError("d-separation needs two distinct variables")
     if x in z or y in z:
         raise ValueError("query variables may not appear in the conditioning set")
-    return not _d_connected(g, g._index[x], _mask(g, z), 1 << g._index[y])
+    masks = g._parent_masks, g._child_masks, g._ancestor_masks
+    return not _d_connected(*masks, g._index[x], _mask(g._index, z), 1 << g._index[y])
 
 
 @dataclass(frozen=True)
@@ -324,8 +317,9 @@ class IndependenceStatement:
     holds: bool = True
 
     def __post_init__(self) -> None:
-        for v in (self.x, self.y, *sorted(self.given, key=str)):
-            _check_name(v)
+        _check_name(self.x)
+        _check_name(self.y)
+        _check_names(self.given)
         if self.x == self.y:
             raise ValueError("an independence statement needs two distinct variables")
         if self.x in self.given or self.y in self.given:
@@ -409,16 +403,16 @@ def implied_independencies(g: Dag) -> IndependenceSet:
             f"graph has {len(g.nodes)} nodes; implied_independencies is capped at "
             f"{_IMPLIED_MAX_NODES}"
         )
-    order = g._order
+    order, masks = g._order, (g._parent_masks, g._child_masks, g._ancestor_masks)
     found: list[IndependenceStatement] = []
     for xi, x in enumerate(order[:-1]):
         later = (1 << len(order)) - (2 << xi)  # the indices after xi
         rest = [v for v in order if v != x]
         for size in range(len(rest) + 1):
             for z in itertools.combinations(rest, size):
-                zmask = _mask(g, z)
+                zmask = _mask(g._index, z)
                 targets = later & ~zmask
-                separated = targets & ~_d_connected(g, xi, zmask, targets)
+                separated = targets & ~_d_connected(*masks, xi, zmask, targets)
                 given = frozenset(z)
                 found.extend(IndependenceStatement(x, order[yi], given) for yi in _bits(separated))
     return IndependenceSet.of(found)
@@ -429,9 +423,10 @@ def consistent_with(g: Dag, constraints: IndependenceSet) -> bool:
     if not constraints.variables() <= g.nodes:
         for s in constraints.sorted_statements():
             g._require(s.x, s.y, *sorted(s.given))
+    index, masks = g._index, (g._parent_masks, g._child_masks, g._ancestor_masks)
     for x, given, separated, connected in constraints._by_source:
-        sep, con = _mask(g, separated), _mask(g, connected)
-        if _d_connected(g, g._index[x], _mask(g, given), sep | con) != con:
+        sep, con = _mask(index, separated), _mask(index, connected)
+        if _d_connected(*masks, index[x], _mask(index, given), sep | con) != con:
             return False
     return True
 
@@ -440,8 +435,8 @@ def enumerate_dags(variables: Iterable[str]) -> Iterator[Dag]:
     """All labeled DAGs on the given variables, in a deterministic order.
 
     Each unordered pair independently takes one of three states (no edge,
-    forward, backward); branches that already contain a cycle are pruned by
-    maintaining reachability masks incrementally.
+    forward, backward); a branch whose edge would close a cycle is pruned on
+    ancestor masks kept as edges are added, so no cyclic graph is built.
     """
     names = sorted({_check_name(v) for v in variables})
     pairs = itertools.combinations(range(len(names)), 2)
@@ -449,46 +444,57 @@ def enumerate_dags(variables: Iterable[str]) -> Iterator[Dag]:
 
 
 def _search_dags(
-    names: list[str], choices: list[tuple[tuple[int, int] | None, ...]]
+    names: list[str],
+    choices: list[tuple[tuple[int, int] | None, ...]],
+    groups: Iterable[tuple[int, int, int, int]] = (),
 ) -> Iterator[Dag]:
     """DAGs on ``names`` taking, for the k-th pair of ``combinations(range(n), 2)``,
     one of the states in ``choices[k]``: ``None`` for no edge or an index
     pair ``(src, dst)`` for that edge.  States are tried in the order given.
+
+    A candidate becomes a :class:`Dag` only if it agrees with every group
+    ``(xi, zmask, targets, connected)``: given ``zmask``, node ``xi`` is
+    d-connected to the nodes of ``connected`` and to no other of ``targets``.
     """
     n = len(names)
     node_set = frozenset(names)
+    edges: list[tuple[int, int]] = []
+    parents, children = [0] * n, [0] * n
 
-    def rec(k: int, edges: list[tuple[int, int]], reach: list[int]):
+    def rec(k: int, ancestors: list[int]):
         if k == len(choices):
-            yield Dag(node_set, frozenset((names[a], names[b]) for a, b in edges))
+            masks = parents, children, ancestors
+            if all(_d_connected(*masks, xi, z, t) == c for xi, z, t, c in groups):
+                yield Dag(node_set, frozenset((names[a], names[b]) for a, b in edges))
             return
         for edge in choices[k]:
             if edge is None:
-                yield from rec(k + 1, edges, reach)
+                yield from rec(k + 1, ancestors)
                 continue
             src, dst = edge
-            if reach[dst] & (1 << src):
-                continue  # dst already reaches src: adding src->dst closes a cycle
-            new_reach = list(reach)
-            gained = new_reach[dst] | (1 << dst)
-            for i in range(n):
-                if new_reach[i] & (1 << src) or i == src:
-                    new_reach[i] |= gained
-            edges.append((src, dst))
-            yield from rec(k + 1, edges, new_reach)
+            if ancestors[src] >> dst & 1:
+                continue  # dst is an ancestor of src: adding src->dst closes a cycle
+            # Every node with dst among its ancestors gains src's ancestors.
+            gained, bit = ancestors[src], 1 << dst
+            edges.append(edge)
+            parents[dst] |= 1 << src
+            children[src] |= bit
+            yield from rec(k + 1, [m | gained if m & bit else m for m in ancestors])
             edges.pop()
+            parents[dst] ^= 1 << src
+            children[src] ^= bit
 
-    yield from rec(0, [], [0] * n)
+    yield from rec(0, [1 << i for i in range(n)])
 
 
-# Branches of an unconstrained 5-variable search, which takes about 4 s; six
-# variables with too few constraints would visit millions of DAGs.
+# Branches of an unconstrained 5-variable search, whose 29,281 DAGs take
+# 0.6-0.9 s; six variables with too few constraints would visit millions.
 _MAX_BRANCHES = 3**10
 
 
-# Listing the complete 7-variable class (5,040 members) through the CLI
-# takes about 0.5 s and 40 MB on a 2-core machine; the 8-variable one
-# (40,320) takes about seven times the time and six times the memory.
+# Listing the complete 7-variable class (all 5,040 candidates are members)
+# through the CLI takes about 0.5 s and 40 MB on a 2-core machine; the
+# 8-variable one (40,320) takes about 7 times the time and 6 times the memory.
 _MEC_MAX_NODES = 7
 
 
@@ -526,9 +532,10 @@ def enumerate_mec(constraints: IndependenceSet, variables: Iterable[str]) -> lis
     for ``u`` undecided pairs: every DAG follows some order of the
     variables, and within one order only the undecided pairs are free, so
     the cycle pruning keeps a full signature to its acyclic orientations.
-    While pairs are undecided, each DAG found is checked against every
-    constraint but those on pairs pinned to an edge, which hold in every
-    DAG the search builds.  Otherwise each is checked against one holding
+    Each candidate is checked on the search's own bitmasks, and only one
+    that passes becomes a :class:`Dag`.  While pairs are undecided, the
+    check covers every constraint but those on pairs pinned to an edge,
+    which hold in every candidate.  Otherwise it covers one holding
     statement per absent pair; these fix every unshielded collider, so the
     DAGs that pass form one Markov class, which agrees with every constraint
     or with none (Verma & Pearl 1990), as its first member shows.  Capped
@@ -568,7 +575,12 @@ def enumerate_mec(constraints: IndependenceSet, variables: Iterable[str]) -> lis
         checked = IndependenceSet.of(
             s for s in constraints.statements if (s.x, s.y) not in adjacent
         )
-    members = [g for g in _search_dags(names, choices) if consistent_with(g, checked)]
+    index = {v: i for i, v in enumerate(names)}
+    groups = [
+        (index[x], _mask(index, z), _mask(index, sep + con), _mask(index, con))
+        for x, z, sep, con in checked._by_source
+    ]
+    members = list(_search_dags(names, choices, groups))
     if undecided == 0 and members and not consistent_with(members[0], constraints):
         return []
     members.sort(key=lambda g: tuple(sorted(g.edges)))
@@ -598,14 +610,9 @@ class Pdag:
         undirected: Iterable[tuple[str, str]] = (),
         nodes: Iterable[str] = (),
     ) -> "Pdag":
-        d = frozenset((str(a), str(b)) for a, b in directed)
-        u = frozenset(frozenset((str(a), str(b))) for a, b in undirected)
-        node_set = (
-            frozenset(str(v) for v in nodes)
-            | frozenset(v for e in d for v in e)
-            | frozenset(v for e in u for v in e)
-        )
-        return cls(node_set, d, u)
+        d = frozenset((a, b) for a, b in directed)
+        u = frozenset(frozenset((a, b)) for a, b in undirected)
+        return cls(frozenset(nodes).union(*d, *u), d, u)
 
     def __post_init__(self) -> None:
         # Sorted, so the fault named first does not hang on hash order.
@@ -787,28 +794,17 @@ class TemporalTemplate:
         within_step: Iterable[tuple] = (),
         across_step: Iterable[tuple] = (),
     ) -> "TemporalTemplate":
-        role_set = frozenset(_check_name(r) for r in roles)
         within: list[tuple[str, str, str]] = []
         for entry in within_step:
-            if len(entry) == 2:
-                src, dst, when = entry[0], entry[1], EVERY_STEP
-            elif len(entry) == 3:
-                src, dst, when = entry
-            else:
+            if len(entry) not in (2, 3):
                 raise ValueError(f"within-step entries are (src, dst[, when]): {entry!r}")
-            within.append((str(src), str(dst), when))
-        across: list[tuple[str, str]] = []
-        for entry in across_step:
-            if len(entry) != 2:
-                raise ValueError(f"across-step entries are (src, dst): {entry!r}")
-            across.append((str(entry[0]), str(entry[1])))
-        return cls(
-            role_set,
-            tuple(sorted(dict.fromkeys(within))),
-            frozenset(across),
-        )
+            within.append((entry[0], entry[1], entry[2] if len(entry) == 3 else EVERY_STEP))
+        # Sorted as text, so an entry holding a non-string is named, not a TypeError.
+        within = sorted(dict.fromkeys(within), key=_edge_key)
+        return cls(frozenset(roles), tuple(within), frozenset(map(tuple, across_step)))
 
     def __post_init__(self) -> None:
+        _check_names(self.roles)
         for src, dst, when in self.within_step:
             if src not in self.roles or dst not in self.roles:
                 raise ValueError(f"within-step edge ({src!r}, {dst!r}) uses an unknown role")
@@ -818,7 +814,10 @@ class TemporalTemplate:
                 raise ValueError(
                     f"unknown step qualifier {when!r}; expected one of {_QUALIFIERS}"
                 )
-        for src, dst in self.across_step:
+        for entry in sorted(self.across_step, key=_edge_key):
+            if len(entry) != 2:
+                raise ValueError(f"across-step entries are (src, dst): {entry!r}")
+            src, dst = entry
             if src not in self.roles or dst not in self.roles:
                 raise ValueError(f"cross-step edge ({src!r}, {dst!r}) uses an unknown role")
 

@@ -91,6 +91,24 @@ class TestDag:
         assert len({CHAIN, Dag.of([("C", "D"), ("S", "C")])}) == 1
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Dag.of([(True, "B")]), "variable name True is not an identifier"),
+        (lambda: Pdag.of(undirected=[(True, "B")]), "variable name True is not an identifier"),
+        (
+            lambda: TemporalTemplate.of(["A", "True"], [("A", True), ("A", "True")]),
+            r"within-step edge \('A', True\) uses an unknown role",
+        ),
+    ],
+    ids=["Dag", "Pdag", "TemporalTemplate"],
+)
+def test_builders_refuse_names_that_are_no_string(build, message):
+    # A non-string is refused as itself, not accepted as its text.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # d-separation
 
@@ -568,6 +586,10 @@ class TestTemplates:
     def test_role_names_are_identifiers(self):
         with pytest.raises(ValueError, match="variable name 'a-b' is not an identifier"):
             TemporalTemplate.of(["A", "a-b"])
+
+    def test_roles_are_checked_however_the_template_is_built(self):
+        with pytest.raises(ValueError, match="variable name 'a b' is not an identifier"):
+            TemporalTemplate(frozenset({"a b"}), (), frozenset())
 
     def test_within_step_cycle_fails_on_unroll(self):
         t = TemporalTemplate.of(

@@ -5,12 +5,13 @@ slow oracles.
 moralizes the ancestral graph instead, and the batched callers are checked
 against one ``d_separated`` call per pair.  ``enumerate_mec`` pins pairs
 before it branches; ``helpers_mec`` pins nothing and filters every labeled
-DAG.  ``Dag`` answers parents, children, descendants and topological order
-from an index built once; the oracles here scan the edge set on every call.
+DAG, built one assignment of the pair states at a time rather than by the
+search ``enumerate_dags`` shares with ``enumerate_mec``.  ``Dag`` answers
+parents, children, descendants and topological order from an index built
+once; the oracles here scan the edge set on every call.
 """
 
 import dataclasses
-import functools
 import heapq
 import itertools
 import random
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from helpers_dsep import all_queries, moralized_d_separated  # noqa: E402
-from helpers_mec import brute_force_mec, full_signature  # noqa: E402
+from helpers_mec import brute_force_mec, every_dag, full_signature  # noqa: E402
 from test_cli import (  # noqa: E402
     CHAIN_CONSTRAINTS,
     COLLIDER_CONSTRAINTS,
@@ -54,12 +55,12 @@ SIX = [f"V{i}" for i in range(6)]
 
 @pytest.fixture(scope="module")
 def four_node_dags():
-    return list(enumerate_dags(FOUR))
+    return list(every_dag(tuple(FOUR)))
 
 
 @pytest.fixture(scope="module")
 def five_node_dags():
-    return list(enumerate_dags(FIVE))
+    return list(every_dag(tuple(FIVE)))
 
 
 def random_dag(rng: random.Random, names: list[str], p: float) -> Dag:
@@ -137,7 +138,8 @@ class TestSeparation:
                 for targets in (others, chosen):
                     mask = sum(1 << g._index[v] for v in targets)
                     zmask = sum(1 << g._index[v] for v in z)
-                    reached = _d_connected(g, g._index[x], zmask, mask)
+                    masks = g._parent_masks, g._child_masks, g._ancestor_masks
+                    reached = _d_connected(*masks, g._index[x], zmask, mask)
                     want = {v for v in targets if not d_separated(g, x, v, z)}
                     assert reached == sum(1 << g._index[v] for v in want)
 
@@ -184,6 +186,25 @@ class TestSeparation:
 
 
 class TestClassSearch:
+    @pytest.mark.parametrize("n", range(6))
+    def test_enumerate_dags_matches_every_assignment(self, n):
+        names = [f"V{i}" for i in range(n)]
+        got = list(enumerate_dags(names))
+        assert len(got) == [1, 1, 3, 25, 543, 29281][n]
+        assert set(got) == set(every_dag(tuple(names)))
+
+    def test_only_members_become_dags(self, monkeypatch):
+        # 4,320 acyclic orientations of the skeleton, of which 120 (V0 and
+        # V1 both sources) keep V0 and V1 independent.
+        seven = [f"V{i}" for i in range(7)]
+        g = Dag.of([e for e in itertools.combinations(seven, 2) if e != ("V0", "V1")], seven)
+        signature = full_signature(g)
+        built = []
+        post_init = Dag.__post_init__
+        monkeypatch.setattr(Dag, "__post_init__", lambda self: built.append(post_init(self)))
+        assert len(enumerate_mec(signature, seven)) == 120
+        assert len(built) == 120
+
     def test_every_four_node_signature(self, four_node_dags):
         classes = {}
         for g in four_node_dags:
@@ -294,11 +315,6 @@ class TestClassSearch:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def every_dag(n: int) -> tuple[Dag, ...]:
-    return tuple(enumerate_dags([f"V{i}" for i in range(n)]))
-
-
 @st.composite
 def dags(draw, n: int, max_edges: int | None = None) -> Dag:
     """A DAG on ``V0 .. V<n-1>``: some pairs, oriented along a drawn order."""
@@ -353,9 +369,7 @@ class TestPinnedSkeletons:
     def test_match_brute_force(self, case):
         n, constraints = case
         names = [f"V{i}" for i in range(n)]
-        assert enumerate_mec(constraints, names) == brute_force_mec(
-            constraints, names, every_dag(n)
-        )
+        assert enumerate_mec(constraints, names) == brute_force_mec(constraints, names)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(6, 7).flatmap(lambda n: dags(n, max_edges=11)))
