@@ -378,8 +378,8 @@ class IndependenceSet:
     @cached_property
     def _by_source(self) -> tuple[tuple[str, frozenset[str], tuple[str, ...], tuple[str, ...]], ...]:
         """Statements grouped by ``(x, given)``: the ``y`` of each holding
-        independence, then of each dependence.  consistent_with answers a
-        group with one walk, for every DAG it checks."""
+        independence, then of each dependence.  consistent_with and the
+        class search answer a group with one walk per graph they check."""
         groups: dict[tuple[str, frozenset[str]], tuple[list[str], list[str]]] = {}
         for s in self._sorted:
             separated, connected = groups.setdefault((s.x, s.given), ([], []))
