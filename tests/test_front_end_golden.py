@@ -3,7 +3,8 @@
 Each case is an argv run in process through ``cli.main``; ``golden/front_end.json``
 holds its exit code (argparse's own exit code for a usage error it finds) and
 the SHA-256 of its stdout and of its stderr.  The cases run the bench
-fixtures through every subcommand in both formats, ``sample``'s columns at
+fixtures through every subcommand in both formats, ``anm`` in both formats
+on a tie-heavy CSV the harness writes, ``sample``'s columns at
 n = 2000 for three models and two seeds, the usage errors that exit 2, every
 format error of the graph, constraint, model, expression and pipeline readers
 that the CLI and model tests raise, and the ways names, labels and catalog
@@ -87,6 +88,16 @@ CATALOG = (
     '"temporal": "static"}, '
     '"assumption_tags": ["faithfulness"], "notes": ""}]\n'
 )
+
+
+def _tie_heavy_csv(seed: int = 1, n: int = 300) -> str:
+    """X rounded to integers and Y = X plus noise: the backward direction
+    smooths X against Y, so its residuals hold long runs that agree up to
+    rounding."""
+    rng = np.random.default_rng(seed)
+    x = np.rint(rng.normal(0.0, 1.5, n))
+    y = x + 0.3 * rng.normal(0.0, 1.0, n)
+    return "X,Y\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, y))
 
 
 # Input files by name; an argv names one as ``@<name>``, which runs as the
@@ -186,6 +197,9 @@ INPUTS = {
     "empty.pipeline": "\n  # only a comment\n",
     # catalogs
     "[cat].json": CATALOG,
+    "number_name.catalog": CATALOG.replace('"Only card"', "7"),
+    # data
+    "ties.csv": _tie_heavy_csv(),
 }
 
 START = ("--start", "unknown:noise_model:static")
@@ -219,6 +233,7 @@ CASES = [
             ("test", DATA, "--test", "resid", "--x", "X", "--resid", "R", "--seed", "3"),
             ("test", DATA, "--test", "pcorr", "--x", "X", "--y", "Z", "--given", "Y"),
             ("anm", DATA, "--x", "C", "--y", "E", "--seed", "5"),
+            ("anm", "@ties.csv", "--x", "X", "--y", "Y", "--seed", "1"),
         )
         for fmt in ((), ("--format", "json"))
     ],
@@ -238,6 +253,7 @@ CASES = [
     ("mec", "fixtures/smoking.constraints", "--vars", "S C D"),
     ("dsep", "fixtures/dag.graph", "--x", "A", "--y", "F", "--given", "B E"),
     ("catalog", "list", "--catalog", "@[cat].json"),
+    ("catalog", "list", "--catalog", "@number_name.catalog"),
     ("catalog", "list", "--temporal", "weekly"),
     ("catalog", "list", "--temporal"),
     ("mec", "fixtures/smoking.constraints", "--vars", "S,S,C,D"),
