@@ -57,6 +57,10 @@ class _Labelled(enum.Enum):
             f"expected one of {', '.join(m.label for m in cls)}"
         )
 
+    @classmethod
+    def of(cls, value: "_Labelled | str") -> "_Labelled":
+        """``value`` itself if it is a member, else the member its label names."""
+        return value if isinstance(value, cls) else cls.from_label(value)
 
 @functools.total_ordering
 class _OrderedTag(_Labelled):
@@ -93,20 +97,10 @@ class TemporalFlag(_Labelled):
 
 
 def leq(a: _OrderedTag, b: _OrderedTag) -> bool:
-    """Partial order on a single scale.
-
-    Defined only for two tags of the same ordered scale (both structural or
-    both parametric); anything else, including temporal flags, raises
-    ``TypeError``.
-    """
-    if not isinstance(a, (StructuralTag, ParametricTag)):
-        raise TypeError(f"leq is defined on ordered scale tags, not {type(a).__name__}")
-    if type(a) is not type(b):
-        raise TypeError(
-            f"cannot compare {type(a).__name__} with {type(b).__name__}: "
-            "the structural and parametric scales are independent"
-        )
-    return a.value <= b.value
+    """Partial order on a single scale: ``a <= b`` for two structural or two
+    parametric tags.  Tags of different scales, and temporal flags, raise
+    ``TypeError``: the scales are independent axes."""
+    return a <= b
 
 
 def _validate_structural_payload(tag: StructuralTag, payload: Any) -> None:
@@ -186,9 +180,7 @@ class KnowledgeState:
     @property
     def triple(self) -> str:
         """Colon-joined tag form, e.g. ``"causal:noise_model:static"``."""
-        return ":".join(
-            (self.structural.tag.label, self.parametric.tag.label, self.temporal.label)
-        )
+        return ":".join(self.to_mapping().values())
 
     @classmethod
     def from_triple(cls, text: str) -> "KnowledgeState":
@@ -229,16 +221,10 @@ def knowledge_state(
     parametric_payload: Any = None,
 ) -> KnowledgeState:
     """Build a state from tags or their lowercase labels; reject anything else."""
-    if not isinstance(structural, StructuralTag):
-        structural = StructuralTag.from_label(structural)
-    if not isinstance(parametric, ParametricTag):
-        parametric = ParametricTag.from_label(parametric)
-    if not isinstance(temporal, TemporalFlag):
-        temporal = TemporalFlag.from_label(temporal)
     return KnowledgeState(
-        StructuralLevel(structural, structural_payload),
-        ParametricLevel(parametric, parametric_payload),
-        temporal,
+        StructuralLevel(StructuralTag.of(structural), structural_payload),
+        ParametricLevel(ParametricTag.of(parametric), parametric_payload),
+        TemporalFlag.of(temporal),
     )
 
 
@@ -366,18 +352,18 @@ class TestabilityTier(_Labelled):
     UNTESTABLE = "untestable"
 
 
-_STRUCTURAL_TIERS = {
+# Every tag of the two ordered scales with its tier, and the same tags by
+# label (the two scales share no label).
+_TIERS = {
     StructuralTag.UNKNOWN: TestabilityTier.NO_TESTS_NEEDED,
     StructuralTag.PLAUSIBLE: TestabilityTier.TESTABLE,
     StructuralTag.CAUSAL: TestabilityTier.UNTESTABLE,
-}
-
-_PARAMETRIC_TIERS = {
     ParametricTag.NONPARAMETRIC: TestabilityTier.NO_TESTS_NEEDED,
     ParametricTag.NOISE_MODEL: TestabilityTier.TESTABLE,
     ParametricTag.PARAMETRIC: TestabilityTier.TESTABLE,
     ParametricTag.FULLY_KNOWN: TestabilityTier.UNTESTABLE,
 }
+_ORDERED_TAGS = {tag.label: tag for tag in _TIERS}
 
 
 def testability_tier(tag: StructuralTag | ParametricTag) -> TestabilityTier:
@@ -388,8 +374,6 @@ def testability_tier(tag: StructuralTag | ParametricTag) -> TestabilityTier:
     functional form); top levels assert more than observational data can
     confirm.
     """
-    if isinstance(tag, StructuralTag):
-        return _STRUCTURAL_TIERS[tag]
-    if isinstance(tag, ParametricTag):
-        return _PARAMETRIC_TIERS[tag]
-    raise TypeError(f"expected a structural or parametric tag, got {tag!r}")
+    if tag not in _TIERS:
+        raise TypeError(f"expected a structural or parametric tag, got {tag!r}")
+    return _TIERS[tag]

@@ -244,11 +244,9 @@ def _coerce_state(value) -> KnowledgeState:
 
 
 def _coerce_temporal(value) -> TemporalFlag:
-    if isinstance(value, TemporalFlag):
-        return value
-    if isinstance(value, str):
-        return TemporalFlag.from_label(value)
-    raise TypeError(f"expected a temporal flag or label, got {value!r}")
+    if not isinstance(value, (TemporalFlag, str)):
+        raise TypeError(f"expected a temporal flag or label, got {value!r}")
+    return TemporalFlag.of(value)
 
 
 def query_catalog(

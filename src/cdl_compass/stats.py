@@ -34,7 +34,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import ParametricTag, StructuralTag, TestabilityTier, _Labelled, testability_tier
+from .lattice import (
+    _ORDERED_TAGS,
+    ParametricTag,
+    StructuralTag,
+    TestabilityTier,
+    _Labelled,
+    testability_tier,
+)
 
 
 class Decision(_Labelled):
@@ -43,16 +50,6 @@ class Decision(_Labelled):
 
 
 _DETAIL_TYPES = (float, int, str, bool)
-
-
-def _tag_from_label(label: str) -> StructuralTag | ParametricTag:
-    # Structural and parametric labels are disjoint, so one string suffices.
-    for kind in (StructuralTag, ParametricTag):
-        try:
-            return kind.from_label(label)
-        except ValueError:
-            continue
-    raise ValueError(f"unknown knowledge level {label!r}")
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,15 @@ class TestReport:
     @classmethod
     def from_mapping(cls, data: Mapping) -> "TestReport":
         raw_tag = data.get("bears_on")
+        if raw_tag is not None and not (isinstance(raw_tag, str) and raw_tag in _ORDERED_TAGS):
+            raise ValueError(f"unknown knowledge level {raw_tag!r}")
         return cls(
             test=data["test"],
             statistic=float(data["statistic"]),
             p_value=float(data["p_value"]),
             alpha=float(data["alpha"]),
             decision=Decision.from_label(data["decision"]),
-            bears_on=None if raw_tag is None else _tag_from_label(raw_tag),
+            bears_on=_ORDERED_TAGS.get(raw_tag),
             details=dict(data.get("details", {})),
             sub_reports=tuple(
                 cls.from_mapping(sub) for sub in data.get("sub_reports", ())
@@ -477,11 +476,12 @@ def savitzky_golay_smooth(
 # Residual independence
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n, tied values sharing the mean of the ranks they span."""
+def _average_ranks(values: np.ndarray, gap: float = 0.0) -> np.ndarray:
+    """Ranks 1..n, each run of sorted values that step by at most ``gap``
+    tied: its values share the mean of the ranks the run spans."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.concatenate(([True], np.diff(ordered) > gap))
     bounds = np.append(np.flatnonzero(starts), ordered.shape[0])
     group = np.cumsum(starts) - 1
     ranks = np.empty(ordered.shape[0])
@@ -489,8 +489,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _centered_ranks(values: np.ndarray) -> np.ndarray:
-    ranks = _average_ranks(values)
+def _centered_ranks(values: np.ndarray, gap: float = 0.0) -> np.ndarray:
+    ranks = _average_ranks(values, gap)
     return ranks - ranks.mean()
 
 
@@ -512,9 +512,12 @@ class _IndependenceProblem:
 
     @classmethod
     def of(cls, x: np.ndarray, residuals: np.ndarray) -> "_IndependenceProblem":
+        # Residuals that differ by rounding in the fit are ties: a step of at
+        # most 64 eps of the largest one, the scale _exactly_linear uses.
+        gap = 64.0 * np.finfo(float).eps * float(np.abs(residuals).max())
         xr = _centered_ranks(x)
-        sr = _centered_ranks(residuals)
-        ar = _centered_ranks(np.abs(residuals))
+        sr = _centered_ranks(residuals, gap)
+        ar = _centered_ranks(np.abs(residuals), gap)
         nx = float(np.linalg.norm(xr))
         # A zero norm means a constant rank vector: every dot product is 0,
         # and dividing it by 1 gives the 0 correlation it stands for.
@@ -551,8 +554,7 @@ def _permutation_hits(
     hits = [0] * len(problems)
     for done in range(0, n_permutations, rows):
         perms = np.tile(np.arange(n), (min(rows, n_permutations - done), 1))
-        for row in perms:
-            rng.shuffle(row)
+        rng.permuted(perms, axis=1, out=perms)
         for i, pb in enumerate(problems):
             signed = np.abs(pb.sr[perms] @ pb.xr / pb.scales[0])
             magnitude = np.abs(pb.ar[perms] @ pb.xr / pb.scales[1])
@@ -573,8 +575,10 @@ def residual_independence_test(
     input against residuals (signed dependence) and input against absolute
     residuals (scale dependence).  The null distribution comes from
     permuting the residual vector; the reported p is
-    ``(1 + #{permuted >= observed}) / (1 + n_permutations)``.  Needs at
-    least 20 points for the permutation null to carry any resolution.
+    ``(1 + #{permuted >= observed}) / (1 + n_permutations)``.  Residuals,
+    and absolute residuals, within ``64 * eps * max|residual|`` of the next
+    smaller one rank as ties.  Needs at least 20 points for the permutation
+    null to carry any resolution.
     """
     xv = _as_vector(x, "x", minimum=20)
     rv = _as_vector(residuals, "residuals", minimum=20)

@@ -34,9 +34,11 @@ def loop_independence_report(
     """``residual_independence_test`` scored one permutation at a time."""
     xv = np.asarray(x, dtype=float)
     rv = np.asarray(residuals, dtype=float)
+    # Residuals a step of at most 64 eps of the largest one apart are ties.
+    gap = 64.0 * np.finfo(float).eps * float(np.abs(rv).max())
     xr = stats._centered_ranks(xv)
-    sr = stats._centered_ranks(rv)
-    ar = stats._centered_ranks(np.abs(rv))
+    sr = stats._centered_ranks(rv, gap)
+    ar = stats._centered_ranks(np.abs(rv), gap)
     observed = max(abs(corr(xr, sr)), abs(corr(xr, ar)))
     rng = np.random.default_rng(seed)
     hits = 0

@@ -116,6 +116,31 @@ def test_division_by_literal_zero_is_a_parse_error():
         evaluate_expression(e, {"x": 0.0})
 
 
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: BinOp("%", Num(1.0), Num(2.0)), ValueError, "unknown operator '%'"),
+        (
+            lambda: Call("foo", Num(1.0)),
+            ValueError,
+            "unknown function 'foo'; expected one of ('exp', 'log', 'sin')",
+        ),
+        (lambda: format_expression("x"), TypeError, "not an expression node: 'x'"),
+        (lambda: free_variables(Neg(2.0)), TypeError, "not an expression node: 2.0"),
+        (
+            lambda: evaluate_expression(Call("exp", "x"), {}),
+            TypeError,
+            "not an expression node: 'x'",
+        ),
+    ],
+    ids=["operator", "function", "format", "free-variables", "evaluate"],
+)
+def test_malformed_nodes_are_named(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Evaluation errors
 

@@ -568,8 +568,13 @@ class TestTemplates:
         [
             ({"within_step": [("A",)]}, "within-step entries are"),
             ({"across_step": [("A", "B", 1)]}, "across-step entries are"),
+            ({"within_step": [("A", "A")]}, "^within-step self edge on role 'A'$"),
+            (
+                {"across_step": [("A", "C")]},
+                r"^cross-step edge \('A', 'C'\) uses an unknown role$",
+            ),
         ],
-        ids=["within-arity", "across-arity"],
+        ids=["within-arity", "across-arity", "within-self-edge", "across-unknown-role"],
     )
     def test_malformed_entry_rejected(self, entries, message):
         with pytest.raises(ValueError, match=message):

@@ -160,6 +160,12 @@ class TestJson:
         with pytest.raises(ValueError, match="list of strings"):
             card_from_mapping(data)
 
+    def test_fields_must_be_strings(self):
+        data = card_to_mapping(make_card())
+        data["name"] = 7
+        with pytest.raises(ValueError, match="^card field 'name' must be a string$"):
+            card_from_mapping(data)
+
     def test_state_must_be_object(self):
         data = card_to_mapping(make_card())
         data["a_priori"] = "unknown:nonparametric:static"

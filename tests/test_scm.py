@@ -87,6 +87,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="unknown column"):
             Dataset({"x": [1.0]}).column("y")
 
+    def test_column_that_is_not_a_vector(self):
+        with pytest.raises(ValueError, match="^column 'x' is not a vector$"):
+            Dataset({"x": [[1.0, 2.0]]})
+
     def test_csv_round_trip_exact(self):
         d = Dataset({"x": [0.1, 1 / 3, 1e-300], "y": [2.0, -5.5, 7.25]})
         again = Dataset.from_csv(io.StringIO(d.to_csv()))
@@ -222,6 +226,19 @@ class TestFactors:
         with pytest.raises(ValueError, match="nonempty"):
             Factor.from_expression([], "1.0")
 
+    @pytest.mark.parametrize(
+        "scope,domains,message",
+        [
+            (("X", "X"), (("X", (0.0,)),), "factor scope repeats a variable"),
+            (("X", "Y"), (("X", (0.0,)),), "domains must cover exactly the scope variables"),
+            (("X",), (("X", None),), "table factors need a finite domain for every variable"),
+        ],
+        ids=["repeated-scope", "uncovered-scope", "real-valued-table"],
+    )
+    def test_malformed_table_factor(self, scope, domains, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Factor(scope, domains, table=(((0.0,), 1.0),))
+
 
 class TestFactorization:
     def test_mass_checked_against_exact_fractions(self):
@@ -240,6 +257,10 @@ class TestFactorization:
         )
         assert total == 1
         coin_chain()  # float twin constructs without complaint
+
+    def test_needs_a_factor(self):
+        with pytest.raises(ValueError, match="^a factorization needs at least one factor$"):
+            Factorization.of([])
 
     def test_unnormalized_mass_rejected(self):
         bad = Factor.from_table(["X"], {"X": [0.0, 1.0]}, {(0.0,): 0.5, (1.0,): 0.4})
@@ -378,6 +399,28 @@ class TestScmValidation:
         assert not m.sampleable()
         with pytest.raises(ValueError, match="cannot sample"):
             sample(m, 10)
+
+    def test_shape_only_outcome_has_no_effect_or_text(self):
+        g = Dag.of([("X", "Y0"), ("X", "Y1")])
+        eqs = [
+            StructuralEquation("Y0", ParametricTag.PARAMETRIC),
+            StructuralEquation("Y1", ParametricTag.FULLY_KNOWN, expr_of("X")),
+        ]
+        m = Scm(g, eqs, {"X": NormalNoise()})
+        with pytest.raises(ValueError) as exc:
+            oracle_cate(m, {"X": 0.0})
+        assert str(exc.value) == (
+            "outcome equation 'Y0' is at the parametric level; "
+            "an explicit or additive-noise form is required"
+        )
+        with pytest.raises(ValueError) as exc:
+            format_scm(m)
+        assert str(exc.value) == "equation for 'Y0' at level parametric has no text form"
+
+    def test_a_model_equals_no_other_type(self):
+        m = parse_scm(LINEAR_MODEL)
+        assert m.__eq__(format_scm(m)) is NotImplemented
+        assert m != format_scm(m)
 
     def test_shape_levels_refuse_expressions(self):
         with pytest.raises(ValueError, match="cannot carry"):

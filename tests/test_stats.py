@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdl_compass import stats
 from cdl_compass.lattice import ParametricTag, StructuralTag
 from cdl_compass.stats import (
     AnmResult,
@@ -82,6 +83,76 @@ class TestReportPlumbing:
     def test_bears_on_parametric_label(self):
         r = Report.from_p("t", 0.0, 0.5, 0.05, bears_on=ParametricTag.NOISE_MODEL)
         assert Report.from_mapping(r.to_mapping()).bears_on is ParametricTag.NOISE_MODEL
+
+    @pytest.mark.parametrize(
+        "build,error,message",
+        [
+            (
+                lambda: Report("", 0.0, 0.5, 0.05, Decision.FAIL_TO_REJECT),
+                ValueError,
+                "a report needs a test name",
+            ),
+            (
+                lambda: Report.from_p("t", 0.0, 0.5, 0.05, bears_on="plausible"),
+                TypeError,
+                "bears_on must be a knowledge tag, got 'plausible'",
+            ),
+            (
+                lambda: Report.from_mapping(
+                    {**Report.from_p("t", 0.0, 0.5, 0.05).to_mapping(), "bears_on": 3}
+                ),
+                ValueError,
+                "unknown knowledge level 3",
+            ),
+            (
+                lambda: ks_test([[0.1, 0.2]], gaussian_cdf()),
+                ValueError,
+                "values must be a one-dimensional sequence",
+            ),
+            (
+                lambda: recursive_residuals(np.arange(5.0), np.arange(6.0)),
+                ValueError,
+                "x and y must have equal length",
+            ),
+            (
+                lambda: anm_direction(np.arange(60.0), np.arange(61.0)),
+                ValueError,
+                "x and y must have equal length",
+            ),
+            (
+                lambda: residual_independence_test(
+                    np.arange(25.0), np.arange(25.0), n_permutations=0
+                ),
+                ValueError,
+                "n_permutations must be positive, got 0",
+            ),
+            (
+                lambda: partial_correlation({"x": [0.0, 1.0], "y": [1.0, 0.0]}, "x", "z"),
+                ValueError,
+                "unknown variable 'z'",
+            ),
+            (
+                lambda: partial_correlation({"x": [0.0, 1.0], "y": [1.0]}, "x", "y"),
+                ValueError,
+                "variables have unequal lengths",
+            ),
+        ],
+        ids=[
+            "empty-test-name",
+            "bears-on-label",
+            "bears-on-number",
+            "not-one-dimensional",
+            "recursive-residual-lengths",
+            "anm-lengths",
+            "no-permutations",
+            "unknown-variable",
+            "unequal-lengths",
+        ],
+    )
+    def test_malformed_inputs_are_named(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
 
     def test_bears_on_bad_label(self):
         with pytest.raises(ValueError, match="unknown knowledge level"):
@@ -543,6 +614,23 @@ class TestAnmDirection:
     def test_minimum_size(self):
         with pytest.raises(ValueError, match="at least 50"):
             anm_direction(np.arange(30.0), np.arange(30.0))
+
+    @pytest.mark.parametrize("toward", [math.inf, -math.inf])
+    def test_rounding_in_the_smoother_changes_no_report(self, monkeypatch, toward):
+        # With x rounded to integers, smoothing x against y leaves runs of
+        # residuals that differ only by rounding in the fit.
+        rng = np.random.default_rng(1)
+        x = np.rint(rng.normal(0.0, 1.5, 300))
+        y = x + 0.3 * rng.normal(0.0, 1.0, 300)
+        before = anm_direction(x, y, seed=1)
+        smooth = stats.savitzky_golay_smooth
+        monkeypatch.setattr(
+            stats, "savitzky_golay_smooth", lambda *args: np.nextafter(smooth(*args), toward)
+        )
+        after = anm_direction(x, y, seed=1)
+        assert after.direction is before.direction
+        assert after.forward.to_mapping() == before.forward.to_mapping()
+        assert after.backward.to_mapping() == before.backward.to_mapping()
 
 
 # ---------------------------------------------------------------------------

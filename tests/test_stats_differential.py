@@ -80,13 +80,16 @@ def test_block_boundaries_match_loop(n):
 
 
 def test_block_rows_follow_successive_permutations():
-    n, rows = 30, 11
-    rng = np.random.default_rng(3)
-    block = np.tile(np.arange(n), (rows, 1))
-    for row in block:
-        rng.shuffle(row)
-    successive = np.random.default_rng(3)
-    assert all(np.array_equal(row, successive.permutation(n)) for row in block)
+    # Each block is drawn in one call, as _permutation_hits draws it; its rows
+    # and the generator's state after it are those of one draw per row.
+    for n in (30, 300, 1000, 5000):
+        rows = stats._PERMUTATION_BLOCK // n
+        rng, successive = np.random.default_rng(3), np.random.default_rng(3)
+        for count in (rows, 2, rows):
+            block = np.tile(np.arange(n), (count, 1))
+            rng.permuted(block, axis=1, out=block)
+            assert all(np.array_equal(row, successive.permutation(n)) for row in block)
+            assert rng.bit_generator.state == successive.bit_generator.state
 
 
 @st.composite

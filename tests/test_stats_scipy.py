@@ -40,6 +40,19 @@ def test_average_ranks_match_rankdata(values):
 
 
 @settings(deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=60), st.integers(0, 2**32 - 1))
+def test_near_ties_rank_as_exact_ties(levels, seed):
+    # Values a few ulps off their integer level rank as the levels do.
+    from scipy.stats import rankdata
+
+    arr = np.asarray(levels, dtype=float)
+    eps = np.finfo(float).eps
+    jittered = arr + np.random.default_rng(seed).integers(-4, 5, arr.shape[0]) * eps
+    gap = 64.0 * eps * float(np.abs(jittered).max())
+    assert np.array_equal(stats._average_ranks(jittered, gap), rankdata(arr))
+
+
+@settings(deadline=None)
 @given(st.floats(0.0, 1500.0))
 def test_chi2_two_df_survival(x):
     from scipy.stats import chi2
@@ -131,7 +144,8 @@ def _scipy_route(monkeypatch):
     from scipy.signal import savgol_filter
     from scipy.stats import rankdata
 
-    monkeypatch.setattr(stats, "_average_ranks", rankdata)
+    # scipy ranks exact ties only; these inputs hold no near ties.
+    monkeypatch.setattr(stats, "_average_ranks", lambda values, gap: rankdata(values))
     monkeypatch.setattr(
         stats,
         "savitzky_golay_smooth",

@@ -7,7 +7,8 @@ a result that no operator or function has checked, a bare identifier's
 binding, once.  Where a graph holds several faults, or a query several
 unknown names, the one named first does not depend on string hashing; no
 module reads the environment, so output depends only on argv and the input
-files; and the variable-name pattern is written once, in ``graphs``.
+files; the variable-name pattern is written once, in ``graphs``; and the
+knowledge scales are ordered in one place, ``lattice._OrderedTag.__lt__``.
 """
 
 import ast
@@ -304,3 +305,30 @@ def test_name_pattern_is_written_once():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 copies += [f"{path.name}:{node.lineno}"] * node.value.count(pattern)
     assert len(copies) == 1 and copies[0].startswith("graphs.py:"), copies
+
+
+def _value_comparisons(node: ast.AST, scope: tuple[str, ...] = ()):
+    """The class and function scope of each comparison of two ``.value``s."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*scope, child.name)
+        if isinstance(child, ast.Compare):
+            values = [
+                isinstance(o, ast.Attribute) and o.attr == "value"
+                for o in (child.left, *child.comparators)
+            ]
+            if any(a and b for a, b in zip(values, values[1:])):
+                yield ".".join(scope)
+        yield from _value_comparisons(child, inner)
+
+
+def test_scale_order_is_compared_once():
+    # leq, sorting and every rich comparison order tags through __lt__; a
+    # second comparison of member values could order a scale otherwise.
+    package = Path(cdl_compass.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [f"{path.name}:{scope}" for scope in _value_comparisons(tree)]
+    assert sites == ["lattice.py:_OrderedTag.__lt__"]
