@@ -62,6 +62,7 @@ class _Labelled(enum.Enum):
         """``value`` itself if it is a member, else the member its label names."""
         return value if isinstance(value, cls) else cls.from_label(value)
 
+
 @functools.total_ordering
 class _OrderedTag(_Labelled):
     """Enum base whose members order within their own class only.

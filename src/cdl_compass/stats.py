@@ -52,6 +52,12 @@ class Decision(_Labelled):
 _DETAIL_TYPES = (float, int, str, bool)
 
 
+def _tag_from_label(label: str) -> StructuralTag | ParametricTag:
+    if isinstance(label, str) and label in _ORDERED_TAGS:
+        return _ORDERED_TAGS[label]
+    raise ValueError(f"unknown knowledge level {label!r}")
+
+
 @dataclass(frozen=True)
 class TestReport:
     """Outcome of one hypothesis test.
@@ -139,15 +145,13 @@ class TestReport:
     @classmethod
     def from_mapping(cls, data: Mapping) -> "TestReport":
         raw_tag = data.get("bears_on")
-        if raw_tag is not None and not (isinstance(raw_tag, str) and raw_tag in _ORDERED_TAGS):
-            raise ValueError(f"unknown knowledge level {raw_tag!r}")
         return cls(
             test=data["test"],
             statistic=float(data["statistic"]),
             p_value=float(data["p_value"]),
             alpha=float(data["alpha"]),
             decision=Decision.from_label(data["decision"]),
-            bears_on=_ORDERED_TAGS.get(raw_tag),
+            bears_on=None if raw_tag is None else _tag_from_label(raw_tag),
             details=dict(data.get("details", {})),
             sub_reports=tuple(
                 cls.from_mapping(sub) for sub in data.get("sub_reports", ())
