@@ -4,7 +4,8 @@ Each case is an argv run in process through ``cli.main``; ``golden/front_end.jso
 holds its exit code (argparse's own exit code for a usage error it finds) and
 the SHA-256 of its stdout and of its stderr.  The cases run the bench
 fixtures through every subcommand in both formats, ``anm`` in both formats
-on a tie-heavy CSV the harness writes, ``sample``'s columns at
+on a tie-heavy CSV the harness writes, ``test`` on small CSVs holding a
+non-finite value or too few rows, ``sample``'s columns at
 n = 2000 for three models and two seeds, the usage errors that exit 2, every
 format error of the graph, constraint, model, expression and pipeline readers
 that the CLI and model tests raise, and the ways names, labels and catalog
@@ -161,6 +162,7 @@ INPUTS = {
     "poisson.scm": LINEAR_MODEL.replace("U_Y ~ Normal(0.0, 1.0)", "U_Y ~ Poisson(3)"),
     "bad_sigma.scm": LINEAR_MODEL.replace("U_Y ~ Normal(0.0, 1.0)", "U_Y ~ Normal(0.0, -1.0)"),
     "duplicate_noise.scm": LINEAR_MODEL + "U_Y ~ Normal(0.0, 2.0)\n",
+    "duplicate_equation.scm": _model_with_equation("Y = 2 * X + U\nY := X"),
     "not_a_node.scm": _model_with_equation("Z = 2 * X + U"),
     "undirected.scm": "graph:\nA -- B\nequations:\nnoise:\n",
     "graph_line.scm": LINEAR_MODEL.replace("graph:\n", "graph:\n\n# edges\nX\nY => Z\n"),
@@ -200,6 +202,9 @@ INPUTS = {
     "number_name.catalog": CATALOG.replace('"Only card"', "7"),
     # data
     "ties.csv": _tie_heavy_csv(),
+    "inf.csv": "X,Y,Z\n1,2,3\n2,inf,4\n3,5,1\n4,1,2\n5,3,3\n",
+    "three_rows.csv": "X,Y,Z\n1,2,3\n2,1,4\n3,5,1\n",
+    "four_rows.csv": "X,Y\n1,2\n2,1\n3,5\n4,4\n",
 }
 
 START = ("--start", "unknown:noise_model:static")
@@ -261,6 +266,11 @@ CASES = [
     ("dsep", "fixtures/dag.graph", "--x", "A", "--y", "F", "--given", "B", "B", "--format", "json"),
     ("test", DATA, "--test", "pcorr", "--x", "X", "--y", "Z", "--given", "Y Y"),
     ("test", DATA, "--test", "pcorr", "--x", "X", "--y", "Z", "--given", "X"),
+    # non-finite values and samples below a test's floor
+    ("test", "@inf.csv", "--test", "pcorr", "--x", "X", "--y", "Y", "--given", "Z"),
+    ("test", "@three_rows.csv", "--test", "pcorr", "--x", "X", "--y", "Y"),
+    ("test", "@four_rows.csv", "--test", "cusum", "--x", "X", "--y", "Y"),
+    ("test", "@four_rows.csv", "--test", "ks", "--column", "X", "--mu", "nan"),
     # the enumeration cap, with a file that expands and with one that is missing
     ("mec", "@star_cap.constraints", "--vars", ",".join(f"V{i}" for i in range(8))),
     ("mec", "missing.constraints", "--vars", ",".join(f"V{i}" for i in range(7))),
