@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .lattice import KnowledgeState
-    from .stats import TestReport
 
 
 class _UsageError(Exception):
@@ -66,23 +65,17 @@ def _name_list(raw: list[str] | None) -> tuple[str, ...]:
     return tuple(dict.fromkeys(" ".join(raw or ()).replace(",", " ").split()))
 
 
-def _render_report_text(report: TestReport, indent: int = 0) -> list[str]:
+def _render_report_text(report: dict, indent: int = 0) -> list[str]:
+    """A report's ``to_mapping()``: strings as written, ``None`` as ``-``, the rest
+    by ``repr``, details in key order, each sub-report under ``advisory:``."""
     pad = "  " * indent
+    fields = [(k, v) for k, v in report.items() if k not in ("details", "sub_reports")]
     lines = [
-        f"{pad}test: {report.test}",
-        f"{pad}statistic: {report.statistic!r}",
-        f"{pad}p_value: {report.p_value!r}",
-        f"{pad}alpha: {report.alpha!r}",
-        f"{pad}decision: {report.decision.label}",
-        f"{pad}bears_on: {report.bears_on.label if report.bears_on else '-'}",
+        f"{pad}{key}: {value if isinstance(value, str) else '-' if value is None else repr(value)}"
+        for key, value in fields + sorted(report.get("details", {}).items())
     ]
-    for key in sorted(report.details):
-        value = report.details[key]
-        shown = value if isinstance(value, str) else repr(value)
-        lines.append(f"{pad}{key}: {shown}")
-    for sub in report.sub_reports:
-        lines.append(f"{pad}advisory:")
-        lines.extend(_render_report_text(sub, indent + 1))
+    for sub in report.get("sub_reports", ()):
+        lines += [f"{pad}advisory:", *_render_report_text(sub, indent + 1)]
     return lines
 
 
@@ -206,7 +199,7 @@ def _cmd_test(args) -> int:
         report = partial_correlation_ci_test(
             data, args.x, args.y, given, alpha=args.alpha
         )
-    _show(args, report.to_mapping, lambda: "\n".join(_render_report_text(report)))
+    _show(args, report.to_mapping, lambda: "\n".join(_render_report_text(report.to_mapping())))
     return 0
 
 
@@ -232,9 +225,9 @@ def _cmd_anm(args) -> int:
             [
                 f"direction: {result.direction.label}",
                 "forward:",
-                *_render_report_text(result.forward, 1),
+                *_render_report_text(result.forward.to_mapping(), 1),
                 "backward:",
-                *_render_report_text(result.backward, 1),
+                *_render_report_text(result.backward.to_mapping(), 1),
             ]
         ),
     )

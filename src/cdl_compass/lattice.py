@@ -326,9 +326,7 @@ def classify_transition(before: KnowledgeState, after: KnowledgeState) -> Transi
         kind = TransitionKind.PARAMETRIC
     else:
         kind = TransitionKind.NONE
-    relaxing = (after.structural.tag < before.structural.tag) or (
-        after.parametric.tag < before.parametric.tag
-    )
+    relaxing = _shortfall(after, before) in ("structural", "parametric")
     return Transition(before, after, kind, relaxing)
 
 

@@ -364,13 +364,12 @@ class Scm:
         self.noise: dict[str, NoiseSpec] = dict(sorted((noise or {}).items()))
         for key in self.noise:
             _check_name(key)
-
-        symbols = {noise_symbol(k) for k in self.noise}
-        shadowed = sorted(graph.nodes & symbols)
+        self._key_by_symbol: dict[str, str] = {noise_symbol(k): k for k in self.noise}
+        shadowed = sorted(graph.nodes & self._key_by_symbol.keys())
         if shadowed:
             raise ValueError(
                 f"graph node {shadowed[0]!r} has the name of the noise symbol "
-                f"of noise key {shadowed[0][2:]!r}"
+                f"of noise key {self._key_by_symbol[shadowed[0]]!r}"
             )
         self._parents: dict[str, frozenset[str]] = {}
         for target, eq in self.equations.items():
@@ -385,10 +384,10 @@ class Scm:
                 if target not in self.noise:
                     raise ValueError(
                         f"noise-model equation for {target!r} needs a noise spec "
-                        f"for U_{target}"
+                        f"for {noise_symbol(target)}"
                     )
             else:
-                allowed = parents | symbols
+                allowed = parents | self._key_by_symbol.keys()
             unknown = refs - allowed
             if unknown:
                 raise ValueError(
@@ -475,13 +474,12 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
     # a noise-model node then adds g(parents); only the symbols a fully-known
     # equation names are held apart.  Each key has its own substream, so a
     # key that nothing reads is not drawn and no column changes.
-    keys = {noise_symbol(k): k for k in m.noise}
     named = {
-        target: keys.keys() & free_variables(eq.expr)
+        target: m._key_by_symbol.keys() & free_variables(eq.expr)
         for target, eq in m.equations.items()
         if eq.level is ParametricTag.FULLY_KNOWN
     }
-    shared = {s: draw(keys[s]) for s in set().union(*named.values())}
+    shared = {s: draw(m._key_by_symbol[s]) for s in set().union(*named.values())}
     order = m.graph.topological_order()
     values: dict[str, np.ndarray] = {}
     for row, node in zip(np.empty((len(order), n)), order):
@@ -548,23 +546,22 @@ def oracle_cate(
             )
         outcome[name] = eq
 
-    symbols = {noise_symbol(k): k for k in m.noise}
     needed: set[str] = set()
     for name, eq in outcome.items():
         refs = free_variables(eq.expr)
-        missing = refs - symbols.keys() - x.keys()
+        missing = refs - m._key_by_symbol.keys() - x.keys()
         if missing:
             raise ValueError(f"covariate assignment missing {sorted(missing)}")
-        needed |= refs & symbols.keys()
+        needed |= {m._key_by_symbol[s] for s in refs if s in m._key_by_symbol}
         if eq.level is ParametricTag.NOISE_MODEL:
-            needed.add(noise_symbol(name))
+            needed.add(name)
 
     # Without noise the draws are empty and each equation gives one float.
     if needed and n_mc < 1:
         raise ValueError(f"n_mc must be positive, got {n_mc}")
     draws = {
-        s: m.noise[symbols[s]].draw(_substream(seed, f"noise:{symbols[s]}"), n_mc)
-        for s in sorted(needed)
+        noise_symbol(key): m.noise[key].draw(_substream(seed, f"noise:{key}"), n_mc)
+        for key in sorted(needed)
     }
     y0, y1 = (_equation_value(name, eq, x, draws) for name, eq in outcome.items())
     return float(np.mean(y1 - y0))
@@ -623,14 +620,14 @@ def parse_scm(text: str) -> Scm:
             )
         key, family, first, second = match.groups()
         if key in noise:
-            raise ScmFormatError(lineno, f"duplicate noise spec for U_{key}")
+            raise ScmFormatError(lineno, f"duplicate noise spec for {noise_symbol(key)}")
         try:
             a, b = float(first), float(second)
             noise[key] = NormalNoise(a, b) if family == "Normal" else UniformNoise(a, b)
         except ValueError as exc:
             raise ScmFormatError(lineno, str(exc)) from None
 
-    equations: list[StructuralEquation] = []
+    equations: dict[str, StructuralEquation] = {}
     for lineno, line in sections["equations"]:
         if ":=" in line:
             target, _, rhs = line.partition(":=")
@@ -652,14 +649,16 @@ def parse_scm(text: str) -> Scm:
         target = target.strip()
         if target not in graph.nodes:
             raise ScmFormatError(lineno, f"equation target {target!r} is not a graph node")
+        if target in equations:
+            raise ScmFormatError(lineno, f"duplicate equation for {target!r}")
         try:
             expr = parse_expression(body)
         except ValueError as exc:
             raise ScmFormatError(lineno, f"bad expression: {exc}") from None
-        equations.append(StructuralEquation(target, level, expr))
+        equations[target] = StructuralEquation(target, level, expr)
 
     try:
-        return Scm(graph, equations, noise)
+        return Scm(graph, equations.values(), noise)
     except ValueError as exc:
         raise ScmFormatError(None, str(exc)) from None
 
@@ -682,5 +681,5 @@ def format_scm(m: Scm) -> str:
             )
     lines.append("noise:")
     for key, spec in m.noise.items():
-        lines.append(f"U_{key} ~ {spec.format()}")
+        lines.append(f"{noise_symbol(key)} ~ {spec.format()}")
     return "\n".join(lines) + "\n"

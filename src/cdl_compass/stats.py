@@ -20,6 +20,10 @@ Tests provided:
 * Gaussian conditional-independence testing via partial correlation and
   the Fisher z transform.
 
+Every input is read by ``_as_vector`` (one-dimensional, finite, as long as
+the test needs), and two paired inputs by ``_as_pair``, which also matches
+their lengths; a fault raises ``ValueError`` naming the input.
+
 The distribution functions are closed forms on top of numpy and ``math``;
 only the exact small-sample Kolmogorov–Smirnov p-value needs scipy, which
 is imported on that path alone.  ``TestabilityTier`` and
@@ -170,6 +174,13 @@ def _as_vector(values: Sequence[float], name: str, minimum: int = 1) -> np.ndarr
     return arr
 
 
+def _as_pair(a, b, minimum: int, names=("x", "y")) -> tuple[np.ndarray, np.ndarray]:
+    av, bv = _as_vector(a, names[0], minimum), _as_vector(b, names[1], minimum)
+    if av.shape != bv.shape:
+        raise ValueError(f"{names[0]} and {names[1]} must have equal length")
+    return av, bv
+
+
 # ---------------------------------------------------------------------------
 # Distribution functions
 
@@ -216,6 +227,8 @@ _KS_EXACT_LIMIT = 35
 
 
 def gaussian_cdf(mu: float = 0.0, sigma: float = 1.0) -> Callable[[float], float]:
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     return lambda v: _normal_sf(-(v - mu) / sigma)
@@ -242,7 +255,7 @@ def ks_test(
     xs = np.sort(_as_vector(values, "values"))
     n = xs.shape[0]
     f = np.asarray([float(cdf(v)) for v in xs])
-    if ((f < 0.0) | (f > 1.0)).any():
+    if not ((f >= 0.0) & (f <= 1.0)).all():
         raise ValueError("cdf returned a value outside [0, 1]")
     upper = np.arange(1, n + 1) / n - f
     lower = f - np.arange(0, n) / n
@@ -340,10 +353,7 @@ def recursive_residuals(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
     contributes ``(y - prediction) / sqrt(1 + leverage)``.  Under a true
     linear model with iid Gaussian noise the outputs are iid normal.
     """
-    xv = _as_vector(x, "x", minimum=3)
-    yv = _as_vector(y, "y", minimum=3)
-    if xv.shape != yv.shape:
-        raise ValueError("x and y must have equal length")
+    xv, yv = _as_pair(x, y, 3)
     order = np.argsort(xv, kind="stable")
     # Centred, so that the running sums below stay at the scale of the spread.
     xs = xv[order] - xv.mean()
@@ -400,14 +410,13 @@ def cusum_linearity_test(
     surprises but does not enter the decision.  Needs at least five
     points with at least two distinct x values.
     """
-    if len(x) < 5:
-        raise ValueError(f"need at least 5 points for a stability check, got {len(x)}")
-    w = recursive_residuals(x, y)
+    xv, yv = _as_pair(x, y, 5)
+    w = recursive_residuals(xv, yv)
     big_r = w.shape[0]
     if big_r < 2:
         raise ValueError("too few recursive residuals to form a path")
     sigma = math.sqrt(float(np.sum(w**2)) / big_r)
-    if _exactly_linear(np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
+    if _exactly_linear(xv, yv):
         sigma = 0.0
     details: dict[str, float | int | str | bool] = {
         "n_residuals": int(big_r),
@@ -584,10 +593,7 @@ def residual_independence_test(
     smaller one rank as ties.  Needs at least 20 points for the permutation
     null to carry any resolution.
     """
-    xv = _as_vector(x, "x", minimum=20)
-    rv = _as_vector(residuals, "residuals", minimum=20)
-    if xv.shape != rv.shape:
-        raise ValueError("x and residuals must have equal length")
+    xv, rv = _as_pair(x, residuals, 20, ("x", "residuals"))
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be positive, got {n_permutations}")
     problem = _IndependenceProblem.of(xv, rv)
@@ -643,10 +649,7 @@ def anm_direction(
     Needs at least 50 points for the smoother to have anything to work
     with.
     """
-    xv = _as_vector(x, "x", minimum=50)
-    yv = _as_vector(y, "y", minimum=50)
-    if xv.shape != yv.shape:
-        raise ValueError("x and y must have equal length")
+    xv, yv = _as_pair(x, y, 50)
     # Both directions have the same length and seed, so they share one
     # permutation stream: the one residual_independence_test would draw.
     problems = (_anm_problem(xv, yv), _anm_problem(yv, xv))
@@ -678,9 +681,15 @@ def partial_correlation(
     """Partial correlation of x and y given a conditioning set.
 
     Computed from the inverse of the correlation matrix over the involved
-    variables; collinear or constant inputs are rejected.
+    variables; too few samples and collinear or constant inputs are rejected.
     """
     columns = _columns(data, (x, y, *given))
+    if columns[0].shape[0] < 2:
+        raise ValueError(f"need at least 2 samples for a correlation, got {columns[0].shape[0]}")
+    return _partial_correlation(columns)
+
+
+def _partial_correlation(columns: list[np.ndarray]) -> float:
     with np.errstate(invalid="ignore", divide="ignore"):
         matrix = np.corrcoef(np.vstack(columns))
     if not np.isfinite(matrix).all():
@@ -700,16 +709,13 @@ def partial_correlation(
 def _columns(data, names: Sequence[str]) -> list[np.ndarray]:
     if len(set(names)) != len(names):
         raise ValueError(f"variables must be distinct, got {list(names)}")
-    if hasattr(data, "column"):
-        vecs = [np.asarray(data.column(name), dtype=float) for name in names]
-    else:
-        vecs = []
-        for name in names:
-            if name not in data:
-                raise ValueError(f"unknown variable {name!r}")
-            vecs.append(np.asarray(data[name], dtype=float))
-    length = {v.shape[0] for v in vecs}
-    if len(length) != 1:
+    vecs = []
+    for name in names:
+        if not hasattr(data, "column") and name not in data:
+            raise ValueError(f"unknown variable {name!r}")
+        values = data.column(name) if hasattr(data, "column") else data[name]
+        vecs.append(_as_vector(values, name, minimum=0))
+    if len({v.shape[0] for v in vecs}) != 1:
         raise ValueError("variables have unequal lengths")
     return vecs
 
@@ -727,13 +733,14 @@ def partial_correlation_ci_test(
     given the conditioning set.  Needs ``n > |given| + 3`` samples.
     """
     given = tuple(given)
-    rho = partial_correlation(data, x, y, given)
-    n = _columns(data, (x,))[0].shape[0]
+    columns = _columns(data, (x, y, *given))
+    n = columns[0].shape[0]
     dof = n - len(given) - 3
     if dof <= 0:
         raise ValueError(
             f"need more than {len(given) + 3} samples for {len(given)} conditioners, got {n}"
         )
+    rho = _partial_correlation(columns)
     if abs(rho) >= 1.0:
         p = 0.0
         z = math.inf

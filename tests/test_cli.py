@@ -467,6 +467,45 @@ class TestAssumptionTests:
         assert "decision: reject_null" in out
         assert "bears_on: plausible" in out
 
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3])
+    def test_pcorr_on_too_few_rows_prints_one_error(self, tmp_path, rows):
+        # A child process, so that a numpy warning would reach stderr.
+        path = tmp_path / "few.csv"
+        path.write_text("X,Y\n" + "".join(f"{i},{i * i % 5}\n" for i in range(rows)))
+        proc = subprocess.run(
+            [*declared_entry_point("cdl-compass"), "test", str(path), "--test", "pcorr",
+             "--x", "X", "--y", "Y"],
+            capture_output=True,
+            text=True,
+            env=env_importing_this_package(),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: need more than 3 samples for 0 conditioners, got {rows}\n"
+
+    def test_pcorr_names_a_non_finite_column(self, capsys, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("X,Y\n" + "".join(f"{i},{i % 3}\n" for i in range(9)) + "9,-inf\n")
+        code, out, err = run_cli(
+            capsys, "test", str(path), "--test", "pcorr", "--x", "X", "--y", "Y"
+        )
+        assert (code, out, err) == (1, "", "error: Y contains non-finite values\n")
+
+    def test_ks_against_a_nan_mean_exits_1(self):
+        # 400 rows take the asymptotic p-value, whose series never ended on
+        # the NaN statistic; a child process, so that a hang fails the test.
+        data = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "data.csv"
+        proc = subprocess.run(
+            [*declared_entry_point("cdl-compass"), "test", str(data), "--test", "ks",
+             "--column", "X", "--mu", "nan"],
+            capture_output=True,
+            text=True,
+            env=env_importing_this_package(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: mu must be finite, got nan\n"
+
     def test_resid_deterministic(self, capsys, linear_csv):
         argv = (
             "test", linear_csv, "--test", "resid",

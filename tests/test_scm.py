@@ -702,6 +702,12 @@ class TestScmText:
         with pytest.raises(ScmFormatError, match="duplicate noise"):
             parse_scm(bad)
 
+    def test_duplicate_equation_names_its_line(self):
+        bad = LINEAR_MODEL.replace("Y = 2 * X + U", "Y = 2 * X + U\nY := X")
+        with pytest.raises(ScmFormatError) as exc:
+            parse_scm(bad)
+        assert str(exc.value) == "line 5: duplicate equation for 'Y'"
+
     def test_target_must_be_graph_node(self):
         bad = LINEAR_MODEL.replace("Y = 2 * X + U", "Z = 2 * X + U")
         with pytest.raises(ScmFormatError, match="not a graph node"):

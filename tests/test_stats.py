@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,18 @@ class TestKs:
             gaussian_cdf(0.0, 0.0)
         with pytest.raises(ValueError, match="low < high"):
             uniform_cdf(1.0, 1.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_gaussian_mean_must_be_finite(self, mu):
+        with pytest.raises(ValueError, match=f"^mu must be finite, got {mu!r}$"):
+            gaussian_cdf(mu)
+
+    @pytest.mark.parametrize("n", [4, 40], ids=["exact", "asymptotic"])
+    def test_nan_from_the_cdf_rejected(self, n):
+        # A NaN passes both range comparisons; below 35 points it gave a
+        # statistic of nan, and from 35 up the asymptotic series never ended.
+        with pytest.raises(ValueError, match=r"^cdf returned a value outside \[0, 1\]$"):
+            ks_test(np.arange(float(n)), lambda v: math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +727,69 @@ class TestPartialCorrelation:
         with pytest.raises(ValueError, match="need more than"):
             partial_correlation_ci_test(data, "x", "y", ["z"])
 
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3])
+    def test_sample_size_floor_comes_before_the_correlation(self, rows):
+        # constant columns: the correlation is undefined on any number of rows
+        data = {"x": np.zeros(rows), "y": np.ones(rows)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                partial_correlation_ci_test(data, "x", "y")
+        assert str(exc.value) == f"need more than 3 samples for 0 conditioners, got {rows}"
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_correlation_needs_two_samples(self, rows):
+        data = {"x": np.arange(float(rows)), "y": np.arange(float(rows))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                partial_correlation(data, "x", "y")
+        assert str(exc.value) == f"need at least 2 samples for a correlation, got {rows}"
+
     def test_details_record_conditioning(self):
         rng = np.random.default_rng(24)
         data = {n: rng.normal(size=40) for n in ("x", "y", "a", "b")}
         r = partial_correlation_ci_test(data, "x", "y", ["a", "b"])
         assert r.details["given"] == "a,b"
         assert r.details["n"] == 40
+
+
+# ---------------------------------------------------------------------------
+# The input rule
+
+
+# Each public test, the names of its inputs, and a call on a mapping of them.
+INPUT_RULE_CALLS = {
+    "ks": (("values",), lambda v: ks_test(v["values"], gaussian_cdf())),
+    "jb": (("values",), lambda v: jarque_bera_test(v["values"])),
+    "cusum": (("x", "y"), lambda v: cusum_linearity_test(v["x"], v["y"])),
+    "recursive_residuals": (("x", "y"), lambda v: recursive_residuals(v["x"], v["y"])),
+    "resid": (("x", "residuals"), lambda v: residual_independence_test(v["x"], v["residuals"])),
+    "anm": (("x", "y"), lambda v: anm_direction(v["x"], v["y"])),
+    "partial_correlation": (("x", "y", "z"), lambda v: partial_correlation(v, "x", "y", ["z"])),
+    "pcorr": (("x", "y", "z"), lambda v: partial_correlation_ci_test(v, "x", "y", ["z"])),
+}
+
+
+@pytest.mark.parametrize(
+    "test,name,bad",
+    [
+        (test, name, bad)
+        for test, (names, _) in INPUT_RULE_CALLS.items()
+        for name in names
+        for bad in (math.nan, math.inf)
+    ],
+)
+def test_non_finite_input_is_named(test, name, bad):
+    names, call = INPUT_RULE_CALLS[test]
+    rng = np.random.default_rng(31)
+    inputs = {n: rng.normal(size=60) for n in names}
+    inputs[name][7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call(inputs)
+    assert str(exc.value) == f"{name} contains non-finite values"
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ a result that no operator or function has checked, a bare identifier's
 binding, once.  Where a graph holds several faults, or a query several
 unknown names, the one named first does not depend on string hashing; no
 module reads the environment, so output depends only on argv and the input
-files; the variable-name pattern is written once, in ``graphs``; and the
-knowledge scales are ordered in one place, ``lattice._OrderedTag.__lt__``.
+files; the variable-name pattern is written once, in ``graphs``; the
+knowledge scales are ordered in one place, ``lattice._OrderedTag.__lt__``;
+and every assumption test reads its inputs through ``stats._as_vector``, and
+two inputs of one length through ``stats._as_pair``.
 """
 
 import ast
@@ -332,3 +334,45 @@ def test_scale_order_is_compared_once():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sites += [f"{path.name}:{scope}" for scope in _value_comparisons(tree)]
     assert sites == ["lattice.py:_OrderedTag.__lt__"]
+
+
+def _stats_functions():
+    path = Path(cdl_compass.__file__).resolve().parent / "stats.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_stats_inputs_are_read_by_one_rule():
+    # A function that converts its own argument with np.asarray or np.array
+    # restates _as_vector's checks, or skips them; a called argument, such as
+    # ks_test's cdf, is not converted.
+    converters = []
+    for fn in _stats_functions():
+        params = {a.arg for a in (*fn.args.args, *fn.args.kwonlyargs)}
+        for call in ast.walk(fn):
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("asarray", "array")
+                and call.args
+            ):
+                continue
+            called = {id(c.func) for c in ast.walk(call.args[0]) if isinstance(c, ast.Call)}
+            if any(
+                isinstance(n, ast.Name) and n.id in params and id(n) not in called
+                for n in ast.walk(call.args[0])
+            ):
+                converters.append(fn.name)
+    assert converters == ["_as_vector"]
+
+
+def test_stats_lengths_are_matched_once():
+    checks = [
+        fn.name
+        for fn in _stats_functions()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "must have equal length" in node.value
+    ]
+    assert checks == ["_as_pair"]
