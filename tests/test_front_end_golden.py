@@ -5,7 +5,8 @@ holds its exit code (argparse's own exit code for a usage error it finds) and
 the SHA-256 of its stdout and of its stderr.  The cases run the bench
 fixtures through every subcommand in both formats, ``anm`` in both formats
 on a tie-heavy CSV the harness writes, ``test`` on small CSVs holding a
-non-finite value or too few rows, ``sample``'s columns at
+non-finite value or too few rows, Normal and Uniform parameters out of
+range for the ``ks`` reference and for a model's noise, ``sample``'s columns at
 n = 2000 for three models and two seeds, the usage errors that exit 2, every
 format error of the graph, constraint, model, expression and pipeline readers
 that the CLI and model tests raise, and the ways names, labels and catalog
@@ -179,6 +180,10 @@ INPUTS = {
     "overflow.scm": _model_with_equation("Y = X * 1e300 * 1e300 + U"),
     "chain.scm": CHAIN_MODEL,
     "cubic.scm": CUBIC_MODEL,
+    # noise parameters out of range, on a node with no children
+    "normal_inf.scm": "graph:\nX\nequations:\nnoise:\nU_X ~ Normal(0.0, inf)\n",
+    "normal_nan.scm": "graph:\nX\nequations:\nnoise:\nU_X ~ Normal(nan, 1.0)\n",
+    "normal_huge.scm": "graph:\nX\nequations:\nnoise:\nU_X ~ Normal(0.0, 1e308)\n",
     # expressions, inside model equations
     "expr_char.scm": _model_with_equation("Y = 2 * @X + U"),
     "expr_function.scm": _model_with_equation("Y := foo(X) + U_Y"),
@@ -271,6 +276,10 @@ CASES = [
     ("test", "@three_rows.csv", "--test", "pcorr", "--x", "X", "--y", "Y"),
     ("test", "@four_rows.csv", "--test", "cusum", "--x", "X", "--y", "Y"),
     ("test", "@four_rows.csv", "--test", "ks", "--column", "X", "--mu", "nan"),
+    # noise parameters out of range, for the ks reference and a model
+    ("test", DATA, "--test", "ks", "--column", "X", "--sigma", "inf"),
+    ("test", DATA, "--test", "ks", "--column", "X", "--uniform", "0", "inf"),
+    ("simulate", "@normal_huge.scm", "--n", "200", "--seed", "1"),
     # the enumeration cap, with a file that expands and with one that is missing
     ("mec", "@star_cap.constraints", "--vars", ",".join(f"V{i}" for i in range(8))),
     ("mec", "missing.constraints", "--vars", ",".join(f"V{i}" for i in range(7))),
@@ -316,7 +325,9 @@ CASES = [
         ("simulate", f"@{name}", "--n", "3", "--seed", "0")
         for name in sorted(INPUTS)
         if name.endswith(".scm")
-        and name not in ("linear.scm", "commented.scm", "chain.scm", "cubic.scm")
+        and name not in (
+            "linear.scm", "commented.scm", "chain.scm", "cubic.scm", "normal_huge.scm",
+        )
     ],
     # pipeline files
     *[
