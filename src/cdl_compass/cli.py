@@ -7,17 +7,18 @@ ks / jb / cusum / resid / pcorr), ``anm``, ``catalog`` (list / show),
 the form asked for from the handler's JSON payload or text.
 
 Exit codes: 0 on success, 1 on a domain error (bad input file, unknown
-node or card, invalid pipeline, empty plan under ``--strict``), 2 on a
-usage error (unknown flags, missing or incompatible options).  Output
-is byte-identical for identical argv and input files; ``--seed``
-defaults to 0.
+node or card, invalid pipeline, empty plan under ``--strict``, memory
+refused), 2 on a usage error (unknown flags, missing or incompatible
+options).  Output is byte-identical for identical argv and input files;
+``--seed`` defaults to 0.
 
 Every handler imports the package modules it runs, and nothing else loads
 at start-up, so a cold process compiles and runs only those: ``dsep`` and
 ``mec`` load ``graphs`` alone; ``catalog`` loads ``lattice`` and
 ``registry``, and ``validate``, ``plan`` and ``audit`` add ``engine``, none
 of them numpy; ``test`` and ``anm`` read their CSV through ``datasets``
-without the model code in ``scm``.
+without the model code in ``scm``; ``simulate`` loads ``scm``, and with it
+``stats``, which holds the Normal and Uniform noise families.
 """
 
 from __future__ import annotations
@@ -175,10 +176,7 @@ def _cmd_test(args) -> int:
 
     data = Dataset.from_csv(args.data)
     if args.test == "ks":
-        if args.uniform is not None:
-            cdf = uniform_cdf(args.uniform[0], args.uniform[1])
-        else:
-            cdf = gaussian_cdf(args.mu, args.sigma)
+        cdf = uniform_cdf(*args.uniform) if args.uniform else gaussian_cdf(args.mu, args.sigma)
         report = ks_test(data.column(args.column), cdf, alpha=args.alpha)
     elif args.test == "jb":
         report = jarque_bera_test(data.column(args.column), alpha=args.alpha)
@@ -472,7 +470,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

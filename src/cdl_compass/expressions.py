@@ -198,7 +198,10 @@ def parse_expression(text: str) -> Expression:
     a literal zero.
     """
     parser = _Parser(text)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise parser.error(parser.tokens[parser.pos][2], "expression nests too deeply") from None
     _, tail, start = parser.take()
     if tail:
         raise parser.error(start, f"unexpected trailing {tail!r}")
@@ -228,47 +231,60 @@ def format_expression(e: Expression) -> str:
     except under ``**``, which is right-associative, so the printed form
     reparses to exactly the same tree.
     """
+    try:
+        return _format(e)
+    except RecursionError:
+        raise ValueError("expression nests too deeply") from None
+
+
+def _format(e: Expression) -> str:
+    # A left-deep chain, such as a sum of thousands of terms, is walked by a
+    # loop: the recursion goes only into right operands, negations and calls.
+    spine = []
+    while isinstance(e, BinOp):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        inner = format_expression(e.operand)
-        if _prec(e.operand) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Call):
-        return f"{e.func}({format_expression(e.arg)})"
-    if isinstance(e, BinOp):
-        p = _BINOP_PREC[e.op]
-        left = format_expression(e.left)
-        right = format_expression(e.right)
-        if e.op == "**":
-            if _prec(e.left) <= p:
+        text = repr(e.value)
+    elif isinstance(e, Var):
+        text = e.name
+    elif isinstance(e, Neg):
+        inner = _format(e.operand)
+        text = f"-({inner})" if _prec(e.operand) < _PREC_NEG else f"-{inner}"
+    elif isinstance(e, Call):
+        text = f"{e.func}({_format(e.arg)})"
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    for node in reversed(spine):
+        p = _BINOP_PREC[node.op]
+        left, right = text, _format(node.right)
+        if node.op == "**":
+            if _prec(node.left) <= p:
                 left = f"({left})"
-            if _prec(e.right) < p:
+            if _prec(node.right) < p:
                 right = f"({right})"
         else:
-            if _prec(e.left) < p:
+            if _prec(node.left) < p:
                 left = f"({left})"
-            if _prec(e.right) <= p:
+            if _prec(node.right) <= p:
                 right = f"({right})"
-        return f"{left} {e.op} {right}"
-    raise TypeError(f"not an expression node: {e!r}")
+        text = f"{left} {node.op} {right}"
+    return text
 
 
 def free_variables(e: Expression) -> frozenset[str]:
-    if isinstance(e, Num):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_variables(e.operand)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    if isinstance(e, BinOp):
-        return free_variables(e.left) | free_variables(e.right)
-    raise TypeError(f"not an expression node: {e!r}")
+    names, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, BinOp):
+            stack += (node.right, node.left)
+        elif isinstance(node, (Neg, Call)):
+            stack.append(node.operand if isinstance(node, Neg) else node.arg)
+        elif not isinstance(node, Num):
+            raise TypeError(f"not an expression node: {node!r}")
+    return frozenset(names)
 
 
 # The numpy function behind each arithmetic operator but ``**``.
@@ -289,31 +305,39 @@ def evaluate_expression(e: Expression, env: Mapping[str, Any]) -> Any:
     """
     import numpy as np
 
-    with np.errstate(all="ignore"):
-        value = _evaluate(e, env, np)
+    try:
+        with np.errstate(all="ignore"):
+            value = _evaluate(e, env, np)
+    except RecursionError:
+        raise EvaluationError("expression nests too deeply") from None
     return float(value) if np.ndim(value) == 0 else value
 
 
 def _evaluate(e: Expression, env: Mapping[str, Any], np) -> Any:
-    """The recursion behind :func:`evaluate_expression`, given numpy as ``np``."""
+    """The recursion behind :func:`evaluate_expression`, given numpy as
+    ``np``, which loops over a left-deep chain as :func:`_format` does."""
+    spine = []
+    while isinstance(e, BinOp):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
+        value = e.value
+    elif isinstance(e, Var):
         try:
             value = np.asarray(env[e.name], dtype=float)
         except KeyError:
             raise EvaluationError(f"unbound identifier {e.name!r}") from None
         if not np.isfinite(value).all():
             raise EvaluationError(f"non-finite value bound to {e.name!r}")
-        return value
-    if isinstance(e, Neg):
-        return -_evaluate(e.operand, env, np)
-    if isinstance(e, Call):
-        value = getattr(np, e.func)(_evaluate(e.arg, env, np))
-        where = f"{e.func}()"
-    elif isinstance(e, BinOp):
-        left, right = _evaluate(e.left, env, np), _evaluate(e.right, env, np)
-        if e.op == "**":
+    elif isinstance(e, Neg):
+        value = -_evaluate(e.operand, env, np)
+    elif isinstance(e, Call):
+        value = _checked(getattr(np, e.func)(_evaluate(e.arg, env, np)), f"{e.func}()", np)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    for node in reversed(spine):
+        left, right = value, _evaluate(node.right, env, np)
+        if node.op == "**":
             # For a scalar exponent of 2, 0.5 or -1 numpy squares, takes a
             # root or inverts, which rounds otherwise than its loop over
             # arrays.  Taking every power over contiguous arrays keeps a
@@ -322,10 +346,12 @@ def _evaluate(e: Expression, env: Mapping[str, Any], np) -> Any:
             pair = [np.ascontiguousarray(np.broadcast_to(v, shape)) for v in (left, right)]
             value = np.power(*pair).reshape(shape)
         else:
-            value = getattr(np, _UFUNCS[e.op])(left, right)
-        where = f"operator {e.op!r}"
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
+            value = getattr(np, _UFUNCS[node.op])(left, right)
+        value = _checked(value, f"operator {node.op!r}", np)
+    return value
+
+
+def _checked(value: Any, where: str, np) -> Any:
     if not np.isfinite(value).all():
         raise EvaluationError(f"non-finite result from {where}")
     return value

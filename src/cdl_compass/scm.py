@@ -1,7 +1,8 @@
 """Structural causal models: factorization, equations, sampling, CATE oracle.
 
 A model is a DAG plus one generating equation per endogenous variable and a
-noise specification per exogenous source.  Equations live at one of the
+noise specification per exogenous source, a ``NormalNoise`` or
+``UniformNoise`` from :mod:`cdl_compass.stats`.  Equations live at one of the
 parametric knowledge levels:
 
 * ``noise_model`` — additive form ``target = g(parents) + U`` with ``g``
@@ -14,6 +15,7 @@ parametric knowledge levels:
 Sampling is ancestral (topological order) and deterministic per seed, with
 one independent substream per variable and per noise symbol keyed by name,
 so neither dict ordering nor internal parallelism can change the output.
+A draw that overflows raises ``ValueError`` naming its noise symbol.
 
 Potential outcomes are modeled as two explicit equations, ``Y0`` and
 ``Y1``, which may reference a shared noise symbol; consistency then holds
@@ -57,6 +59,7 @@ from .expressions import (
 from .graphs import _NAME, Dag, GraphFormatError, Pdag, _check_name, _content_lines
 from .graphs import _graph_of_lines, format_graph
 from .lattice import ParametricTag
+from .stats import NormalNoise, UniformNoise
 
 
 class ScmFormatError(GraphFormatError):
@@ -257,54 +260,13 @@ def scopes_consistent_with_dag(f: Factorization, g: Dag) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Noise specifications
-
-
-@dataclass(frozen=True)
-class NormalNoise:
-    mu: float = 0.0
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(self.mu, self.sigma, size=n)
-
-    def format(self) -> str:
-        return f"Normal({_fmt_num(self.mu)}, {_fmt_num(self.sigma)})"
-
-
-@dataclass(frozen=True)
-class UniformNoise:
-    low: float = 0.0
-    high: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.low < self.high):
-            raise ValueError(f"need low < high, got [{self.low!r}, {self.high!r}]")
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=n)
-
-    def format(self) -> str:
-        return f"Uniform({_fmt_num(self.low)}, {_fmt_num(self.high)})"
-
+# Structural equations and models
 
 NoiseSpec = NormalNoise | UniformNoise
 
 
-def _fmt_num(x: float) -> str:
-    return repr(float(x))
-
-
 def noise_symbol(key: str) -> str:
     return f"U_{key}"
-
-
-# ---------------------------------------------------------------------------
-# Structural equations and models
 
 
 @dataclass(frozen=True)
@@ -420,6 +382,14 @@ def _substream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))
 
 
+def _draws(m: Scm, key: str, seed: int, n: int) -> np.ndarray:
+    """``n`` draws of noise ``key`` from its own substream; an error names its symbol."""
+    try:
+        return m.noise[key].draw(_substream(seed, f"noise:{key}"), n)
+    except ValueError as exc:
+        raise ValueError(f"{noise_symbol(key)}: {exc}") from None
+
+
 def _equation_value(
     target: str, eq: StructuralEquation, bound: Mapping, draws: Mapping, out: np.ndarray | None = None
 ) -> np.ndarray | float:
@@ -464,9 +434,6 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
                 f"{eq.level.label} level"
             )
 
-    def draw(key: str) -> np.ndarray:
-        return m.noise[key].draw(_substream(seed, f"noise:{key}"), n)
-
     # The values fill the rows of one (k, n) block.  One array per variable
     # left thousands of small chunks on the C heap, and how much of them
     # stayed resident, and so the peak memory, varied from run to run.  An
@@ -479,14 +446,14 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
         for target, eq in m.equations.items()
         if eq.level is ParametricTag.FULLY_KNOWN
     }
-    shared = {s: draw(m._key_by_symbol[s]) for s in set().union(*named.values())}
+    shared = {s: _draws(m, m._key_by_symbol[s], seed, n) for s in set().union(*named.values())}
     order = m.graph.topological_order()
     values: dict[str, np.ndarray] = {}
     for row, node in zip(np.empty((len(order), n)), order):
         eq = m.equations.get(node)
         if eq is None or eq.level is ParametricTag.NOISE_MODEL:
             own = noise_symbol(node)
-            row[:] = shared[own] if own in shared else draw(node)
+            row[:] = shared[own] if own in shared else _draws(m, node, seed, n)
             draws = {own: row}
         else:
             draws = {s: shared[s] for s in named[node]}
@@ -559,10 +526,7 @@ def oracle_cate(
     # Without noise the draws are empty and each equation gives one float.
     if needed and n_mc < 1:
         raise ValueError(f"n_mc must be positive, got {n_mc}")
-    draws = {
-        noise_symbol(key): m.noise[key].draw(_substream(seed, f"noise:{key}"), n_mc)
-        for key in sorted(needed)
-    }
+    draws = {noise_symbol(key): _draws(m, key, seed, n_mc) for key in sorted(needed)}
     y0, y1 = (_equation_value(name, eq, x, draws) for name, eq in outcome.items())
     return float(np.mean(y1 - y0))
 

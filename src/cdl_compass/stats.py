@@ -24,10 +24,13 @@ Every input is read by ``_as_vector`` (one-dimensional, finite, as long as
 the test needs), and two paired inputs by ``_as_pair``, which also matches
 their lengths; a fault raises ``ValueError`` naming the input.
 
-The distribution functions are closed forms on top of numpy and ``math``;
-only the exact small-sample Kolmogorov–Smirnov p-value needs scipy, which
-is imported on that path alone.  ``TestabilityTier`` and
-``testability_tier`` are re-exported from :mod:`cdl_compass.lattice`.
+Each noise family, :class:`NormalNoise` and :class:`UniformNoise`, states
+its parameter rule, CDF, draws and text once, for a model's noise and the
+``ks`` reference alike; ``ks_test`` calls the CDF on Python floats.  The
+distribution functions are closed forms on top of numpy and ``math``; only
+the exact small-sample Kolmogorov–Smirnov p-value needs scipy, which is
+imported on that path alone.  ``TestabilityTier`` and ``testability_tier``
+are re-exported from :mod:`cdl_compass.lattice`.
 """
 
 from __future__ import annotations
@@ -192,6 +195,53 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z * _SQRT1_2)
 
 
+@dataclass(frozen=True)
+class NormalNoise:
+    mu: float = 0.0
+    sigma: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
+        if not self.sigma > 0.0:
+            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma!r}")
+
+    def cdf(self, v: float) -> float:
+        return _normal_sf(-(v - self.mu) / self.sigma)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        values = rng.normal(self.mu, self.sigma, size=n)
+        if not np.isfinite(values).all():  # mu + sigma * z can overflow
+            raise ValueError(f"a draw of {self.format()} overflows")
+        return values
+
+    def format(self) -> str:
+        return f"Normal({float(self.mu)!r}, {float(self.sigma)!r})"
+
+
+@dataclass(frozen=True)
+class UniformNoise:
+    low: float = 0.0
+    high: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.low < self.high:
+            raise ValueError(f"need low < high, got [{self.low!r}, {self.high!r}]")
+        if not math.isfinite(self.high - self.low):  # an infinite bound, or overflow
+            raise ValueError(f"need finite high - low, got [{self.low!r}, {self.high!r}]")
+
+    def cdf(self, v: float) -> float:
+        return min(1.0, max(0.0, (v - self.low) / (self.high - self.low)))
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.low, self.high, size=n)
+
+    def format(self) -> str:
+        return f"Uniform({float(self.low)!r}, {float(self.high)!r})"
+
+
 def _kolmogorov_sf(x: float) -> float:
     """Survival function of the limiting Kolmogorov distribution, ``P(K > x)``.
 
@@ -227,17 +277,11 @@ _KS_EXACT_LIMIT = 35
 
 
 def gaussian_cdf(mu: float = 0.0, sigma: float = 1.0) -> Callable[[float], float]:
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return lambda v: _normal_sf(-(v - mu) / sigma)
+    return NormalNoise(mu, sigma).cdf
 
 
 def uniform_cdf(low: float = 0.0, high: float = 1.0) -> Callable[[float], float]:
-    if not low < high:
-        raise ValueError(f"need low < high, got [{low!r}, {high!r}]")
-    return lambda v: min(1.0, max(0.0, (v - low) / (high - low)))
+    return UniformNoise(low, high).cdf
 
 
 def ks_test(
@@ -254,7 +298,7 @@ def ks_test(
     """
     xs = np.sort(_as_vector(values, "values"))
     n = xs.shape[0]
-    f = np.asarray([float(cdf(v)) for v in xs])
+    f = np.asarray([float(cdf(v)) for v in xs.tolist()])
     if not ((f >= 0.0) & (f <= 1.0)).all():
         raise ValueError("cdf returned a value outside [0, 1]")
     upper = np.arange(1, n + 1) / n - f

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import cdl_compass
+from cdl_compass import scm
 from cdl_compass.cli import main
 from cdl_compass.lattice import knowledge_state
 from cdl_compass.registry import Catalog, MethodCard, save_catalog
@@ -85,6 +87,18 @@ def env_importing_this_package():
     inherited = os.environ.get("PYTHONPATH")
     paths = [package_root, inherited] if inherited else [package_root]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def run_child(*argv):
+    """``cdl-compass argv`` in a child process, so that a traceback or a numpy
+    warning reaches its stderr."""
+    return subprocess.run(
+        [*declared_entry_point("cdl-compass"), *argv],
+        capture_output=True,
+        text=True,
+        env=env_importing_this_package(),
+        timeout=120,
+    )
 
 
 @pytest.fixture()
@@ -383,6 +397,59 @@ class TestSimulate:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: equation for 'Y': non-finite result from operator '+'\n"
 
+    @pytest.mark.parametrize(
+        "noise, message",
+        [
+            ("Uniform(0.0, inf)", "need finite high - low, got [0.0, inf]"),
+            ("Uniform(-1e308, 1e308)", "need finite high - low, got [-1e+308, 1e+308]"),
+        ],
+    )
+    def test_uniform_noise_of_infinite_width_names_its_line(self, tmp_path, noise, message):
+        # numpy's uniform refused the width with an OverflowError traceback.
+        path = tmp_path / "wide.scm"
+        path.write_text(f"graph:\nX\nequations:\nnoise:\nU_X ~ {noise}\n")
+        proc = run_child("simulate", str(path), "--n", "3", "--seed", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: line 5: {message}\n")
+
+    def test_long_sum_samples(self, tmp_path):
+        # The sum is a left-deep chain of 3,000 operators, deeper than the
+        # interpreter's recursion limit; the walks loop over it.
+        path = tmp_path / "long.scm"
+        path.write_text(LINEAR_MODEL.replace("2 * X", " + ".join(["0.5 * X"] * 3000)))
+        proc = run_child("simulate", str(path), "--n", "3", "--seed", "1")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        header, *rows = proc.stdout.splitlines()
+        assert header == "X,Y" and len(rows) == 3
+        for row in rows:
+            x, y = map(float, row.split(","))
+            assert abs(y - 1500.0 * x) < 10.0
+
+    def test_deep_parentheses_name_the_equation_line(self, tmp_path):
+        path = tmp_path / "deep.scm"
+        path.write_text(LINEAR_MODEL.replace("2 * X", "(" * 3000 + "X" + ")" * 3000))
+        proc = run_child("simulate", str(path), "--n", "3", "--seed", "1")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert re.fullmatch(
+            r"error: line 4: bad expression: byte \d+: expression nests too deeply\n", proc.stderr
+        )
+
+    def test_refused_allocation_exits_1(self, capsys, monkeypatch, model_file):
+        # A sampler that raises, never a real allocation: with overcommit a
+        # huge block can be granted and the process killed when it is touched.
+        def refuse(*_, **__):
+            raise MemoryError(
+                "Unable to allocate 2.18 TiB for an array with shape (3, 100000000000) "
+                "and data type float64"
+            )
+
+        monkeypatch.setattr(scm, "sample", refuse)
+        code, out, err = run_cli(capsys, "simulate", model_file, "--n", "100000000000")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: Unable to allocate 2.18 TiB for an array with shape (3, 100000000000) "
+            "and data type float64\n"
+        )
+
     def test_node_named_like_a_noise_symbol(self, capsys, tmp_path):
         # Y := 2 * U_Z would read the key Z's noise, not the node U_Z.
         path = tmp_path / "shadow.scm"
@@ -505,6 +572,16 @@ class TestAssumptionTests:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: mu must be finite, got nan\n"
+
+    def test_ks_at_an_extreme_scale_warns_nothing(self):
+        # (v - mu) / sigma overflows; on Python floats it does so silently,
+        # where numpy's scalars printed a RuntimeWarning.
+        data = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "data.csv"
+        proc = run_child(
+            "test", str(data), "--test", "ks", "--column", "X", "--mu", "1e308", "--sigma", "1e-308"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "statistic: 1.0\np_value: 0.0\n" in proc.stdout
 
     def test_resid_deterministic(self, capsys, linear_csv):
         argv = (

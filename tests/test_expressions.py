@@ -171,6 +171,49 @@ def test_domain_errors_are_evaluation_errors():
 
 
 # ---------------------------------------------------------------------------
+# Depth
+
+
+def test_long_chain_is_walked_without_recursion():
+    # 3,000 operators down the left operands: deeper than the interpreter's
+    # recursion limit, and walked by a loop.
+    text = " + ".join(["0.5 * X"] * 3000)
+    e = parse_expression(text)
+    assert format_expression(e) == text
+    assert free_variables(e) == frozenset({"X"})
+    assert evaluate_expression(e, {"X": 2.0}) == 3000.0
+    assert np.array_equal(evaluate_expression(e, {"X": np.array([0.0, 2.0])}), [0.0, 3000.0])
+    # Nesting that the recursion limit allows still evaluates.
+    assert value("-" * 300 + "X", X=2.0) == 2.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "X" + ")" * 3000, "-" * 3000 + "X", "X ** " * 3000 + "X"],
+    ids=["parentheses", "negations", "powers"],
+)
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(ExpressionSyntaxError, match=r"^byte \d+: expression nests too deeply$"):
+        parse_expression(text)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [Neg, lambda e: Call("sin", e), lambda e: BinOp("-", Num(1.0), e)],
+    ids=["negation", "call", "right-operand"],
+)
+def test_deep_tree_built_by_hand_is_refused_by_name(node):
+    e = Var("X")
+    for _ in range(5000):
+        e = node(e)
+    assert free_variables(e) == frozenset({"X"})
+    with pytest.raises(ValueError, match="^expression nests too deeply$"):
+        format_expression(e)
+    with pytest.raises(EvaluationError, match="^expression nests too deeply$"):
+        evaluate_expression(e, {"X": 0.5})
+
+
+# ---------------------------------------------------------------------------
 # Printing
 
 

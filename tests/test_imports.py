@@ -125,7 +125,7 @@ MODULES = {
     "validate": {"lattice", "registry", "engine"},
     "plan": {"lattice", "registry", "engine"},
     "audit": {"lattice", "registry", "engine"},
-    "simulate": {"scm", "datasets", "graphs", "expressions", "lattice"},
+    "simulate": {"scm", "stats", "datasets", "graphs", "expressions", "lattice"},
     **{
         name: {"datasets", "stats", "lattice"}
         for name in ("test-ks", "test-jb", "test-cusum", "test-resid", "test-pcorr", "anm")

@@ -339,6 +339,26 @@ class TestNoise:
         assert NormalNoise(0.0, 1.0).format() == "Normal(0.0, 1.0)"
         assert UniformNoise(-1.0, 1.0).format() == "Uniform(-1.0, 1.0)"
 
+    def test_one_definition_per_family(self):
+        from cdl_compass import stats
+
+        assert (NormalNoise, UniformNoise) == (stats.NormalNoise, stats.UniformNoise)
+        assert stats.gaussian_cdf(1.0, 2.0)(3.0) == NormalNoise(1.0, 2.0).cdf(3.0)
+        assert stats.uniform_cdf(0.0, 4.0)(1.0) == UniformNoise(0.0, 4.0).cdf(1.0) == 0.25
+
+    def test_overflowing_normal_draw_names_its_symbol(self):
+        # Finite parameters, yet mu + sigma * z overflows for |z| > 1.8.
+        overflow = r"^U_X: a draw of Normal\(0\.0, 1e\+308\) overflows$"
+        m = parse_scm("graph:\nX\nequations:\nnoise:\nU_X ~ Normal(0.0, 1e308)\n")
+        with pytest.raises(ValueError, match=overflow):
+            sample(m, 200, seed=1)
+        m = parse_scm(
+            "graph:\nY0\nY1\nequations:\nY0 := U_X\nY1 := 2 * U_X\n"
+            "noise:\nU_X ~ Normal(0.0, 1e308)\n"
+        )
+        with pytest.raises(ValueError, match=overflow):
+            oracle_cate(m, {}, n_mc=200)
+
 
 # ---------------------------------------------------------------------------
 # Model construction and sampling

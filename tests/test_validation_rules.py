@@ -9,8 +9,10 @@ unknown names, the one named first does not depend on string hashing; no
 module reads the environment, so output depends only on argv and the input
 files; the variable-name pattern is written once, in ``graphs``; the
 knowledge scales are ordered in one place, ``lattice._OrderedTag.__lt__``;
-and every assumption test reads its inputs through ``stats._as_vector``, and
-two inputs of one length through ``stats._as_pair``.
+every assumption test reads its inputs through ``stats._as_vector``, and
+two inputs of one length through ``stats._as_pair``; and the Normal and
+Uniform parameter rules are raised from one place, ``stats.NormalNoise`` and
+``stats.UniformNoise``, which a model's noise and the ``ks`` reference share.
 """
 
 import ast
@@ -28,6 +30,7 @@ from cdl_compass.cli import main
 from cdl_compass.expressions import EvaluationError, evaluate_expression, parse_expression
 from cdl_compass.graphs import CycleError, Dag, Pdag
 from cdl_compass.scm import oracle_cate, parse_scm
+from cdl_compass.stats import NormalNoise, UniformNoise, gaussian_cdf, uniform_cdf
 
 # Overlapping cycles, so that a node has several parents on cycles.
 CYCLIC_GRAPHS = [
@@ -376,3 +379,57 @@ def test_stats_lengths_are_matched_once():
         and "must have equal length" in node.value
     ]
     assert checks == ["_as_pair"]
+
+
+# ---------------------------------------------------------------------------
+# One Normal and one Uniform
+
+NOISE_FAULTS = [
+    ("normal", (math.nan, 1.0), "mu must be finite, got nan"),
+    ("normal", (-math.inf, 1.0), "mu must be finite, got -inf"),
+    ("normal", (0.0, math.nan), "sigma must be positive, got nan"),
+    ("normal", (0.0, -1.0), "sigma must be positive, got -1.0"),
+    ("normal", (0.0, math.inf), "sigma must be finite, got inf"),
+    ("uniform", (math.nan, 1.0), "need low < high, got [nan, 1.0]"),
+    ("uniform", (1.0, 0.0), "need low < high, got [1.0, 0.0]"),
+    ("uniform", (0.0, math.inf), "need finite high - low, got [0.0, inf]"),
+    ("uniform", (-math.inf, 0.0), "need finite high - low, got [-inf, 0.0]"),
+    ("uniform", (-1e308, 1e308), "need finite high - low, got [-1e+308, 1e+308]"),
+]
+ENTRY_POINTS = {
+    "normal": {"noise": NormalNoise, "cdf": gaussian_cdf},
+    "uniform": {"noise": UniformNoise, "cdf": uniform_cdf},
+}
+
+
+@pytest.mark.parametrize("entry", ["noise", "cdf"])
+@pytest.mark.parametrize("family, params, message", NOISE_FAULTS)
+def test_noise_and_ks_reference_share_one_parameter_rule(family, params, message, entry):
+    with pytest.raises(ValueError) as info:
+        ENTRY_POINTS[family][entry](*params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "fragment",
+    [
+        "mu must be finite",
+        "sigma must be positive",
+        "sigma must be finite",
+        "need low < high",
+        "need finite high - low",
+    ],
+)
+def test_noise_parameter_rule_is_raised_once(fragment):
+    # A second raise of one of these messages is a second copy of the rule,
+    # which can drift from the first, as the ks reference's once did.
+    package = Path(cdl_compass.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str) and fragment in c.value
+                for c in ast.walk(node)
+            ):
+                sites.append(path.name)
+    assert sites == ["stats.py"]
