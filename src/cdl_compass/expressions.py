@@ -280,8 +280,10 @@ def free_variables(e: Expression) -> frozenset[str]:
             names.add(node.name)
         elif isinstance(node, BinOp):
             stack += (node.right, node.left)
-        elif isinstance(node, (Neg, Call)):
-            stack.append(node.operand if isinstance(node, Neg) else node.arg)
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, Call):
+            stack.append(node.arg)
         elif not isinstance(node, Num):
             raise TypeError(f"not an expression node: {node!r}")
     return frozenset(names)
@@ -315,7 +317,7 @@ def evaluate_expression(e: Expression, env: Mapping[str, Any]) -> Any:
 
 def _evaluate(e: Expression, env: Mapping[str, Any], np) -> Any:
     """The recursion behind :func:`evaluate_expression`, given numpy as
-    ``np``, which loops over a left-deep chain as :func:`_format` does."""
+    ``np``; like :func:`_format`, it loops over a left-deep chain."""
     spine = []
     while isinstance(e, BinOp):
         spine.append(e)
