@@ -176,7 +176,10 @@ def _cmd_test(args) -> int:
 
     data = Dataset.from_csv(args.data)
     if args.test == "ks":
-        cdf = uniform_cdf(*args.uniform) if args.uniform else gaussian_cdf(args.mu, args.sigma)
+        if args.uniform is not None:
+            cdf = uniform_cdf(args.uniform[0], args.uniform[1])
+        else:
+            cdf = gaussian_cdf(args.mu, args.sigma)
         report = ks_test(data.column(args.column), cdf, alpha=args.alpha)
     elif args.test == "jb":
         report = jarque_bera_test(data.column(args.column), alpha=args.alpha)
@@ -470,8 +473,13 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy names the block it could not allocate; the interpreter's own
+        # MemoryError carries no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -43,6 +43,12 @@ class EvaluationError(ValueError):
     """A well-formed expression failed to evaluate on the given bindings."""
 
 
+# Parsing and the walks over a tree recurse; past the interpreter's recursion
+# limit each refuses the tree by this text.  A walk catches in its own frames,
+# so that no wrapper's frame lowers the depth it reaches.
+_TOO_DEEP = "expression nests too deeply"
+
+
 Expression = Union["Num", "Var", "Neg", "BinOp", "Call"]
 
 FUNCTIONS = ("exp", "log", "sin")
@@ -195,13 +201,15 @@ def parse_expression(text: str) -> Expression:
 
     Raises :class:`ExpressionSyntaxError` with the byte offset of the first
     offending token for malformed input, unknown functions, and division by
-    a literal zero.
+    a literal zero, and nesting past the interpreter's recursion limit.
     """
     parser = _Parser(text)
     try:
         node = parser.parse_expr()
     except RecursionError:
-        raise parser.error(parser.tokens[parser.pos][2], "expression nests too deeply") from None
+        # The parser may have taken the end token already.
+        start = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
+        raise parser.error(start, _TOO_DEEP) from None
     _, tail, start = parser.take()
     if tail:
         raise parser.error(start, f"unexpected trailing {tail!r}")
@@ -229,64 +237,56 @@ def format_expression(e: Expression) -> str:
 
     Same-precedence right operands stay parenthesized (``a - (b - c)``)
     except under ``**``, which is right-associative, so the printed form
-    reparses to exactly the same tree.
+    reparses to exactly the same tree.  A tree nested past the interpreter's
+    recursion limit raises ``ValueError``, as :func:`free_variables` does.
     """
     try:
-        return _format(e)
+        if isinstance(e, Num):
+            return repr(e.value)
+        if isinstance(e, Var):
+            return e.name
+        if isinstance(e, Neg):
+            inner = format_expression(e.operand)
+            if _prec(e.operand) < _PREC_NEG:
+                inner = f"({inner})"
+            return f"-{inner}"
+        if isinstance(e, Call):
+            return f"{e.func}({format_expression(e.arg)})"
+        if isinstance(e, BinOp):
+            p = _BINOP_PREC[e.op]
+            left = format_expression(e.left)
+            right = format_expression(e.right)
+            if e.op == "**":
+                if _prec(e.left) <= p:
+                    left = f"({left})"
+                if _prec(e.right) < p:
+                    right = f"({right})"
+            else:
+                if _prec(e.left) < p:
+                    left = f"({left})"
+                if _prec(e.right) <= p:
+                    right = f"({right})"
+            return f"{left} {e.op} {right}"
     except RecursionError:
-        raise ValueError("expression nests too deeply") from None
-
-
-def _format(e: Expression) -> str:
-    # A left-deep chain, such as a sum of thousands of terms, is walked by a
-    # loop: the recursion goes only into right operands, negations and calls.
-    spine = []
-    while isinstance(e, BinOp):
-        spine.append(e)
-        e = e.left
-    if isinstance(e, Num):
-        text = repr(e.value)
-    elif isinstance(e, Var):
-        text = e.name
-    elif isinstance(e, Neg):
-        inner = _format(e.operand)
-        text = f"-({inner})" if _prec(e.operand) < _PREC_NEG else f"-{inner}"
-    elif isinstance(e, Call):
-        text = f"{e.func}({_format(e.arg)})"
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    for node in reversed(spine):
-        p = _BINOP_PREC[node.op]
-        left, right = text, _format(node.right)
-        if node.op == "**":
-            if _prec(node.left) <= p:
-                left = f"({left})"
-            if _prec(node.right) < p:
-                right = f"({right})"
-        else:
-            if _prec(node.left) < p:
-                left = f"({left})"
-            if _prec(node.right) <= p:
-                right = f"({right})"
-        text = f"{left} {node.op} {right}"
-    return text
+        raise ValueError(_TOO_DEEP) from None
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def free_variables(e: Expression) -> frozenset[str]:
-    names, stack = set(), [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            names.add(node.name)
-        elif isinstance(node, BinOp):
-            stack += (node.right, node.left)
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
-        elif not isinstance(node, Num):
-            raise TypeError(f"not an expression node: {node!r}")
-    return frozenset(names)
+    try:
+        if isinstance(e, Num):
+            return frozenset()
+        if isinstance(e, Var):
+            return frozenset((e.name,))
+        if isinstance(e, Neg):
+            return free_variables(e.operand)
+        if isinstance(e, Call):
+            return free_variables(e.arg)
+        if isinstance(e, BinOp):
+            return free_variables(e.left) | free_variables(e.right)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 # The numpy function behind each arithmetic operator but ``**``.
@@ -303,7 +303,8 @@ def evaluate_expression(e: Expression, env: Mapping[str, Any]) -> Any:
     rule for division by zero, logarithms of non-positive values, invalid
     powers and overflow.  An unbound identifier raises it too, and so does
     a non-finite binding that the expression reads, even where an operator
-    or function would map it to a finite value (``exp(-X)`` at X = inf).
+    or function would map it to a finite value (``exp(-X)`` at X = inf),
+    and so does a tree nested past the interpreter's recursion limit.
     """
     import numpy as np
 
@@ -311,35 +312,30 @@ def evaluate_expression(e: Expression, env: Mapping[str, Any]) -> Any:
         with np.errstate(all="ignore"):
             value = _evaluate(e, env, np)
     except RecursionError:
-        raise EvaluationError("expression nests too deeply") from None
+        raise EvaluationError(_TOO_DEEP) from None
     return float(value) if np.ndim(value) == 0 else value
 
 
 def _evaluate(e: Expression, env: Mapping[str, Any], np) -> Any:
-    """The recursion behind :func:`evaluate_expression`, given numpy as
-    ``np``; like :func:`_format`, it loops over a left-deep chain."""
-    spine = []
-    while isinstance(e, BinOp):
-        spine.append(e)
-        e = e.left
+    """The recursion behind :func:`evaluate_expression`, given numpy as ``np``."""
     if isinstance(e, Num):
-        value = e.value
-    elif isinstance(e, Var):
+        return e.value
+    if isinstance(e, Var):
         try:
             value = np.asarray(env[e.name], dtype=float)
         except KeyError:
             raise EvaluationError(f"unbound identifier {e.name!r}") from None
         if not np.isfinite(value).all():
             raise EvaluationError(f"non-finite value bound to {e.name!r}")
-    elif isinstance(e, Neg):
-        value = -_evaluate(e.operand, env, np)
-    elif isinstance(e, Call):
-        value = _checked(getattr(np, e.func)(_evaluate(e.arg, env, np)), f"{e.func}()", np)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    for node in reversed(spine):
-        left, right = value, _evaluate(node.right, env, np)
-        if node.op == "**":
+        return value
+    if isinstance(e, Neg):
+        return -_evaluate(e.operand, env, np)
+    if isinstance(e, Call):
+        value = getattr(np, e.func)(_evaluate(e.arg, env, np))
+        where = f"{e.func}()"
+    elif isinstance(e, BinOp):
+        left, right = _evaluate(e.left, env, np), _evaluate(e.right, env, np)
+        if e.op == "**":
             # For a scalar exponent of 2, 0.5 or -1 numpy squares, takes a
             # root or inverts, which rounds otherwise than its loop over
             # arrays.  Taking every power over contiguous arrays keeps a
@@ -348,12 +344,10 @@ def _evaluate(e: Expression, env: Mapping[str, Any], np) -> Any:
             pair = [np.ascontiguousarray(np.broadcast_to(v, shape)) for v in (left, right)]
             value = np.power(*pair).reshape(shape)
         else:
-            value = getattr(np, _UFUNCS[node.op])(left, right)
-        value = _checked(value, f"operator {node.op!r}", np)
-    return value
-
-
-def _checked(value: Any, where: str, np) -> Any:
+            value = getattr(np, _UFUNCS[e.op])(left, right)
+        where = f"operator {e.op!r}"
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
     if not np.isfinite(value).all():
         raise EvaluationError(f"non-finite result from {where}")
     return value

@@ -340,7 +340,10 @@ class Scm:
             parents = self._parents[target] = graph.parents(target)
             if eq.expr is None:
                 continue
-            refs = free_variables(eq.expr)
+            try:
+                refs = free_variables(eq.expr)
+            except ValueError as exc:
+                raise ValueError(f"equation for {target!r}: {exc}") from None
             if eq.level is ParametricTag.NOISE_MODEL:
                 allowed = parents
                 if target not in self.noise:
@@ -617,6 +620,7 @@ def parse_scm(text: str) -> Scm:
             raise ScmFormatError(lineno, f"duplicate equation for {target!r}")
         try:
             expr = parse_expression(body)
+            free_variables(expr)  # a tree too deep to walk is refused on its line
         except ValueError as exc:
             raise ScmFormatError(lineno, f"bad expression: {exc}") from None
         equations[target] = StructuralEquation(target, level, expr)

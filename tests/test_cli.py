@@ -411,18 +411,14 @@ class TestSimulate:
         proc = run_child("simulate", str(path), "--n", "3", "--seed", "1")
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: line 5: {message}\n")
 
-    def test_long_sum_samples(self, tmp_path):
-        # The sum is a left-deep chain of 3,000 operators, deeper than the
-        # interpreter's recursion limit; the walks loop over it.
+    def test_long_sum_names_the_equation_line(self, tmp_path):
+        # The parser loops over the 3,000 terms, but the tree is too deep for
+        # the recursive walks; a RecursionError traceback was printed.
         path = tmp_path / "long.scm"
         path.write_text(LINEAR_MODEL.replace("2 * X", " + ".join(["0.5 * X"] * 3000)))
         proc = run_child("simulate", str(path), "--n", "3", "--seed", "1")
-        assert (proc.returncode, proc.stderr) == (0, "")
-        header, *rows = proc.stdout.splitlines()
-        assert header == "X,Y" and len(rows) == 3
-        for row in rows:
-            x, y = map(float, row.split(","))
-            assert abs(y - 1500.0 * x) < 10.0
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: line 4: bad expression: expression nests too deeply\n"
 
     def test_deep_parentheses_name_the_equation_line(self, tmp_path):
         path = tmp_path / "deep.scm"
@@ -449,6 +445,15 @@ class TestSimulate:
             "error: Unable to allocate 2.18 TiB for an array with shape (3, 100000000000) "
             "and data type float64\n"
         )
+
+    def test_refused_allocation_without_a_message(self, capsys, monkeypatch, model_file):
+        # The interpreter's own MemoryError, unlike numpy's, carries no text.
+        def refuse(*_, **__):
+            raise MemoryError()
+
+        monkeypatch.setattr(scm, "sample", refuse)
+        code, out, err = run_cli(capsys, "simulate", model_file, "--n", "3")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
 
     def test_node_named_like_a_noise_symbol(self, capsys, tmp_path):
         # Y := 2 * U_Z would read the key Z's noise, not the node U_Z.

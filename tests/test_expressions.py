@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -174,15 +175,16 @@ def test_domain_errors_are_evaluation_errors():
 # Depth
 
 
-def test_long_chain_is_walked_without_recursion():
-    # 3,000 operators down the left operands: deeper than the interpreter's
-    # recursion limit, and walked by a loop.
-    text = " + ".join(["0.5 * X"] * 3000)
-    e = parse_expression(text)
-    assert format_expression(e) == text
-    assert free_variables(e) == frozenset({"X"})
-    assert evaluate_expression(e, {"X": 2.0}) == 3000.0
-    assert np.array_equal(evaluate_expression(e, {"X": np.array([0.0, 2.0])}), [0.0, 3000.0])
+def test_long_chain_is_refused_by_name():
+    # The parser loops over a sum, but the tree of 3,000 operators down its
+    # left operands is deeper than the recursive walks can go.
+    e = parse_expression(" + ".join(["0.5 * X"] * 3000))
+    with pytest.raises(ValueError, match="^expression nests too deeply$"):
+        free_variables(e)
+    with pytest.raises(ValueError, match="^expression nests too deeply$"):
+        format_expression(e)
+    with pytest.raises(EvaluationError, match="^expression nests too deeply$"):
+        evaluate_expression(e, {"X": 2.0})
     # Nesting that the recursion limit allows still evaluates.
     assert value("-" * 300 + "X", X=2.0) == 2.0
 
@@ -197,20 +199,41 @@ def test_deep_nesting_is_a_syntax_error(text):
         parse_expression(text)
 
 
+@pytest.mark.parametrize("char", ["-", "("])
+def test_nesting_near_the_recursion_limit_is_a_syntax_error(char):
+    # Every depth up to past the limit, so that some run meets it in each
+    # frame of a level: in the constructor of the error for the missing
+    # operand, too, after the end token has been taken.
+    for n in range(sys.getrecursionlimit() + 10):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expression(char * n)
+
+
 @pytest.mark.parametrize(
     "node",
     [Neg, lambda e: Call("sin", e), lambda e: BinOp("-", Num(1.0), e)],
     ids=["negation", "call", "right-operand"],
 )
 def test_deep_tree_built_by_hand_is_refused_by_name(node):
+    # Every depth from well below the limit to past it: each walk either
+    # finishes or refuses the tree with its own error.
+    limit = sys.getrecursionlimit()
     e = Var("X")
-    for _ in range(5000):
+    for depth in range(1, limit + 10):
         e = node(e)
-    assert free_variables(e) == frozenset({"X"})
+        if depth < limit - 300:
+            continue
+        for walk, error in [
+            (free_variables, ValueError),
+            (format_expression, ValueError),
+            (lambda t: evaluate_expression(t, {"X": 0.5}), EvaluationError),
+        ]:
+            try:
+                walk(e)
+            except error as exc:
+                assert str(exc) == "expression nests too deeply"
     with pytest.raises(ValueError, match="^expression nests too deeply$"):
-        format_expression(e)
-    with pytest.raises(EvaluationError, match="^expression nests too deeply$"):
-        evaluate_expression(e, {"X": 0.5})
+        free_variables(e)
 
 
 # ---------------------------------------------------------------------------

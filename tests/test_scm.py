@@ -376,6 +376,14 @@ class TestScmValidation:
         with pytest.raises(ValueError, match=r"references undeclared symbols \['Z'\]$"):
             Scm(g, [reads_z], noise)
 
+    def test_equation_too_deep_to_walk_names_its_target(self):
+        g = Dag.of([("X", "Y")])
+        long_sum = expr_of(" + ".join(["0.5 * X"] * 3000))
+        eq = StructuralEquation("Y", ParametricTag.NOISE_MODEL, long_sum)
+        noise = {"X": NormalNoise(), "Y": NormalNoise()}
+        with pytest.raises(ValueError, match="^equation for 'Y': expression nests too deeply$"):
+            Scm(g, [eq], noise)
+
     def test_noise_model_needs_own_noise(self):
         g = Dag.of([("X", "Y")])
         eq = StructuralEquation("Y", ParametricTag.NOISE_MODEL, expr_of("X"))
