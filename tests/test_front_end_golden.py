@@ -6,7 +6,8 @@ the SHA-256 of its stdout and of its stderr.  The cases run the bench
 fixtures through every subcommand in both formats, ``anm`` in both formats
 on a tie-heavy CSV the harness writes, ``test`` on small CSVs holding a
 non-finite value or too few rows, Normal and Uniform parameters out of
-range for the ``ks`` reference and for a model's noise, ``sample``'s columns at
+range for the ``ks`` reference and for a model's noise, a negative seed for
+``simulate``, ``test --test resid`` and ``anm``, ``sample``'s columns at
 n = 2000 for three models and two seeds, the usage errors that exit 2, every
 format error of the graph, constraint, model, expression and pipeline readers
 that the CLI and model tests raise, and the ways names, labels and catalog
@@ -280,6 +281,10 @@ CASES = [
     ("test", DATA, "--test", "ks", "--column", "X", "--sigma", "inf"),
     ("test", DATA, "--test", "ks", "--column", "X", "--uniform", "0", "inf"),
     ("simulate", "@normal_huge.scm", "--n", "200", "--seed", "1"),
+    # a negative seed, for each subcommand that reads one
+    ("simulate", "fixtures/model.scm", "--n", "3", "--seed", "-1"),
+    ("test", DATA, "--test", "resid", "--x", "X", "--resid", "R", "--seed", "-1"),
+    ("anm", DATA, "--x", "C", "--y", "E", "--seed", "-1"),
     # the enumeration cap, with a file that expands and with one that is missing
     ("mec", "@star_cap.constraints", "--vars", ",".join(f"V{i}" for i in range(8))),
     ("mec", "missing.constraints", "--vars", ",".join(f"V{i}" for i in range(7))),
