@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Mapping
 
 
 class PayloadConflictError(ValueError):
@@ -102,6 +102,19 @@ def leq(a: _OrderedTag, b: _OrderedTag) -> bool:
     parametric tags.  Tags of different scales, and temporal flags, raise
     ``TypeError``: the scales are independent axes."""
     return a <= b
+
+
+def _json_object(data: Any, noun: str, keys: Iterable[str], optional: Iterable[str] = ()) -> None:
+    """Refuse ``data`` unless it is a JSON object holding every one of ``keys``,
+    any of ``optional`` and nothing else, by a ``ValueError`` naming the fault."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a {noun} is a JSON object, not {type(data).__name__}")
+    extra = set(data) - set(keys) - set(optional)
+    if extra:
+        raise ValueError(f"unknown {noun} keys {sorted(extra)}")
+    missing = set(keys) - set(data)
+    if missing:
+        raise ValueError(f"{noun} is missing keys {sorted(missing)}")
 
 
 def _validate_structural_payload(tag: StructuralTag, payload: Any) -> None:
@@ -201,16 +214,9 @@ class KnowledgeState:
         }
 
     @classmethod
-    def from_mapping(cls, mapping: dict[str, str]) -> "KnowledgeState":
-        extra = set(mapping) - {"structural", "parametric", "temporal"}
-        if extra:
-            raise ValueError(f"unknown knowledge-state fields: {sorted(extra)}")
-        for key in ("structural", "parametric", "temporal"):
-            if key not in mapping:
-                raise ValueError(f"knowledge state missing field {key!r}")
-        return knowledge_state(
-            mapping["structural"], mapping["parametric"], mapping["temporal"]
-        )
+    def from_mapping(cls, mapping: Mapping[str, str]) -> "KnowledgeState":
+        _json_object(mapping, "knowledge state", ("structural", "parametric", "temporal"))
+        return knowledge_state(**mapping)
 
 
 def knowledge_state(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .lattice import KnowledgeState, TemporalFlag, satisfies
+from .lattice import KnowledgeState, TemporalFlag, _json_object, satisfies
 
 _ID_RE = re.compile(r"^[a-z][a-z0-9]*(-[a-z0-9]+)*$")
 _TAG_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -142,8 +142,6 @@ class Catalog:
 
 
 def _state_from_json(value, where: str) -> KnowledgeState:
-    if not isinstance(value, dict):
-        raise ValueError(f"{where}: expected an object with level labels")
     try:
         return KnowledgeState.from_mapping(value)
     except ValueError as exc:
@@ -151,14 +149,7 @@ def _state_from_json(value, where: str) -> KnowledgeState:
 
 
 def card_from_mapping(data: Mapping) -> MethodCard:
-    if not isinstance(data, Mapping):
-        raise ValueError(f"a card is a JSON object, not {type(data).__name__}")
-    extra = set(data) - set(_CARD_KEYS)
-    if extra:
-        raise ValueError(f"unknown card keys {sorted(extra)}")
-    missing = set(_CARD_KEYS) - set(data)
-    if missing:
-        raise ValueError(f"card is missing keys {sorted(missing)}")
+    _json_object(data, "card", _CARD_KEYS)
     tags = data["assumption_tags"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise ValueError("assumption_tags must be a list of strings")

@@ -36,7 +36,6 @@ are text with ``graph:``, ``equations:`` and ``noise:`` sections (see
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import re
@@ -59,7 +58,7 @@ from .expressions import (
 from .graphs import _NAME, Dag, GraphFormatError, Pdag, _check_name, _content_lines
 from .graphs import _graph_of_lines, format_graph
 from .lattice import ParametricTag
-from .stats import NormalNoise, UniformNoise
+from .stats import NormalNoise, UniformNoise, _stream
 
 
 class ScmFormatError(GraphFormatError):
@@ -378,17 +377,11 @@ class Scm:
         return all(eq.expr is not None for eq in self.equations.values())
 
 
-def _substream(seed: int, label: str) -> np.random.Generator:
-    """An independent, platform-stable generator keyed by seed and name."""
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 16, 8)]
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))
-
-
 def _draws(m: Scm, key: str, seed: int, n: int) -> np.ndarray:
     """``n`` draws of noise ``key`` from its own substream; an error names its symbol."""
+    rng = _stream(seed, f"noise:{key}")
     try:
-        return m.noise[key].draw(_substream(seed, f"noise:{key}"), n)
+        return m.noise[key].draw(rng, n)
     except ValueError as exc:
         raise ValueError(f"{noise_symbol(key)}: {exc}") from None
 

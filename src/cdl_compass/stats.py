@@ -22,7 +22,9 @@ Tests provided:
 
 Every input is read by ``_as_vector`` (one-dimensional, finite, as long as
 the test needs), and two paired inputs by ``_as_pair``, which also matches
-their lengths; a fault raises ``ValueError`` naming the input.
+their lengths; a fault raises ``ValueError`` naming the input.  Every seeded
+draw, here and in :mod:`cdl_compass.scm`, takes its generator from
+``_stream``, which refuses any seed but a non-negative integer.
 
 Each noise family, :class:`NormalNoise` and :class:`UniformNoise`, states
 its parameter rule, CDF, draws and text once, for a model's noise and the
@@ -46,6 +48,7 @@ from .lattice import (
     ParametricTag,
     StructuralTag,
     TestabilityTier,
+    _json_object,
     _Labelled,
     testability_tier,
 )
@@ -151,6 +154,8 @@ class TestReport:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "TestReport":
+        keys = ("test", "statistic", "p_value", "alpha", "decision")
+        _json_object(data, "test report", keys, ("bears_on", "details", "sub_reports"))
         raw_tag = data.get("bears_on")
         return cls(
             test=data["test"],
@@ -184,6 +189,19 @@ def _as_pair(a, b, minimum: int, names=("x", "y")) -> tuple[np.ndarray, np.ndarr
     return av, bv
 
 
+def _stream(seed: int, label: str | None = None) -> np.random.Generator:
+    """``default_rng(seed)``, or with ``label`` an independent substream seeded by
+    ``seed`` and the first two little-endian 64-bit words of the label's SHA-256."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if label is None:
+        return np.random.default_rng(seed)
+    import hashlib
+
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return np.random.default_rng([int(seed), *map(int, np.frombuffer(digest, "<u8", 2))])
+
+
 # ---------------------------------------------------------------------------
 # Distribution functions
 
@@ -201,6 +219,8 @@ class NormalNoise:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "sigma", float(self.sigma))
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
         if not self.sigma > 0.0:
@@ -218,7 +238,7 @@ class NormalNoise:
         return values
 
     def format(self) -> str:
-        return f"Normal({float(self.mu)!r}, {float(self.sigma)!r})"
+        return f"Normal({self.mu!r}, {self.sigma!r})"
 
 
 @dataclass(frozen=True)
@@ -227,6 +247,8 @@ class UniformNoise:
     high: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "low", float(self.low))
+        object.__setattr__(self, "high", float(self.high))
         if not self.low < self.high:
             raise ValueError(f"need low < high, got [{self.low!r}, {self.high!r}]")
         if not math.isfinite(self.high - self.low):  # an infinite bound, or overflow
@@ -239,7 +261,7 @@ class UniformNoise:
         return rng.uniform(self.low, self.high, size=n)
 
     def format(self) -> str:
-        return f"Uniform({float(self.low)!r}, {float(self.high)!r})"
+        return f"Uniform({self.low!r}, {self.high!r})"
 
 
 def _kolmogorov_sf(x: float) -> float:
@@ -606,7 +628,7 @@ def _permutation_hits(
     exactly as the observed statistic is.
     """
     n = problems[0].xr.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed)
     rows = max(1, _PERMUTATION_BLOCK // n)
     hits = [0] * len(problems)
     for done in range(0, n_permutations, rows):

@@ -27,7 +27,8 @@ import numpy as np
 
 from cdl_compass.expressions import EvaluationError, evaluate_expression, free_variables
 from cdl_compass.lattice import ParametricTag
-from cdl_compass.scm import Dataset, Factor, Scm, _substream, noise_symbol
+from cdl_compass.scm import Dataset, Factor, Scm, noise_symbol
+from cdl_compass.stats import _stream
 
 
 def read_csv_rows(lines) -> Dataset:
@@ -95,7 +96,7 @@ def sample_by_level(m: Scm, n: int, seed: int = 0) -> Dataset:
                 f"cannot sample: equation for {target!r} is at the {eq.level.label} level"
             )
     draws = {
-        noise_symbol(key): spec.draw(_substream(seed, f"noise:{key}"), n)
+        noise_symbol(key): spec.draw(_stream(seed, f"noise:{key}"), n)
         for key, spec in m.noise.items()
     }
     values = {}
@@ -145,7 +146,7 @@ def oracle_cate_by_level(m: Scm, x, n_mc: int = 10000, seed: int = 0) -> float:
     if needed_keys and n_mc < 1:
         raise ValueError(f"n_mc must be positive, got {n_mc}")
     draws = {
-        noise_symbol(key): m.noise[key].draw(_substream(seed, f"noise:{key}"), n_mc)
+        noise_symbol(key): m.noise[key].draw(_stream(seed, f"noise:{key}"), n_mc)
         for key in sorted(needed_keys)
     }
     results = {}

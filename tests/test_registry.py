@@ -169,7 +169,9 @@ class TestJson:
     def test_state_must_be_object(self):
         data = card_to_mapping(make_card())
         data["a_priori"] = "unknown:nonparametric:static"
-        with pytest.raises(ValueError, match="expected an object"):
+        with pytest.raises(
+            ValueError, match="^a_priori: a knowledge state is a JSON object, not str$"
+        ):
             card_from_mapping(data)
 
     def test_payload_cards_refused(self):

@@ -37,6 +37,8 @@ from cdl_compass.stats import testability_tier as tier_of
 # ---------------------------------------------------------------------------
 # Reports
 
+GOOD_REPORT = Report.from_p("t", 0.0, 0.5, 0.05).to_mapping()
+
 
 class TestReportPlumbing:
     def test_decision_labels_frozen(self):
@@ -167,6 +169,25 @@ class TestReportPlumbing:
                     "bears_on": "vibes",
                 }
             )
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {"test": "t"},
+                "test report is missing keys ['alpha', 'decision', 'p_value', 'statistic']",
+            ),
+            ({**GOOD_REPORT, "statstic": 0.0}, "unknown test report keys ['statstic']"),
+            ({**GOOD_REPORT, "sub_reports": [["t"]]}, "a test report is a JSON object, not list"),
+            ([GOOD_REPORT], "a test report is a JSON object, not list"),
+            ("t", "a test report is a JSON object, not str"),
+        ],
+        ids=["missing-keys", "unknown-key", "sub-report-not-object", "list", "string"],
+    )
+    def test_mapping_faults_are_named(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            Report.from_mapping(data)
+        assert str(exc.value) == message
 
     def test_sub_reports_round_trip(self):
         sub = Report.from_p("inner", 1.0, 0.2, 0.05)

@@ -6,14 +6,21 @@ directions; their reports must equal the per-draw loop's exactly.
 ``recursive_residuals`` builds its fits from cumulative sums instead of a
 rank-1 update per point, so it is compared to a relative tolerance.  The
 oracles live in ``tests/helpers_stats.py``.
+
+Every seeded draw takes its generator from ``stats._stream``; the two
+constructions it replaced, ``default_rng(seed)`` for the permutation stream
+and a ``SeedSequence`` of the seed and two SHA-256 words of the name for each
+noise symbol, are written out here as its oracle.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdl_compass import stats
+from cdl_compass import scm, stats
 from cdl_compass.stats import (
     anm_direction,
     cusum_linearity_test,
@@ -176,3 +183,49 @@ def test_cusum_matches_rank_one_route(case):
     assert ours.decision is reference.decision
     assert abs(ours.statistic - reference.statistic) <= 1e-9 * reference.statistic
     assert abs(ours.p_value - reference.p_value) <= 1e-9 * reference.p_value
+
+
+# ---------------------------------------------------------------------------
+# One stream constructor
+
+
+def _old_stream(seed, label=None):
+    """The two constructions ``stats._stream`` replaced, as they were written."""
+    if label is None:
+        return np.random.default_rng(seed)
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 16, 8)]
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))
+
+
+_SEEDS = [0, 1, 7, 2**63, 2**70, np.int64(7)]
+_SEEDED_MODEL = scm.parse_scm(
+    "graph:\nX -> Y\nX -> Y0\nX -> Y1\nW\n"
+    "equations:\nY = 2 * X + U\nY0 := X + U_S\nY1 := X * X + 0.5 * U_S\n"
+    "noise:\nU_X ~ Normal(0.0, 1.0)\nU_Y ~ Uniform(-1.0, 1.0)\n"
+    "U_W ~ Uniform(0.0, 2.0)\nU_S ~ Normal(1.0, 0.5)\n"
+)
+
+
+def _seeded_outputs(seed):
+    """Every seeded entry point's output at ``seed``, as comparable values."""
+    data = scm.sample(_SEEDED_MODEL, 50, seed=seed)
+    columns = [(name, data.column(name).tobytes()) for name in data.names]
+    cate = scm.oracle_cate(_SEEDED_MODEL, {"X": 0.5}, n_mc=40, seed=seed)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=60)
+    y = x**3 + rng.normal(size=60)
+    resid = stats.residual_independence_test(x, y, n_permutations=99, seed=seed)
+    anm = stats.anm_direction(x, y, seed=seed)
+    return columns, cate, resid, anm
+
+
+@pytest.mark.parametrize("seed", _SEEDS, ids=repr)
+def test_stream_matches_the_constructions_it_replaced(seed, monkeypatch):
+    for label in (None, "noise:X", "noise:U_S"):
+        new = stats._stream(seed, label).bit_generator.state
+        assert new == _old_stream(seed, label).bit_generator.state
+    got = _seeded_outputs(seed)
+    monkeypatch.setattr(stats, "_stream", _old_stream)
+    monkeypatch.setattr(scm, "_stream", _old_stream)
+    assert got == _seeded_outputs(seed)

@@ -12,7 +12,11 @@ knowledge scales are ordered in one place, ``lattice._OrderedTag.__lt__``;
 every assumption test reads its inputs through ``stats._as_vector``, and
 two inputs of one length through ``stats._as_pair``; and the Normal and
 Uniform parameter rules are raised from one place, ``stats.NormalNoise`` and
-``stats.UniformNoise``, which a model's noise and the ``ks`` reference share.
+``stats.UniformNoise``, which a model's noise and the ``ks`` reference share,
+and hold numpy-scalar parameters as Python floats; a seed becomes a generator
+in one place, ``stats._stream``, under one rule for every seeded call; and a
+card, a knowledge state and a test report are read as JSON objects by one key
+rule, ``lattice._json_object``.
 """
 
 import ast
@@ -29,8 +33,18 @@ import cdl_compass
 from cdl_compass.cli import main
 from cdl_compass.expressions import EvaluationError, evaluate_expression, parse_expression
 from cdl_compass.graphs import CycleError, Dag, Pdag
-from cdl_compass.scm import oracle_cate, parse_scm
-from cdl_compass.stats import NormalNoise, UniformNoise, gaussian_cdf, uniform_cdf
+from cdl_compass.lattice import KnowledgeState
+from cdl_compass.registry import card_from_mapping, card_to_mapping, default_catalog
+from cdl_compass.scm import oracle_cate, parse_scm, sample
+from cdl_compass.stats import (
+    NormalNoise,
+    UniformNoise,
+    anm_direction,
+    gaussian_cdf,
+    residual_independence_test,
+    uniform_cdf,
+)
+from cdl_compass.stats import TestReport as Report
 
 # Overlapping cycles, so that a node has several parents on cycles.
 CYCLIC_GRAPHS = [
@@ -312,20 +326,27 @@ def test_name_pattern_is_written_once():
     assert len(copies) == 1 and copies[0].startswith("graphs.py:"), copies
 
 
-def _value_comparisons(node: ast.AST, scope: tuple[str, ...] = ()):
-    """The class and function scope of each comparison of two ``.value``s."""
+def _scoped(node: ast.AST, scope: tuple[str, ...] = ()):
+    """Each node below ``node``, with the dotted names of the classes and
+    functions that enclose it."""
     for child in ast.iter_child_nodes(node):
-        inner = scope
+        yield ".".join(scope), child
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = (*scope, child.name)
-        if isinstance(child, ast.Compare):
+            yield from _scoped(child, (*scope, child.name))
+        else:
+            yield from _scoped(child, scope)
+
+
+def _value_comparisons(tree: ast.AST):
+    """The class and function scope of each comparison of two ``.value``s."""
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Compare):
             values = [
                 isinstance(o, ast.Attribute) and o.attr == "value"
-                for o in (child.left, *child.comparators)
+                for o in (node.left, *node.comparators)
             ]
             if any(a and b for a, b in zip(values, values[1:])):
-                yield ".".join(scope)
-        yield from _value_comparisons(child, inner)
+                yield scope
 
 
 def test_scale_order_is_compared_once():
@@ -433,3 +454,114 @@ def test_noise_parameter_rule_is_raised_once(fragment):
             ):
                 sites.append(path.name)
     assert sites == ["stats.py"]
+
+
+@pytest.mark.parametrize("family, params, message", NOISE_FAULTS)
+def test_numpy_scalar_parameters_meet_the_same_rule(family, params, message):
+    # The message shows each parameter as a Python float, and the checks do
+    # float arithmetic: (-1e308, 1e308) in numpy scalars used to warn of an
+    # overflow, which pyproject.toml makes an error, before it was refused.
+    with pytest.raises(ValueError) as info:
+        ENTRY_POINTS[family]["noise"](*map(np.float64, params))
+    assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_numpy_scalar_parameters_are_stored_as_floats():
+    normal = NormalNoise(np.float64(1e308), np.float64(1e-308))
+    uniform = UniformNoise(np.float32(0.5), np.int64(2))
+    params = (normal.mu, normal.sigma, uniform.low, uniform.high)
+    assert [type(p) for p in params] == [float] * 4
+    assert normal.cdf(0.0) == 0.0  # (0 - 1e308) / 1e-308 overflows to -inf
+    assert (uniform.format(), uniform.cdf(1.25)) == ("Uniform(0.5, 2.0)", 0.5)
+
+
+# ---------------------------------------------------------------------------
+# One stream constructor and one key rule
+
+SEEDED_MODEL = (
+    "graph:\nY0\nY1\nequations:\nY0 := U_S\nY1 := 2 * U_S\nnoise:\nU_S ~ Normal(0, 1)\n"
+)
+XS = np.linspace(0.0, 1.0, 60)
+SEEDED_CALLS = {
+    "sample": lambda seed: sample(parse_scm(SEEDED_MODEL), 2, seed=seed),
+    "oracle_cate": lambda seed: oracle_cate(parse_scm(SEEDED_MODEL), {}, n_mc=2, seed=seed),
+    "resid": lambda seed: residual_independence_test(XS, XS**2, seed=seed),
+    "anm": lambda seed: anm_direction(XS, XS**2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, np.float64(1.0), "1", None])
+@pytest.mark.parametrize("call", sorted(SEEDED_CALLS))
+def test_every_seeded_call_refuses_a_bad_seed_alike(call, seed):
+    with pytest.raises(ValueError) as info:
+        SEEDED_CALLS[call](seed)
+    assert str(info.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+
+def test_seed_becomes_a_generator_in_one_place():
+    # Every seeded draw takes its generator from stats._stream; a second
+    # construction could read the seed under another rule.
+    package = Path(cdl_compass.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("SeedSequence", "default_rng"):
+                sites.append((path.name, scope, node.lineno))
+    assert {site[:2] for site in sites} == {("stats.py", "_stream")}, sites
+
+
+GOOD_JSON = {
+    "report": {
+        "test": "t",
+        "statistic": 0.0,
+        "p_value": 0.5,
+        "alpha": 0.05,
+        "decision": "fail_to_reject",
+    },
+    "state": {"structural": "unknown", "parametric": "nonparametric", "temporal": "static"},
+    "card": card_to_mapping(default_catalog().cards[0]),
+}
+JSON_READERS = {
+    "report": (Report.from_mapping, "test report"),
+    "state": (KnowledgeState.from_mapping, "knowledge state"),
+    "card": (card_from_mapping, "card"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+def test_json_objects_are_read_by_one_key_rule(reader):
+    read, noun = JSON_READERS[reader]
+    good = GOOD_JSON[reader]
+    read(good)
+    first = sorted(good)[0]
+    faults = [
+        (list(good.items()), f"a {noun} is a JSON object, not list"),
+        ({**good, "surplus": 1}, f"unknown {noun} keys ['surplus']"),
+        ({k: v for k, v in good.items() if k != first}, f"{noun} is missing keys [{first!r}]"),
+    ]
+    for data, message in faults:
+        with pytest.raises(ValueError) as info:
+            read(data)
+        assert str(info.value) == message
+
+
+def test_key_rule_is_raised_once():
+    # card_from_mapping, KnowledgeState.from_mapping and TestReport.from_mapping
+    # each checked keys by hand, or not at all, until they shared this rule.
+    package = Path(cdl_compass.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant)
+                and isinstance(c.value, str)
+                and ("JSON object" in c.value or " keys " in c.value)
+                for c in ast.walk(node)
+            ):
+                sites.append(f"{path.name}:{scope}")
+    assert sites == ["lattice.py:_json_object"] * 3
