@@ -105,15 +105,12 @@ def leq(a: _OrderedTag, b: _OrderedTag) -> bool:
 
 
 def _json_object(data: Any, noun: str, keys: Iterable[str], optional: Iterable[str] = ()) -> None:
-    """Refuse ``data`` unless it is a JSON object holding every one of ``keys``,
-    any of ``optional`` and nothing else, by a ``ValueError`` naming the fault."""
+    """Refuse ``data`` unless it is a JSON object of all ``keys``, any ``optional``, no other."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a {noun} is a JSON object, not {type(data).__name__}")
-    extra = set(data) - set(keys) - set(optional)
-    if extra:
+    if extra := set(data) - set(keys) - set(optional):
         raise ValueError(f"unknown {noun} keys {sorted(extra)}")
-    missing = set(keys) - set(data)
-    if missing:
+    if missing := set(keys) - set(data):
         raise ValueError(f"{noun} is missing keys {sorted(missing)}")
 
 

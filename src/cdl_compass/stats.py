@@ -23,8 +23,7 @@ Tests provided:
 Every input is read by ``_as_vector`` (one-dimensional, finite, as long as
 the test needs), and two paired inputs by ``_as_pair``, which also matches
 their lengths; a fault raises ``ValueError`` naming the input.  Every seeded
-draw, here and in :mod:`cdl_compass.scm`, takes its generator from
-``_stream``, which refuses any seed but a non-negative integer.
+draw, here and in :mod:`cdl_compass.scm`, takes its generator from ``_stream``.
 
 Each noise family, :class:`NormalNoise` and :class:`UniformNoise`, states
 its parameter rule, CDF, draws and text once, for a model's noise and the
@@ -190,8 +189,7 @@ def _as_pair(a, b, minimum: int, names=("x", "y")) -> tuple[np.ndarray, np.ndarr
 
 
 def _stream(seed: int, label: str | None = None) -> np.random.Generator:
-    """``default_rng(seed)``, or with ``label`` an independent substream seeded by
-    ``seed`` and the first two little-endian 64-bit words of the label's SHA-256."""
+    """``default_rng(seed)``, or with ``label`` a substream keyed by seed and SHA-256(label)."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if label is None:
