@@ -10,9 +10,10 @@ range for the ``ks`` reference and for a model's noise, a negative seed for
 ``simulate``, ``test --test resid`` and ``anm``, ``sample``'s columns at
 n = 2000 for three models and two seeds, the usage errors that exit 2, every
 format error of the graph, constraint, model, expression and pipeline readers
-that the CLI and model tests raise, and the ways names, labels and catalog
-sources are given on the command line, so a rewrite of those readers must
-keep every output byte.  The file also holds, under ``sample``, the SHA-256
+that the CLI and model tests raise, the ways names, labels and catalog
+sources are given on the command line, and catalog cards whose tags are one
+string or whose notes are null, so a rewrite of those readers must keep every
+output byte.  The file also holds, under ``sample``, the SHA-256
 of the bench's wide 1000-variable model and narrow chain and of the columns
 ``sample`` draws from each, in process, at the sizes the bench draws them.
 
@@ -206,6 +207,8 @@ INPUTS = {
     # catalogs
     "[cat].json": CATALOG,
     "number_name.catalog": CATALOG.replace('"Only card"', "7"),
+    "string_tags.catalog": CATALOG.replace('["faithfulness"]', '"faithfulness"'),
+    "null_notes.catalog": CATALOG.replace('"notes": ""', '"notes": null'),
     # data
     "ties.csv": _tie_heavy_csv(),
     "inf.csv": "X,Y,Z\n1,2,3\n2,inf,4\n3,5,1\n4,1,2\n5,3,3\n",
@@ -265,6 +268,8 @@ CASES = [
     ("dsep", "fixtures/dag.graph", "--x", "A", "--y", "F", "--given", "B E"),
     ("catalog", "list", "--catalog", "@[cat].json"),
     ("catalog", "list", "--catalog", "@number_name.catalog"),
+    ("catalog", "list", "--catalog", "@string_tags.catalog"),
+    ("catalog", "list", "--catalog", "@null_notes.catalog"),
     ("catalog", "list", "--temporal", "weekly"),
     ("catalog", "list", "--temporal"),
     ("mec", "fixtures/smoking.constraints", "--vars", "S,S,C,D"),
