@@ -105,13 +105,20 @@ def leq(a: _OrderedTag, b: _OrderedTag) -> bool:
 
 
 def _json_object(data: Any, noun: str, keys: Iterable[str], optional: Iterable[str] = ()) -> None:
-    """Refuse ``data`` unless it is a JSON object of all ``keys``, any ``optional``, no other."""
+    """Refuse ``data`` unless it is a JSON object of all ``keys``, any ``optional``, no other;
+    its values are left to the types they build, which check them."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a {noun} is a JSON object, not {type(data).__name__}")
     if extra := set(data) - set(keys) - set(optional):
         raise ValueError(f"unknown {noun} keys {sorted(extra)}")
     if missing := set(keys) - set(data):
         raise ValueError(f"{noun} is missing keys {sorted(missing)}")
+
+
+def _check_type(value: Any, kind: type, name: str) -> None:
+    """Refuse ``value`` with a ``TypeError`` naming ``name`` unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def _validate_structural_payload(tag: StructuralTag, payload: Any) -> None:
@@ -154,6 +161,7 @@ class StructuralLevel:
     payload: Any = None
 
     def __post_init__(self) -> None:
+        _check_type(self.tag, StructuralTag, "tag")
         _validate_structural_payload(self.tag, self.payload)
 
 
@@ -171,6 +179,7 @@ class ParametricLevel:
     payload: Any = None
 
     def __post_init__(self) -> None:
+        _check_type(self.tag, ParametricTag, "tag")
         if self.tag is ParametricTag.NONPARAMETRIC and self.payload is not None:
             raise ValueError("a nonparametric level carries no payload")
         try:
@@ -187,6 +196,11 @@ class KnowledgeState:
     structural: StructuralLevel
     parametric: ParametricLevel
     temporal: TemporalFlag
+
+    def __post_init__(self) -> None:
+        _check_type(self.structural, StructuralLevel, "structural")
+        _check_type(self.parametric, ParametricLevel, "parametric")
+        _check_type(self.temporal, TemporalFlag, "temporal")
 
     @property
     def triple(self) -> str:

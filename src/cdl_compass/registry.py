@@ -11,7 +11,9 @@ A catalog is an id-sorted collection of cards.  The on-disk form is a JSON
 array of card objects with a fixed key set; the packaged default catalog
 covers sixteen standard discovery and estimation methods.  Cards built in
 code may attach payloads (a concrete graph, say) to their states; the JSON
-form is tag-only and refuses payload-bearing cards.
+form is tag-only and refuses payload-bearing cards.  ``MethodCard`` checks
+its own fields, so a card built in code and one read from JSON are refused
+alike (``card field 'name' must be a string``); the reader adds the key rule.
 
 Querying filters by temporal flag, by a lower bound on what the method
 delivers, by an upper bound on what it demands, and by assumption tag;
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .lattice import KnowledgeState, TemporalFlag, _json_object, satisfies
+from .lattice import KnowledgeState, TemporalFlag, _check_type, _json_object, satisfies
 
 _ID_RE = re.compile(r"^[a-z][a-z0-9]*(-[a-z0-9]+)*$")
 _TAG_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -55,9 +57,10 @@ class UnknownCardError(ValueError):
 class MethodCard:
     """One method's knowledge contract.
 
-    ``a_priori`` and ``a_posteriori`` must agree on the temporal flag.
-    ``assumption_tags`` are lowercase slugs, stored sorted without
-    duplicates.
+    ``id``, ``name``, ``citation_key`` and ``notes`` are strings, and
+    ``a_priori`` and ``a_posteriori`` are knowledge states that agree on the
+    temporal flag.  ``assumption_tags`` is any iterable of lowercase slugs
+    but a single string, stored as a sorted tuple without duplicates.
     """
 
     id: str
@@ -69,6 +72,16 @@ class MethodCard:
     notes: str = ""
 
     def __post_init__(self) -> None:
+        tags = self.assumption_tags
+        if isinstance(tags, Iterable) and not isinstance(tags, str):
+            tags = tuple(tags)
+        if not isinstance(tags, tuple) or not all(isinstance(t, str) for t in tags):
+            raise ValueError("assumption_tags must be a list of strings")
+        for key in ("id", "name", "citation_key", "notes"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"card field {key!r} must be a string")
+        _check_type(self.a_priori, KnowledgeState, "a_priori")
+        _check_type(self.a_posteriori, KnowledgeState, "a_posteriori")
         if not _ID_RE.match(self.id):
             raise ValueError(f"bad card id {self.id!r}: want lowercase-hyphen slug")
         if not self.name.strip():
@@ -83,12 +96,10 @@ class MethodCard:
                 f"{self.a_priori.temporal.label} before, "
                 f"{self.a_posteriori.temporal.label} after"
             )
-        for tag in self.assumption_tags:
+        for tag in tags:
             if not _TAG_RE.match(tag):
                 raise ValueError(f"card {self.id!r} has a malformed tag {tag!r}")
-        object.__setattr__(
-            self, "assumption_tags", tuple(sorted(set(self.assumption_tags)))
-        )
+        object.__setattr__(self, "assumption_tags", tuple(sorted(set(tags))))
 
     @property
     def temporal(self) -> TemporalFlag:
@@ -141,30 +152,15 @@ class Catalog:
 # JSON form
 
 
-def _state_from_json(value, where: str) -> KnowledgeState:
-    try:
-        return KnowledgeState.from_mapping(value)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def card_from_mapping(data: Mapping) -> MethodCard:
     _json_object(data, "card", _CARD_KEYS)
-    tags = data["assumption_tags"]
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        raise ValueError("assumption_tags must be a list of strings")
-    for key in ("id", "name", "citation_key", "notes"):
-        if not isinstance(data[key], str):
-            raise ValueError(f"card field {key!r} must be a string")
-    return MethodCard(
-        id=data["id"],
-        name=data["name"],
-        citation_key=data["citation_key"],
-        a_priori=_state_from_json(data["a_priori"], "a_priori"),
-        a_posteriori=_state_from_json(data["a_posteriori"], "a_posteriori"),
-        assumption_tags=tuple(tags),
-        notes=data["notes"],
-    )
+    states = {}
+    for key in ("a_priori", "a_posteriori"):
+        try:
+            states[key] = KnowledgeState.from_mapping(data[key])
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return MethodCard(**{**data, **states})
 
 
 def card_to_mapping(card: MethodCard) -> dict:

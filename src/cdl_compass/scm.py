@@ -57,7 +57,7 @@ from .expressions import (
 )
 from .graphs import _NAME, Dag, GraphFormatError, Pdag, _check_name, _content_lines
 from .graphs import _graph_of_lines, format_graph
-from .lattice import ParametricTag
+from .lattice import ParametricTag, _check_type
 from .stats import NormalNoise, UniformNoise, _stream
 
 
@@ -230,7 +230,7 @@ class Factorization:
                 product = functools.reduce(np.multiply, grids)
             shape = tuple(len(domains[v]) for v in names)
             total = fsum(np.broadcast_to(product, shape).ravel().tolist())
-            if abs(total / self.z - 1.0) > 1e-9:
+            if not abs(total / self.z - 1.0) <= 1e-9:  # NaN included
                 raise ValueError(
                     f"factorization does not normalize: mass {total!r} vs z {self.z!r}"
                 )
@@ -284,6 +284,7 @@ class StructuralEquation:
 
     def __post_init__(self) -> None:
         _check_name(self.target)
+        _check_type(self.level, ParametricTag, "level")
         needs_expr = self.level in (ParametricTag.NOISE_MODEL, ParametricTag.FULLY_KNOWN)
         if needs_expr and self.expr is None:
             raise ValueError(

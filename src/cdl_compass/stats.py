@@ -37,6 +37,7 @@ are re-exported from :mod:`cdl_compass.lattice`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -47,6 +48,7 @@ from .lattice import (
     ParametricTag,
     StructuralTag,
     TestabilityTier,
+    _check_type,
     _json_object,
     _Labelled,
     testability_tier,
@@ -78,6 +80,11 @@ class TestReport:
     plausible structural level).  ``details`` holds test-specific
     scalars; ``sub_reports`` holds advisory nested reports (their
     decisions do not feed back into this one).
+
+    Each field is checked here, for a report built in code or read by
+    :meth:`from_mapping`: a value of the wrong type raises ``ValueError``
+    naming its field (``TypeError`` for ``decision``, ``bears_on`` and
+    sub-reports), and the three numbers, bools refused, are stored as floats.
     """
 
     test: str
@@ -90,12 +97,19 @@ class TestReport:
     sub_reports: tuple["TestReport", ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.test, str):
+            raise ValueError(f"report field 'test' must be a string, got {self.test!r}")
         if not self.test:
             raise ValueError("a report needs a test name")
+        for key in ("statistic", "p_value", "alpha"):
+            if isinstance(value := getattr(self, key), bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"report field {key!r} must be a real number, got {value!r}")
+            object.__setattr__(self, key, float(value))
         if not (0.0 <= self.p_value <= 1.0):
             raise ValueError(f"p-value {self.p_value!r} outside [0, 1]")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha {self.alpha!r} outside (0, 1)")
+        _check_type(self.decision, Decision, "decision")
         expected = Decision.REJECT_NULL if self.p_value < self.alpha else Decision.FAIL_TO_REJECT
         if self.decision is not expected:
             raise ValueError(
@@ -106,10 +120,14 @@ class TestReport:
             self.bears_on, (StructuralTag, ParametricTag)
         ):
             raise TypeError(f"bears_on must be a knowledge tag, got {self.bears_on!r}")
+        if not isinstance(self.details, Mapping):
+            raise ValueError(f"report field 'details' must be a mapping, got {self.details!r}")
         for key, value in self.details.items():
             if not isinstance(value, _DETAIL_TYPES):
                 raise ValueError(f"detail {key!r} has non-scalar value {value!r}")
         object.__setattr__(self, "details", dict(self.details))
+        for sub in self.sub_reports:
+            _check_type(sub, TestReport, "a sub-report")
 
     @classmethod
     def from_p(
@@ -122,17 +140,18 @@ class TestReport:
         details: Mapping[str, float | int | str | bool] | None = None,
         sub_reports: Sequence["TestReport"] = (),
     ) -> "TestReport":
-        """Build a report with the decision derived from p and alpha."""
-        p_value = min(1.0, max(0.0, float(p_value)))
+        """Build a report with the decision derived from p and alpha; p is
+        clamped to [0, 1], but NaN passes through for the constructor to refuse."""
+        p_value = p_value if math.isnan(p_value) else min(1.0, max(0.0, p_value))
         decision = Decision.REJECT_NULL if p_value < alpha else Decision.FAIL_TO_REJECT
         return cls(
             test=test,
-            statistic=float(statistic),
+            statistic=statistic,
             p_value=p_value,
-            alpha=float(alpha),
+            alpha=alpha,
             decision=decision,
             bears_on=bears_on,
-            details=dict(details or {}),
+            details=details or {},
             sub_reports=tuple(sub_reports),
         )
 
@@ -155,18 +174,18 @@ class TestReport:
     def from_mapping(cls, data: Mapping) -> "TestReport":
         keys = ("test", "statistic", "p_value", "alpha", "decision")
         _json_object(data, "test report", keys, ("bears_on", "details", "sub_reports"))
-        raw_tag = data.get("bears_on")
+        raw_tag, subs = data.get("bears_on"), data.get("sub_reports", [])
+        if not isinstance(subs, list):
+            raise ValueError(f"report field 'sub_reports' must be a list, got {subs!r}")
         return cls(
             test=data["test"],
-            statistic=float(data["statistic"]),
-            p_value=float(data["p_value"]),
-            alpha=float(data["alpha"]),
+            statistic=data["statistic"],
+            p_value=data["p_value"],
+            alpha=data["alpha"],
             decision=Decision.from_label(data["decision"]),
             bears_on=None if raw_tag is None else _tag_from_label(raw_tag),
-            details=dict(data.get("details", {})),
-            sub_reports=tuple(
-                cls.from_mapping(sub) for sub in data.get("sub_reports", ())
-            ),
+            details=data.get("details", {}),
+            sub_reports=tuple(cls.from_mapping(sub) for sub in subs),
         )
 
 
@@ -379,7 +398,7 @@ def cusum_crossing_probability(coefficient: float) -> float:
     Brownian path is ``2 * (1 - Phi(3c) + exp(-4c^2) * Phi(c))``, clipped
     to [0, 1].
     """
-    if coefficient < 0.0:
+    if not coefficient >= 0.0:  # NaN included
         raise ValueError(f"coefficient must be non-negative, got {coefficient!r}")
     return min(1.0, max(0.0, _crossing_raw(coefficient)))
 

@@ -68,7 +68,7 @@ def check(factors: list[Factor]) -> None:
         if not (0.0 < z < float("inf")):
             continue
         got = outcome(lambda: Factorization.of(factors, z))
-        if abs(want / z - 1.0) > 1e-9:
+        if not abs(want / z - 1.0) <= 1e-9:  # a NaN mass normalizes nothing
             message = f"factorization does not normalize: mass {want!r} vs z {z!r}"
             assert got == ("ValueError", message)
         else:
@@ -141,6 +141,12 @@ CASES = {
     "product overflows": [
         Factor.from_expression(["x"], "1e200 + x", DOMAINS),
         Factor.from_expression(["y"], "1e200 + y", DOMAINS),
+    ],
+    # 1e200 * 1e200 * 0.0 is inf * 0.0, NaN, though every exact product is 0
+    "product is NaN": [
+        coin(["x"], DOMAINS, [1e200, 0.0]),
+        coin(["x"], DOMAINS, [1e200, 0.0]),
+        coin(["x"], DOMAINS, [0.0, 1.0]),
     ],
 }
 

@@ -81,6 +81,32 @@ class TestMethodCard:
         with pytest.raises(ValueError, match="malformed tag"):
             make_card(assumption_tags=("Bad Tag",))
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("name", 7, "card field 'name' must be a string"),
+            ("citation_key", 5, "card field 'citation_key' must be a string"),
+            ("notes", None, "card field 'notes' must be a string"),
+            ("assumption_tags", "abc", "assumption_tags must be a list of strings"),
+            ("assumption_tags", 5, "assumption_tags must be a list of strings"),
+            ("assumption_tags", ("a_tag", 1), "assumption_tags must be a list of strings"),
+        ],
+        ids=["name", "citation-key", "notes", "tags-string", "tags-number", "tags-holding-a-number"],
+    )
+    def test_fields_of_a_wrong_type_are_named(self, key, value, message):
+        # A card built in code is held to the rule a catalog file is: "abc"
+        # was once stored as the three tags a, b and c.
+        with pytest.raises(ValueError) as exc:
+            make_card(**{key: value})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "tags", [["b", "a"], ("b", "a"), {"b", "a"}, iter(["b", "a"])],
+        ids=["list", "tuple", "set", "iterator"],
+    )
+    def test_tags_from_any_iterable(self, tags):
+        assert make_card(assumption_tags=tags).assumption_tags == ("a", "b")
+
 
 class TestCatalog:
     def test_sorted_by_id(self):

@@ -187,6 +187,35 @@ class TestReportPlumbing:
             Report.from_mapping(data)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("details", 5, "report field 'details' must be a mapping, got 5"),
+            ("sub_reports", 5, "report field 'sub_reports' must be a list, got 5"),
+            ("statistic", None, "report field 'statistic' must be a real number, got None"),
+            ("statistic", True, "report field 'statistic' must be a real number, got True"),
+            ("test", 5, "report field 'test' must be a string, got 5"),
+            ("alpha", "0.05", "report field 'alpha' must be a real number, got '0.05'"),
+        ],
+        ids=["details", "sub-reports", "statistic-null", "statistic-true", "test", "alpha"],
+    )
+    def test_mapping_values_of_a_wrong_type_are_named(self, key, value, message):
+        # The values pass through from_mapping; the report's own checks name them.
+        with pytest.raises(ValueError) as exc:
+            Report.from_mapping({**GOOD_REPORT, key: value})
+        assert str(exc.value) == message
+
+    def test_numbers_are_stored_as_floats(self):
+        r = Report("t", np.int64(3), 0, np.float32(0.5), Decision.REJECT_NULL)
+        assert [type(v) for v in (r.statistic, r.p_value, r.alpha)] == [float] * 3
+        assert (r.statistic, r.p_value, r.alpha) == (3.0, 0.0, 0.5)
+        assert Report.from_mapping(json.loads(json.dumps(r.to_mapping()))) == r
+
+    def test_nan_p_value_is_refused(self):
+        # Clamping NaN into [0, 1] once turned it into p = 0 and a rejection.
+        with pytest.raises(ValueError, match=r"^p-value nan outside \[0, 1\]$"):
+            Report.from_p("t", 0.0, math.nan, 0.05)
+
     def test_sub_reports_round_trip(self):
         sub = Report.from_p("inner", 1.0, 0.2, 0.05)
         r = Report.from_p("outer", 2.0, 0.01, 0.05, sub_reports=(sub,))
@@ -375,6 +404,11 @@ class TestCusum:
         assert cusum_crossing_probability(20.0) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError, match="non-negative"):
             cusum_crossing_probability(-0.1)
+
+    def test_crossing_probability_refuses_nan(self):
+        # NaN once passed the sign check and came back as probability 0.
+        with pytest.raises(ValueError, match="^coefficient must be non-negative, got nan$"):
+            cusum_crossing_probability(math.nan)
 
     def test_alpha_range(self):
         with pytest.raises(ValueError, match="outside"):

@@ -14,9 +14,10 @@ two inputs of one length through ``stats._as_pair``; and the Normal and
 Uniform parameter rules are raised from one place, ``stats.NormalNoise`` and
 ``stats.UniformNoise``, which a model's noise and the ``ks`` reference share,
 and hold numpy-scalar parameters as Python floats; a seed becomes a generator
-in one place, ``stats._stream``, under one rule for every seeded call; and a
+in one place, ``stats._stream``, under one rule for every seeded call; a
 card, a knowledge state and a test report are read as JSON objects by one key
-rule, ``lattice._json_object``.
+rule, ``lattice._json_object``; and each field is checked by the type that
+holds it, the same for a value built in code as for one read from JSON.
 """
 
 import ast
@@ -33,10 +34,18 @@ import cdl_compass
 from cdl_compass.cli import main
 from cdl_compass.expressions import EvaluationError, evaluate_expression, parse_expression
 from cdl_compass.graphs import CycleError, Dag, Pdag
-from cdl_compass.lattice import KnowledgeState
-from cdl_compass.registry import card_from_mapping, card_to_mapping, default_catalog
-from cdl_compass.scm import oracle_cate, parse_scm, sample
+from cdl_compass.lattice import (
+    KnowledgeState,
+    ParametricLevel,
+    ParametricTag,
+    StructuralLevel,
+    StructuralTag,
+    knowledge_state,
+)
+from cdl_compass.registry import MethodCard, card_from_mapping, card_to_mapping, default_catalog
+from cdl_compass.scm import StructuralEquation, oracle_cate, parse_scm, sample
 from cdl_compass.stats import (
+    Decision,
     NormalNoise,
     UniformNoise,
     anm_direction,
@@ -572,3 +581,91 @@ def test_key_rule_is_raised_once():
             ):
                 sites.append(f"{path.name}:{scope}")
     assert sites == ["lattice.py:_json_object"] * 3
+
+
+# ---------------------------------------------------------------------------
+# One rule per field, in the type that holds it
+
+FIELD_TYPE_MESSAGES = (
+    "must be a string",
+    "must be a list of strings",
+    "must be a real number",
+    "must be a mapping",
+)
+
+
+def test_field_types_are_checked_in_their_types():
+    # card_from_mapping once checked a card's field types by hand, so a card
+    # built in code skipped the check.  TestReport.from_mapping keeps one
+    # check of the JSON shape, that sub_reports is a list.
+    package = Path(cdl_compass.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant)
+                and isinstance(c.value, str)
+                and any(message in c.value for message in FIELD_TYPE_MESSAGES)
+                for c in ast.walk(node)
+            ):
+                sites.append(f"{path.name}:{scope}")
+    assert sites == ["registry.py:MethodCard.__post_init__"] * 2 + [
+        "stats.py:TestReport.__post_init__"
+    ] * 3
+
+
+STATE = knowledge_state("unknown", "nonparametric", "static")
+UNKNOWN = StructuralLevel(StructuralTag.UNKNOWN)
+NONPARAMETRIC = ParametricLevel(ParametricTag.NONPARAMETRIC)
+WRONGLY_TYPED = {
+    "structural-level-tag": (
+        lambda: StructuralLevel("causal"),
+        "tag must be a StructuralTag, got 'causal'",
+    ),
+    "parametric-level-tag": (
+        lambda: ParametricLevel("noise_model"),
+        "tag must be a ParametricTag, got 'noise_model'",
+    ),
+    "state-structural": (
+        lambda: KnowledgeState("unknown", NONPARAMETRIC, STATE.temporal),
+        "structural must be a StructuralLevel, got 'unknown'",
+    ),
+    "state-parametric": (
+        lambda: KnowledgeState(UNKNOWN, ParametricTag.NONPARAMETRIC, STATE.temporal),
+        "parametric must be a ParametricLevel, got <ParametricTag.NONPARAMETRIC: 0>",
+    ),
+    "state-temporal": (
+        lambda: KnowledgeState(UNKNOWN, NONPARAMETRIC, "static"),
+        "temporal must be a TemporalFlag, got 'static'",
+    ),
+    "equation-level": (
+        lambda: StructuralEquation("Y", "noise_model", parse_expression("X")),
+        "level must be a ParametricTag, got 'noise_model'",
+    ),
+    "card-a-priori": (
+        lambda: MethodCard("m", "M", "doe2020m", STATE.triple, STATE),
+        "a_priori must be a KnowledgeState, got 'unknown:nonparametric:static'",
+    ),
+    "card-a-posteriori": (
+        lambda: MethodCard("m", "M", "doe2020m", STATE, None),
+        "a_posteriori must be a KnowledgeState, got None",
+    ),
+    "report-decision": (
+        lambda: Report("t", 0.0, 0.5, 0.05, "fail_to_reject"),
+        "decision must be a Decision, got 'fail_to_reject'",
+    ),
+    "report-sub-report": (
+        lambda: Report("t", 0.0, 0.5, 0.05, Decision.FAIL_TO_REJECT, sub_reports=("t",)),
+        "a sub-report must be a TestReport, got 't'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONGLY_TYPED))
+def test_a_field_of_another_type_is_refused_by_name(case):
+    # Each of these was once built, to fail later with an AttributeError or a
+    # wrong answer, or failed at once with an AttributeError naming nothing.
+    build, message = WRONGLY_TYPED[case]
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
