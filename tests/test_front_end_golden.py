@@ -5,7 +5,8 @@ holds its exit code (argparse's own exit code for a usage error it finds) and
 the SHA-256 of its stdout and of its stderr.  The cases run the bench
 fixtures through every subcommand in both formats, ``anm`` in both formats
 on a tie-heavy CSV the harness writes, ``test`` on small CSVs holding a
-non-finite value or too few rows, Normal and Uniform parameters out of
+non-finite value or too few rows, ``pcorr`` in both formats on two exactly
+collinear columns, Normal and Uniform parameters out of
 range for the ``ks`` reference and for a model's noise, a negative seed for
 ``simulate``, ``test --test resid`` and ``anm``, ``sample``'s columns at
 n = 2000 for three models and two seeds, the usage errors that exit 2, every
@@ -214,6 +215,7 @@ INPUTS = {
     "inf.csv": "X,Y,Z\n1,2,3\n2,inf,4\n3,5,1\n4,1,2\n5,3,3\n",
     "three_rows.csv": "X,Y,Z\n1,2,3\n2,1,4\n3,5,1\n",
     "four_rows.csv": "X,Y\n1,2\n2,1\n3,5\n4,4\n",
+    "collinear.csv": "X,Y\n1,2\n2,4\n3,6\n4,8\n5,10\n6,12\n",
 }
 
 START = ("--start", "unknown:noise_model:static")
@@ -282,6 +284,9 @@ CASES = [
     ("test", "@three_rows.csv", "--test", "pcorr", "--x", "X", "--y", "Y"),
     ("test", "@four_rows.csv", "--test", "cusum", "--x", "X", "--y", "Y"),
     ("test", "@four_rows.csv", "--test", "ks", "--column", "X", "--mu", "nan"),
+    # |rho| = 1, where the Fisher z is infinite
+    ("test", "@collinear.csv", "--test", "pcorr", "--x", "X", "--y", "Y"),
+    ("test", "@collinear.csv", "--test", "pcorr", "--x", "X", "--y", "Y", "--format", "json"),
     # noise parameters out of range, for the ks reference and a model
     ("test", DATA, "--test", "ks", "--column", "X", "--sigma", "inf"),
     ("test", DATA, "--test", "ks", "--column", "X", "--uniform", "0", "inf"),
