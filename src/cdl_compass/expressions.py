@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
 from .graphs import _NAME, _check_name
+from .lattice import _real
 
 
 class ExpressionSyntaxError(ValueError):
@@ -59,7 +60,7 @@ class Num:
     value: float
 
     def __post_init__(self) -> None:
-        v = float(self.value)
+        v = _real(self.value, "numeric literal")
         if not math.isfinite(v):
             raise ValueError("numeric literals must be finite")
         object.__setattr__(self, "value", v)

@@ -360,7 +360,7 @@ class IndependenceSet:
 
     @cached_property
     def _sorted(self) -> tuple[IndependenceStatement, ...]:
-        # Sorted once: consistent_with reads this order for every DAG it checks.
+        # Sorted once, for sorted_statements and for the groups _by_source caches.
         return tuple(sorted(self.statements, key=IndependenceStatement.sort_key))
 
     def variables(self) -> frozenset[str]:

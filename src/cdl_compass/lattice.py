@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -119,6 +120,20 @@ def _check_type(value: Any, kind: type, name: str) -> None:
     """Refuse ``value`` with a ``TypeError`` naming ``name`` unless it is a ``kind``."""
     if not isinstance(value, kind):
         raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+def _real(value: Any, name: str) -> float:
+    """``value`` as a Python float if it is a real number, not a bool, that a float holds
+    (numpy scalars included), else a ``ValueError`` naming ``name``.  Every value type
+    reads its numbers by this rule, and then states its own range."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _validate_structural_payload(tag: StructuralTag, payload: Any) -> None:

@@ -57,7 +57,7 @@ from .expressions import (
 )
 from .graphs import _NAME, Dag, GraphFormatError, Pdag, _check_name, _content_lines
 from .graphs import _graph_of_lines, format_graph
-from .lattice import ParametricTag, _check_type
+from .lattice import ParametricTag, _check_type, _real
 from .stats import NormalNoise, UniformNoise, _stream
 
 
@@ -72,6 +72,10 @@ class ScmFormatError(GraphFormatError):
 
 # ---------------------------------------------------------------------------
 # Distribution factorization
+
+
+def _reals(values: Iterable[float], name: str) -> tuple[float, ...]:
+    return tuple(_real(x, name) for x in values)
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,12 @@ class Factor:
         table: Mapping[tuple[float, ...], float],
     ) -> "Factor":
         scope_t = tuple(scope)
-        dom_t = tuple(
-            (v, tuple(float(x) for x in domains[v])) for v in scope_t
-        )
+        dom_t = tuple((v, _reals(domains[v], f"domain value of {v!r}")) for v in scope_t)
         tab_t = tuple(
-            sorted((tuple(float(x) for x in key), float(val)) for key, val in table.items())
+            sorted(
+                (_reals(key, f"table key {key!r}"), _real(val, f"table value at {key!r}"))
+                for key, val in table.items()
+            )
         )
         return cls(scope_t, dom_t, table=tab_t)
 
@@ -116,12 +121,7 @@ class Factor:
         scope_t = tuple(scope)
         domains = domains or {}
         dom_t = tuple(
-            (
-                v,
-                tuple(float(x) for x in domains[v])
-                if domains.get(v) is not None
-                else None,
-            )
+            (v, None if domains.get(v) is None else _reals(domains[v], f"domain value of {v!r}"))
             for v in scope_t
         )
         return cls(scope_t, dom_t, expr=expr)
@@ -172,12 +172,13 @@ class Factor:
         for v in self.scope:
             if v not in assignment:
                 raise ValueError(f"assignment missing scope variable {v!r}")
+        env = {v: _real(assignment[v], f"assignment of {v!r}") for v in self.scope}
         for v, dom in self.domains:
-            if dom is not None and float(assignment[v]) not in dom:
+            if dom is not None and env[v] not in dom:
                 raise ValueError(
                     f"value {assignment[v]!r} outside the declared domain of {v!r}"
                 )
-        return float(self._values({v: float(assignment[v]) for v in self.scope}))
+        return float(self._values(env))
 
     def _joint_values(self, names: Sequence[str]) -> np.ndarray:
         """The factor at every joint assignment of its finite scope domains.
@@ -207,11 +208,12 @@ class Factorization:
 
     @classmethod
     def of(cls, factors: Iterable[Factor], z: float = 1.0) -> "Factorization":
-        return cls(tuple(factors), float(z))
+        return cls(tuple(factors), z)
 
     def __post_init__(self) -> None:
         if not self.factors:
             raise ValueError("a factorization needs at least one factor")
+        object.__setattr__(self, "z", _real(self.z, "normalizer"))
         if not (self.z > 0.0) or not math.isfinite(self.z):
             raise ValueError(f"normalizer must be a positive real, got {self.z!r}")
         domains: dict[str, tuple[float, ...] | None] = {}

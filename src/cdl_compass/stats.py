@@ -37,7 +37,6 @@ are re-exported from :mod:`cdl_compass.lattice`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -51,6 +50,7 @@ from .lattice import (
     _check_type,
     _json_object,
     _Labelled,
+    _real,
     testability_tier,
 )
 
@@ -84,7 +84,9 @@ class TestReport:
     Each field is checked here, for a report built in code or read by
     :meth:`from_mapping`: a value of the wrong type raises ``ValueError``
     naming its field (``TypeError`` for ``decision``, ``bears_on`` and
-    sub-reports), and the three numbers, bools refused, are stored as floats.
+    sub-reports).  The three numbers are read by ``lattice._real`` and stored
+    as floats, p must lie in [0, 1], and the statistic and every float detail
+    must be finite, so that :meth:`to_mapping` is always strict JSON.
     """
 
     test: str
@@ -102,9 +104,9 @@ class TestReport:
         if not self.test:
             raise ValueError("a report needs a test name")
         for key in ("statistic", "p_value", "alpha"):
-            if isinstance(value := getattr(self, key), bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"report field {key!r} must be a real number, got {value!r}")
-            object.__setattr__(self, key, float(value))
+            object.__setattr__(self, key, _real(getattr(self, key), f"report field {key!r}"))
+        if not math.isfinite(self.statistic):
+            raise ValueError(f"report field 'statistic' must be finite, got {self.statistic!r}")
         if not (0.0 <= self.p_value <= 1.0):
             raise ValueError(f"p-value {self.p_value!r} outside [0, 1]")
         if not (0.0 < self.alpha < 1.0):
@@ -125,6 +127,8 @@ class TestReport:
         for key, value in self.details.items():
             if not isinstance(value, _DETAIL_TYPES):
                 raise ValueError(f"detail {key!r} has non-scalar value {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"detail {key!r} must be finite, got {value!r}")
         object.__setattr__(self, "details", dict(self.details))
         for sub in self.sub_reports:
             _check_type(sub, TestReport, "a sub-report")
@@ -140,9 +144,7 @@ class TestReport:
         details: Mapping[str, float | int | str | bool] | None = None,
         sub_reports: Sequence["TestReport"] = (),
     ) -> "TestReport":
-        """Build a report with the decision derived from p and alpha; p is
-        clamped to [0, 1], but NaN passes through for the constructor to refuse."""
-        p_value = p_value if math.isnan(p_value) else min(1.0, max(0.0, p_value))
+        """Build a report with the decision derived from p and alpha."""
         decision = Decision.REJECT_NULL if p_value < alpha else Decision.FAIL_TO_REJECT
         return cls(
             test=test,
@@ -236,8 +238,8 @@ class NormalNoise:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "mu", _real(self.mu, "mu"))
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
         if not self.sigma > 0.0:
@@ -264,8 +266,8 @@ class UniformNoise:
     high: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "low", float(self.low))
-        object.__setattr__(self, "high", float(self.high))
+        object.__setattr__(self, "low", _real(self.low, "low"))
+        object.__setattr__(self, "high", _real(self.high, "high"))
         if not self.low < self.high:
             raise ValueError(f"need low < high, got [{self.low!r}, {self.high!r}]")
         if not math.isfinite(self.high - self.low):  # an infinite bound, or overflow
@@ -824,17 +826,12 @@ def partial_correlation_ci_test(
             f"need more than {len(given) + 3} samples for {len(given)} conditioners, got {n}"
         )
     rho = _partial_correlation(columns)
-    if abs(rho) >= 1.0:
+    details = {"n": int(n), "given": ",".join(given)}
+    if abs(rho) >= 1.0:  # z is infinite, and no report holds an infinite number
         p = 0.0
-        z = math.inf
     else:
-        z = abs(math.atanh(rho)) * math.sqrt(dof)
+        details["z"] = z = abs(math.atanh(rho)) * math.sqrt(dof)
         p = 2.0 * _normal_sf(z)
     return TestReport.from_p(
-        "partial_correlation",
-        rho,
-        p,
-        alpha,
-        bears_on=StructuralTag.PLAUSIBLE,
-        details={"n": int(n), "given": ",".join(given), "z": float(z)},
+        "partial_correlation", rho, p, alpha, bears_on=StructuralTag.PLAUSIBLE, details=details
     )

@@ -14,7 +14,8 @@ format error of the graph, constraint, model, expression and pipeline readers
 that the CLI and model tests raise, the ways names, labels and catalog
 sources are given on the command line, and catalog cards whose tags are one
 string or whose notes are null, so a rewrite of those readers must keep every
-output byte.  The file also holds, under ``sample``, the SHA-256
+output byte; what every ``--format json`` case prints must parse as strict
+JSON.  The file also holds, under ``sample``, the SHA-256
 of the bench's wide 1000-variable model and narrow chain and of the columns
 ``sample`` draws from each, in process, at the sizes the bench draws them.
 
@@ -372,13 +373,21 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _run(argv: list[str]) -> dict:
+    """The exit code and digests of one run; whatever a ``--format json`` run
+    prints must be strict JSON, which holds no ``NaN``, ``Infinity`` or ``-Infinity``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    if out.getvalue() and any(pair == ("--format", "json") for pair in zip(argv, argv[1:])):
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
     return {"exit": code, "stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue())}
 
 

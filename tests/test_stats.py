@@ -216,6 +216,11 @@ class TestReportPlumbing:
         with pytest.raises(ValueError, match=r"^p-value nan outside \[0, 1\]$"):
             Report.from_p("t", 0.0, math.nan, 0.05)
 
+    def test_p_value_past_one_is_refused(self):
+        # from_p once clamped this to 1.0; the constructor's range is the one p rule.
+        with pytest.raises(ValueError, match=r"^p-value 1\.0000000000000002 outside \[0, 1\]$"):
+            Report.from_p("t", 0.0, 1.0 + 2**-52, 0.05)
+
     def test_sub_reports_round_trip(self):
         sub = Report.from_p("inner", 1.0, 0.2, 0.05)
         r = Report.from_p("outer", 2.0, 0.01, 0.05, sub_reports=(sub,))
@@ -805,6 +810,26 @@ class TestPartialCorrelation:
         r = partial_correlation_ci_test(data, "x", "y", ["a", "b"])
         assert r.details["given"] == "a,b"
         assert r.details["n"] == 40
+
+
+# ---------------------------------------------------------------------------
+# Boundary p-values, which from_p passes through unchanged (cusum on an exact
+# line and resid on constant residuals are pinned in their classes above)
+
+
+def test_pcorr_at_zero_correlation_gives_p_one():
+    x = np.arange(1.0, 9.0)
+    y = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])  # orthogonal to x - mean(x)
+    r = partial_correlation_ci_test({"x": x, "y": y}, "x", "y")
+    assert (r.statistic, r.details["z"], r.p_value) == (0.0, 0.0, 1.0)
+
+
+def test_resid_gives_p_one_when_every_permutation_scores_at_least_the_observed():
+    # Residuals equal up to rounding rank as ties, so the statistic is 0, every
+    # permutation scores at least it, and p = (1 + 99) / (1 + 99).
+    residuals = np.full(30, 1.0) + np.arange(30) * 2.0**-52
+    r = residual_independence_test(np.arange(30.0), residuals, n_permutations=99)
+    assert (r.statistic, r.p_value) == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ holds it, the same for a value built in code as for one read from JSON.
 """
 
 import ast
+import json
 import math
 import os
 import subprocess
@@ -32,7 +33,7 @@ import pytest
 
 import cdl_compass
 from cdl_compass.cli import main
-from cdl_compass.expressions import EvaluationError, evaluate_expression, parse_expression
+from cdl_compass.expressions import EvaluationError, Num, evaluate_expression, parse_expression
 from cdl_compass.graphs import CycleError, Dag, Pdag
 from cdl_compass.lattice import (
     KnowledgeState,
@@ -43,7 +44,14 @@ from cdl_compass.lattice import (
     knowledge_state,
 )
 from cdl_compass.registry import MethodCard, card_from_mapping, card_to_mapping, default_catalog
-from cdl_compass.scm import StructuralEquation, oracle_cate, parse_scm, sample
+from cdl_compass.scm import (
+    Factor,
+    Factorization,
+    StructuralEquation,
+    oracle_cate,
+    parse_scm,
+    sample,
+)
 from cdl_compass.stats import (
     Decision,
     NormalNoise,
@@ -609,9 +617,11 @@ def test_field_types_are_checked_in_their_types():
                 for c in ast.walk(node)
             ):
                 sites.append(f"{path.name}:{scope}")
-    assert sites == ["registry.py:MethodCard.__post_init__"] * 2 + [
+    # The real-number message is raised by lattice._real alone, which every
+    # value type reads its numbers through.
+    assert sites == ["lattice.py:_real"] + ["registry.py:MethodCard.__post_init__"] * 2 + [
         "stats.py:TestReport.__post_init__"
-    ] * 3
+    ] * 2
 
 
 STATE = knowledge_state("unknown", "nonparametric", "static")
@@ -669,3 +679,164 @@ def test_a_field_of_another_type_is_refused_by_name(case):
     with pytest.raises(TypeError) as info:
         build()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# One number rule, lattice._real
+
+FACTOR_X = ["X"]
+UNIFORM_TABLE = Factor.from_table(FACTOR_X, {"X": [0.0, 1.0]}, {(0.0,): 1.0, (1.0,): 1.0})
+FAIL = Decision.FAIL_TO_REJECT
+# Each site: a build from one number, the name its refusal gives (formatted
+# with the number as ``v``), a number it accepts, and where that number is held.
+NUMBER_SITES = {
+    "num": (Num, "numeric literal", 2, lambda o: o.value),
+    "normal-mu": (lambda v: NormalNoise(v, 1.0), "mu", 2, lambda o: o.mu),
+    "normal-sigma": (lambda v: NormalNoise(0.0, v), "sigma", 2, lambda o: o.sigma),
+    "uniform-low": (lambda v: UniformNoise(v, 3.0), "low", 2, lambda o: o.low),
+    "uniform-high": (lambda v: UniformNoise(0.0, v), "high", 2, lambda o: o.high),
+    "table-domain": (
+        lambda v: Factor.from_table(FACTOR_X, {"X": [0.0, v]}, {(0.0,): 0.5, (2.0,): 0.5}),
+        "domain value of 'X'",
+        2,
+        lambda o: o.domains[0][1][1],
+    ),
+    "table-key": (
+        lambda v: Factor.from_table(FACTOR_X, {"X": [0.0, 2.0]}, {(0.0,): 0.5, (v,): 0.5}),
+        "table key ({v!r},)",
+        2,
+        lambda o: o.table[1][0][0],
+    ),
+    "table-value": (
+        lambda v: Factor.from_table(FACTOR_X, {"X": [0.0, 2.0]}, {(0.0,): 0.5, (2.0,): v}),
+        "table value at (2.0,)",
+        2,
+        lambda o: o.table[1][1],
+    ),
+    "expression-domain": (
+        lambda v: Factor.from_expression(FACTOR_X, "X", {"X": [0.0, v]}),
+        "domain value of 'X'",
+        2,
+        lambda o: o.domains[0][1][1],
+    ),
+    "assignment": (
+        lambda v: Factor.from_expression(FACTOR_X, "X").evaluate({"X": v}),
+        "assignment of 'X'",
+        2,
+        lambda value: value,
+    ),
+    "factorization-of": (
+        lambda v: Factorization.of([UNIFORM_TABLE], v), "normalizer", 2, lambda o: o.z
+    ),
+    "factorization": (
+        lambda v: Factorization((UNIFORM_TABLE,), v), "normalizer", 2, lambda o: o.z
+    ),
+    "report-statistic": (
+        lambda v: Report("t", v, 0.5, 0.05, FAIL),
+        "report field 'statistic'",
+        2,
+        lambda o: o.statistic,
+    ),
+    "report-p-value": (
+        lambda v: Report("t", 0.0, v, 0.05, FAIL), "report field 'p_value'", 1, lambda o: o.p_value
+    ),
+    "report-alpha": (
+        lambda v: Report("t", 0.0, 0.5, v, FAIL), "report field 'alpha'", 0.25, lambda o: o.alpha
+    ),
+    "report-mapping": (
+        lambda v: Report.from_mapping({**GOOD_JSON["report"], "statistic": v}),
+        "report field 'statistic'",
+        2,
+        lambda o: o.statistic,
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["1", True, 10**400, None], ids=["str", "bool", "huge", "none"])
+@pytest.mark.parametrize("site", sorted(NUMBER_SITES))
+def test_every_number_is_read_by_one_rule(site, value):
+    # Each site called float(), which took "1" and True, raised a bare
+    # OverflowError on 10**400 and a TypeError on None, naming no field.
+    build, name, _, _ = NUMBER_SITES[site]
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert str(info.value) == f"{name.format(v=value)} must be a real number, got {value!r}"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64])
+@pytest.mark.parametrize("site", sorted(NUMBER_SITES))
+def test_numpy_scalars_are_held_as_floats(site, kind):
+    build, _, good, held = NUMBER_SITES[site]
+    if site == "report-alpha" and kind is np.int64:
+        # No integer lies in (0, 1): the number rule takes np.int64(0), and
+        # the report's range rule refuses it.
+        with pytest.raises(ValueError, match=r"^alpha 0\.0 outside \(0, 1\)$"):
+            build(kind(0))
+        return
+    value = held(build(kind(good)))
+    assert (type(value), value) == (float, good)
+
+
+REPORT_TEXT = (
+    '{"test": "t", "statistic": 1e999, "p_value": 0.5, "alpha": 0.05, '
+    '"decision": "fail_to_reject"}'
+)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: Report("t", math.inf, 0.5, 0.05, FAIL),
+            "report field 'statistic' must be finite, got inf",
+        ),
+        (
+            lambda: Report("t", math.nan, 0.5, 0.05, FAIL),
+            "report field 'statistic' must be finite, got nan",
+        ),
+        (
+            lambda: Report.from_p("t", 0.0, 0.5, 0.05, details={"n": 3, "z": math.inf}),
+            "detail 'z' must be finite, got inf",
+        ),
+        (
+            lambda: Report.from_mapping(json.loads(REPORT_TEXT)),
+            "report field 'statistic' must be finite, got inf",
+        ),
+    ],
+    ids=["statistic-inf", "statistic-nan", "detail-inf", "mapping-1e999"],
+)
+def test_a_report_holds_only_finite_numbers(build, message):
+    # to_mapping() of such a report made json.dumps write NaN or Infinity,
+    # which is not JSON; pcorr wrote "z": Infinity on collinear columns.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_value_types_call_float_on_no_field():
+    # Num, the two noise families, Factor, Factorization and TestReport each
+    # called float() on their numbers, under no rule for bools, strings or
+    # ints too large for a float.  Each now reads them through lattice._real.
+    # A value type is a public dataclass; the float() calls left in one unbox
+    # the array Factor computes.
+    package = Path(cdl_compass.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        dataclasses = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_")
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        }
+        for scope, node in _scoped(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+                and scope.split(".")[0] in dataclasses
+            ):
+                sites.append(f"{path.name}:{scope}")
+    assert sites == ["scm.py:Factor._values", "scm.py:Factor.evaluate"]
