@@ -16,8 +16,10 @@ Uniform parameter rules are raised from one place, ``stats.NormalNoise`` and
 and hold numpy-scalar parameters as Python floats; a seed becomes a generator
 in one place, ``stats._stream``, under one rule for every seeded call; a
 card, a knowledge state and a test report are read as JSON objects by one key
-rule, ``lattice._json_object``; and each field is checked by the type that
-holds it, the same for a value built in code as for one read from JSON.
+rule, ``lattice._json_object``; each field is checked by the type that
+holds it, the same for a value built in code as for one read from JSON; and
+every value type reads a number by one rule, ``lattice._real``, with a report
+holding only finite numbers.
 """
 
 import ast
