@@ -72,7 +72,6 @@ _EXPORTS = {
         "Transition",
         "TransitionKind",
         "all_tag_states",
-        "classify_transition",
         "join_states",
         "knowledge_state",
         "leq",

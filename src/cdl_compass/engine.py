@@ -35,7 +35,6 @@ from .lattice import (
     Transition,
     TransitionKind,
     _shortfall,
-    classify_transition,
     join_states,
     satisfies,
 )
@@ -48,7 +47,7 @@ class StageRecord:
 
     ``before`` is the running state entering the stage, ``required`` the
     card's demand, ``after`` the joined state when the stage is
-    satisfied (``None`` otherwise).
+    satisfied (``None`` otherwise, with ``message`` saying why).
     """
 
     index: int
@@ -56,8 +55,11 @@ class StageRecord:
     before: KnowledgeState
     required: KnowledgeState
     after: KnowledgeState | None
-    satisfied: bool
     message: str = ""
+
+    @property
+    def satisfied(self) -> bool:
+        return self.after is not None
 
     def to_mapping(self) -> dict:
         return {
@@ -73,11 +75,27 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """A fold's stages; the verdict, final state and failure reason follow from them."""
+
     start: KnowledgeState
     stages: tuple[StageRecord, ...]
-    final: KnowledgeState | None
-    overall: bool
-    failure_reason: str | None = None
+
+    @property
+    def overall(self) -> bool:
+        return all(stage.satisfied for stage in self.stages)
+
+    @property
+    def final(self) -> KnowledgeState | None:
+        if not self.overall:
+            return None
+        return self.stages[-1].after if self.stages else self.start
+
+    @property
+    def failure_reason(self) -> str | None:
+        for stage in self.stages:
+            if not stage.satisfied:
+                return f"stage {stage.index} ({stage.card_id}): {stage.message}"
+        return None
 
     def to_mapping(self) -> dict:
         return {
@@ -138,17 +156,11 @@ def validate_pipeline(
     for index, card in enumerate(cards, start=1):
         after, why = _step(state, card)
         problem = "" if why is None else _failure_message(state, card.a_priori, why)
-        stages.append(
-            StageRecord(
-                index, card.id, state, card.a_priori, after, after is not None, problem
-            )
-        )
+        stages.append(StageRecord(index, card.id, state, card.a_priori, after, problem))
         if after is None:
-            return ValidationReport(
-                start, tuple(stages), None, False, f"stage {index} ({card.id}): {problem}"
-            )
+            break
         state = after
-    return ValidationReport(start, tuple(stages), state, True, None)
+    return ValidationReport(start, tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +214,20 @@ def plan_pipeline(
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Per-card transition classification plus kind tallies."""
+    """Per-card transitions; the kind tallies and relaxing ids follow from them."""
 
     transitions: Mapping[str, Transition]
-    counts: Mapping[TransitionKind, int]
-    relaxing: tuple[str, ...]
+
+    @property
+    def counts(self) -> dict[TransitionKind, int]:
+        counts = {kind: 0 for kind in TransitionKind}
+        for t in self.transitions.values():
+            counts[t.kind] += 1
+        return counts
+
+    @property
+    def relaxing(self) -> tuple[str, ...]:
+        return tuple(card_id for card_id, t in self.transitions.items() if t.relaxing)
 
     def to_mapping(self) -> dict:
         return {
@@ -219,21 +240,14 @@ class AuditReport:
                 }
                 for card_id, t in self.transitions.items()
             },
-            "counts": {kind.label: self.counts[kind] for kind in TransitionKind},
+            "counts": {kind.label: n for kind, n in self.counts.items()},
             "relaxing": list(self.relaxing),
         }
 
 
 def audit_transitions(catalog: Catalog) -> AuditReport:
     """Classify every card's declared before/after pair, in id order."""
-    transitions: dict[str, Transition] = {}
-    for card in catalog.cards:
-        transitions[card.id] = classify_transition(card.a_priori, card.a_posteriori)
-    counts = {kind: 0 for kind in TransitionKind}
-    for t in transitions.values():
-        counts[t.kind] += 1
-    relaxing = tuple(card_id for card_id, t in transitions.items() if t.relaxing)
-    return AuditReport(transitions, counts, relaxing)
+    return AuditReport({c.id: Transition(c.a_priori, c.a_posteriori) for c in catalog.cards})
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +344,5 @@ def render_audit_text(report: AuditReport) -> str:
                 "yes" if t.relaxing else "no",
             ]
         )
-    counts = "  ".join(
-        f"{kind.label}={report.counts[kind]}" for kind in TransitionKind
-    )
+    counts = "  ".join(f"{kind.label}={n}" for kind, n in report.counts.items())
     return f"{_grid(rows)}\ncounts: {counts}"

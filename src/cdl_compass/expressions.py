@@ -78,6 +78,9 @@ class Var:
 class Neg:
     operand: Expression
 
+    def __post_init__(self) -> None:
+        _check_node(self.operand, "operand")
+
 
 @dataclass(frozen=True)
 class BinOp:
@@ -88,6 +91,8 @@ class BinOp:
     def __post_init__(self) -> None:
         if self.op not in ("+", "-", "*", "/", "**"):
             raise ValueError(f"unknown operator {self.op!r}")
+        _check_node(self.left, "left")
+        _check_node(self.right, "right")
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,12 @@ class Call:
     def __post_init__(self) -> None:
         if self.func not in FUNCTIONS:
             raise ValueError(f"unknown function {self.func!r}; expected one of {FUNCTIONS}")
+        _check_node(self.arg, "arg")
+
+
+def _check_node(value: Any, name: str) -> None:
+    if not isinstance(value, (Num, Var, Neg, BinOp, Call)):
+        raise TypeError(f"{name} must be an expression node, got {value!r}")
 
 
 _TOKEN_RE = re.compile(

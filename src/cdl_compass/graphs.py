@@ -348,6 +348,8 @@ class IndependenceSet:
         object.__setattr__(self, "statements", frozenset(self.statements))
         seen: dict[tuple, bool] = {}
         for s in self.statements:
+            if not isinstance(s, IndependenceStatement):
+                raise TypeError(f"a statement must be an IndependenceStatement, got {s!r}")
             key = (s.x, s.y, s.given)
             if key in seen and seen[key] != s.holds:
                 raise ValueError(
@@ -773,38 +775,35 @@ class TemporalTemplate:
     """A repeating graph motif over variable roles, unrolled step by step.
 
     ``within_step`` edges connect roles inside one time step.  Each entry
-    carries a step qualifier: ``"every"`` instantiates at all steps,
-    ``"first"`` only at step 1, ``"later"`` at steps 2 onward.  The
-    qualifiers exist because real processes are not always stationary at
-    the boundary: an initialization step may feed a variable that, once the
-    process is running, feeds back the other way.
+    ``(src, dst[, when])`` carries a step qualifier, ``"every"`` by default:
+    ``"every"`` instantiates at all steps, ``"first"`` only at step 1,
+    ``"later"`` at steps 2 onward.  The qualifiers exist because real
+    processes are not always stationary at the boundary: an initialization
+    step may feed a variable that, once the process is running, feeds back
+    the other way.
 
     ``across_step`` ``(src, dst)`` edges connect a role at step t to a role
-    at step t+1, so they never point backward in time.
+    at step t+1, so they never point backward in time.  Each field takes any
+    iterable and is held in one form: roles and cross-step edges as
+    frozensets, within-step triples de-duplicated in a sorted tuple.
     """
 
     roles: frozenset[str]
-    within_step: tuple[tuple[str, str, str], ...]
-    across_step: frozenset[tuple[str, str]]
+    within_step: tuple[tuple[str, str, str], ...] = ()
+    across_step: frozenset[tuple[str, str]] = frozenset()
 
-    @classmethod
-    def of(
-        cls,
-        roles: Iterable[str],
-        within_step: Iterable[tuple] = (),
-        across_step: Iterable[tuple] = (),
-    ) -> "TemporalTemplate":
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "roles", frozenset(self.roles))
+        _check_names(self.roles)
         within: list[tuple[str, str, str]] = []
-        for entry in within_step:
+        for entry in self.within_step:
             if len(entry) not in (2, 3):
                 raise ValueError(f"within-step entries are (src, dst[, when]): {entry!r}")
             within.append((entry[0], entry[1], entry[2] if len(entry) == 3 else EVERY_STEP))
         # Sorted as text, so an entry holding a non-string is named, not a TypeError.
         within = sorted(dict.fromkeys(within), key=_edge_key)
-        return cls(frozenset(roles), tuple(within), frozenset(map(tuple, across_step)))
-
-    def __post_init__(self) -> None:
-        _check_names(self.roles)
+        object.__setattr__(self, "within_step", tuple(within))
+        object.__setattr__(self, "across_step", frozenset(map(tuple, self.across_step)))
         for src, dst, when in self.within_step:
             if src not in self.roles or dst not in self.roles:
                 raise ValueError(f"within-step edge ({src!r}, {dst!r}) uses an unknown role")
@@ -867,7 +866,7 @@ def hidden_confounder_template() -> TemporalTemplate:
     between X and U flips after initialization, which is exactly the kind of
     non-stationarity the step qualifiers exist to express.
     """
-    return TemporalTemplate.of(
+    return TemporalTemplate(
         roles=("X", "A", "U", "Y"),
         within_step=(
             ("X", "Y", EVERY_STEP),

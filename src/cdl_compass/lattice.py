@@ -328,38 +328,34 @@ class TransitionKind(_Labelled):
 
 @dataclass(frozen=True)
 class Transition:
-    """A classified change between two knowledge states.
+    """A change between two knowledge states, classified from its ends.
 
-    ``relaxing`` is set when the transition strictly lowers either scale —
-    legal, but worth surfacing, since it discards knowledge.
+    ``kind`` tracks the two ordered scales only: structural if the
+    structural tag changed, parametric if the parametric tag changed, both
+    or none accordingly.  The temporal flag does not participate (method
+    cards never change regime; see the registry invariants).  ``relaxing``
+    is set when the transition strictly lowers either scale — legal, but
+    worth surfacing, since it discards knowledge.
     """
 
     from_state: KnowledgeState
     to_state: KnowledgeState
-    kind: TransitionKind
-    relaxing: bool
 
+    @property
+    def kind(self) -> TransitionKind:
+        s_changed = self.from_state.structural.tag is not self.to_state.structural.tag
+        p_changed = self.from_state.parametric.tag is not self.to_state.parametric.tag
+        if s_changed and p_changed:
+            return TransitionKind.BOTH
+        if s_changed:
+            return TransitionKind.STRUCTURAL
+        if p_changed:
+            return TransitionKind.PARAMETRIC
+        return TransitionKind.NONE
 
-def classify_transition(before: KnowledgeState, after: KnowledgeState) -> Transition:
-    """Classify the tag deltas between two states.
-
-    The kind tracks the two ordered scales only: structural if the
-    structural tag changed, parametric if the parametric tag changed, both
-    or none accordingly.  The temporal flag does not participate (method
-    cards never change regime; see the registry invariants).
-    """
-    s_changed = before.structural.tag is not after.structural.tag
-    p_changed = before.parametric.tag is not after.parametric.tag
-    if s_changed and p_changed:
-        kind = TransitionKind.BOTH
-    elif s_changed:
-        kind = TransitionKind.STRUCTURAL
-    elif p_changed:
-        kind = TransitionKind.PARAMETRIC
-    else:
-        kind = TransitionKind.NONE
-    relaxing = _shortfall(after, before) in ("structural", "parametric")
-    return Transition(before, after, kind, relaxing)
+    @property
+    def relaxing(self) -> bool:
+        return _shortfall(self.to_state, self.from_state) in ("structural", "parametric")
 
 
 def all_tag_states(temporal: TemporalFlag | None = None) -> list[KnowledgeState]:

@@ -50,6 +50,7 @@ from .datasets import Dataset
 from .expressions import (
     EvaluationError,
     Expression,
+    _check_node,
     evaluate_expression,
     format_expression,
     free_variables,
@@ -85,6 +86,8 @@ class Factor:
     Backed either by an explicit table over finite domains or by an
     expression.  ``domains`` maps each scope variable to its finite value
     tuple, or ``None`` for a real-valued variable (expression factors only).
+    Domain values, table keys and table values are read by ``lattice._real``
+    here, and the table is held sorted by key.
     """
 
     scope: tuple[str, ...]
@@ -100,14 +103,7 @@ class Factor:
         table: Mapping[tuple[float, ...], float],
     ) -> "Factor":
         scope_t = tuple(scope)
-        dom_t = tuple((v, _reals(domains[v], f"domain value of {v!r}")) for v in scope_t)
-        tab_t = tuple(
-            sorted(
-                (_reals(key, f"table key {key!r}"), _real(val, f"table value at {key!r}"))
-                for key, val in table.items()
-            )
-        )
-        return cls(scope_t, dom_t, table=tab_t)
+        return cls(scope_t, tuple((v, domains[v]) for v in scope_t), table=tuple(table.items()))
 
     @classmethod
     def from_expression(
@@ -120,11 +116,7 @@ class Factor:
             expr = parse_expression(expr)
         scope_t = tuple(scope)
         domains = domains or {}
-        dom_t = tuple(
-            (v, None if domains.get(v) is None else _reals(domains[v], f"domain value of {v!r}"))
-            for v in scope_t
-        )
-        return cls(scope_t, dom_t, expr=expr)
+        return cls(scope_t, tuple((v, domains.get(v)) for v in scope_t), expr=expr)
 
     def __post_init__(self) -> None:
         if not self.scope:
@@ -135,7 +127,17 @@ class Factor:
             raise ValueError("domains must cover exactly the scope variables")
         if (self.table is None) == (self.expr is None):
             raise ValueError("a factor is backed by exactly one of table or expression")
+        domains = tuple(
+            (v, None if dom is None else _reals(dom, f"domain value of {v!r}"))
+            for v, dom in self.domains
+        )
+        object.__setattr__(self, "domains", domains)
         if self.table is not None:
+            table = sorted(
+                (_reals(key, f"table key {key!r}"), _real(value, f"table value at {key!r}"))
+                for key, value in self.table
+            )
+            object.__setattr__(self, "table", tuple(table))
             doms = dict(self.domains)
             if any(doms[v] is None for v in self.scope):
                 raise ValueError("table factors need a finite domain for every variable")
@@ -218,6 +220,7 @@ class Factorization:
             raise ValueError(f"normalizer must be a positive real, got {self.z!r}")
         domains: dict[str, tuple[float, ...] | None] = {}
         for f in self.factors:
+            _check_type(f, Factor, "a factor")
             for v, dom in f.domains:
                 if v in domains and domains[v] != dom:
                     raise ValueError(f"inconsistent domains declared for {v!r}")
@@ -287,6 +290,8 @@ class StructuralEquation:
     def __post_init__(self) -> None:
         _check_name(self.target)
         _check_type(self.level, ParametricTag, "level")
+        if self.expr is not None:
+            _check_node(self.expr, "expr")
         needs_expr = self.level in (ParametricTag.NOISE_MODEL, ParametricTag.FULLY_KNOWN)
         if needs_expr and self.expr is None:
             raise ValueError(

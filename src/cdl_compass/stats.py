@@ -1,8 +1,8 @@
 """Assumption checks: distribution, linearity, independence, and direction tests.
 
 Every test returns a :class:`TestReport` holding the statistic, the
-p-value, the significance level, and the decision, with the invariant
-``decision == Reject  iff  p_value < alpha`` enforced at construction.
+p-value and the significance level; its decision is computed from them,
+``Reject  iff  p_value < alpha``, so no report can contradict its evidence.
 Reports serialize to plain JSON-compatible mappings and may nest advisory
 sub-reports that carry extra diagnostics without affecting the decision.
 
@@ -73,27 +73,25 @@ def _tag_from_label(label: str) -> StructuralTag | ParametricTag:
 class TestReport:
     """Outcome of one hypothesis test.
 
-    ``decision`` is redundant with ``p_value < alpha`` and is checked to
-    agree at construction, so a report can never carry a contradictory
-    verdict.  ``bears_on`` names the knowledge level the test gives
-    evidence about (e.g. a conditional-independence test bears on the
-    plausible structural level).  ``details`` holds test-specific
-    scalars; ``sub_reports`` holds advisory nested reports (their
-    decisions do not feed back into this one).
+    ``decision`` is a property, ``p_value < alpha``, so a report can never
+    carry a contradictory verdict.  ``bears_on`` names the knowledge level
+    the test gives evidence about (e.g. a conditional-independence test
+    bears on the plausible structural level).  ``details`` holds
+    test-specific scalars; ``sub_reports`` holds advisory nested reports
+    (their decisions do not feed back into this one).
 
     Each field is checked here, for a report built in code or read by
     :meth:`from_mapping`: a value of the wrong type raises ``ValueError``
-    naming its field (``TypeError`` for ``decision``, ``bears_on`` and
-    sub-reports).  The three numbers are read by ``lattice._real`` and stored
-    as floats, p must lie in [0, 1], and the statistic and every float detail
-    must be finite, so that :meth:`to_mapping` is always strict JSON.
+    naming its field (``TypeError`` for ``bears_on`` and sub-reports).  The
+    three numbers are read by ``lattice._real`` and stored as floats, p must
+    lie in [0, 1], and the statistic and every float detail must be finite,
+    so that :meth:`to_mapping` is always strict JSON.
     """
 
     test: str
     statistic: float
     p_value: float
     alpha: float
-    decision: Decision
     bears_on: StructuralTag | ParametricTag | None = None
     details: Mapping[str, float | int | str | bool] = field(default_factory=dict)
     sub_reports: tuple["TestReport", ...] = ()
@@ -111,16 +109,7 @@ class TestReport:
             raise ValueError(f"p-value {self.p_value!r} outside [0, 1]")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha {self.alpha!r} outside (0, 1)")
-        _check_type(self.decision, Decision, "decision")
-        expected = Decision.REJECT_NULL if self.p_value < self.alpha else Decision.FAIL_TO_REJECT
-        if self.decision is not expected:
-            raise ValueError(
-                f"decision {self.decision.label} contradicts p={self.p_value!r} "
-                f"at alpha={self.alpha!r}"
-            )
-        if self.bears_on is not None and not isinstance(
-            self.bears_on, (StructuralTag, ParametricTag)
-        ):
+        if not isinstance(self.bears_on, (StructuralTag, ParametricTag, type(None))):
             raise TypeError(f"bears_on must be a knowledge tag, got {self.bears_on!r}")
         if not isinstance(self.details, Mapping):
             raise ValueError(f"report field 'details' must be a mapping, got {self.details!r}")
@@ -130,32 +119,13 @@ class TestReport:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"detail {key!r} must be finite, got {value!r}")
         object.__setattr__(self, "details", dict(self.details))
+        object.__setattr__(self, "sub_reports", tuple(self.sub_reports))
         for sub in self.sub_reports:
             _check_type(sub, TestReport, "a sub-report")
 
-    @classmethod
-    def from_p(
-        cls,
-        test: str,
-        statistic: float,
-        p_value: float,
-        alpha: float,
-        bears_on: StructuralTag | ParametricTag | None = None,
-        details: Mapping[str, float | int | str | bool] | None = None,
-        sub_reports: Sequence["TestReport"] = (),
-    ) -> "TestReport":
-        """Build a report with the decision derived from p and alpha."""
-        decision = Decision.REJECT_NULL if p_value < alpha else Decision.FAIL_TO_REJECT
-        return cls(
-            test=test,
-            statistic=statistic,
-            p_value=p_value,
-            alpha=alpha,
-            decision=decision,
-            bears_on=bears_on,
-            details=details or {},
-            sub_reports=tuple(sub_reports),
-        )
+    @property
+    def decision(self) -> Decision:
+        return Decision.REJECT_NULL if self.p_value < self.alpha else Decision.FAIL_TO_REJECT
 
     def to_mapping(self) -> dict:
         out: dict = {
@@ -174,21 +144,28 @@ class TestReport:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "TestReport":
+        """Read :meth:`to_mapping`'s form; a ``decision`` contradicting p and alpha is refused."""
         keys = ("test", "statistic", "p_value", "alpha", "decision")
         _json_object(data, "test report", keys, ("bears_on", "details", "sub_reports"))
         raw_tag, subs = data.get("bears_on"), data.get("sub_reports", [])
         if not isinstance(subs, list):
             raise ValueError(f"report field 'sub_reports' must be a list, got {subs!r}")
-        return cls(
+        decision = Decision.from_label(data["decision"])
+        report = cls(
             test=data["test"],
             statistic=data["statistic"],
             p_value=data["p_value"],
             alpha=data["alpha"],
-            decision=Decision.from_label(data["decision"]),
             bears_on=None if raw_tag is None else _tag_from_label(raw_tag),
             details=data.get("details", {}),
-            sub_reports=tuple(cls.from_mapping(sub) for sub in subs),
+            sub_reports=[cls.from_mapping(sub) for sub in subs],
         )
+        if report.decision is not decision:
+            raise ValueError(
+                f"decision {decision.label} contradicts p={report.p_value!r} "
+                f"at alpha={report.alpha!r}"
+            )
+        return report
 
 
 def _as_vector(values: Sequence[float], name: str, minimum: int = 1) -> np.ndarray:
@@ -351,9 +328,7 @@ def ks_test(
         p = float(kstwo.sf(d, n))
     else:
         p = _kolmogorov_sf(math.sqrt(n) * d)
-    return TestReport.from_p(
-        "ks", d, p, alpha, bears_on=ParametricTag.NOISE_MODEL, details={"n": int(n)}
-    )
+    return TestReport("ks", d, p, alpha, bears_on=ParametricTag.NOISE_MODEL, details={"n": int(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +353,7 @@ def jarque_bera_test(values: Sequence[float], alpha: float = 0.05) -> TestReport
     kurt = float(np.mean(centered**4)) / m2**2
     jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
     p = math.exp(-jb / 2.0)
-    return TestReport.from_p(
+    return TestReport(
         "jarque_bera",
         jb,
         p,
@@ -509,7 +484,7 @@ def cusum_linearity_test(
         "critical_value": cusum_critical_coefficient(alpha) * math.sqrt(big_r),
     }
     if sigma == 0.0:
-        return TestReport.from_p(
+        return TestReport(
             "cusum", 0.0, 1.0, alpha, bears_on=ParametricTag.PARAMETRIC, details=details
         )
     path = np.cumsum(w) / sigma
@@ -518,7 +493,7 @@ def cusum_linearity_test(
     statistic = float(excursion.max())
     p = cusum_crossing_probability(statistic / math.sqrt(big_r))
     advisory = ks_test(w / sigma, gaussian_cdf(), alpha)
-    return TestReport.from_p(
+    return TestReport(
         "cusum",
         statistic,
         p,
@@ -624,7 +599,7 @@ class _IndependenceProblem:
         return cls(xr, sr, ar, scales, observed)
 
     def report(self, hits: int, n_permutations: int, alpha: float) -> TestReport:
-        return TestReport.from_p(
+        return TestReport(
             "residual_independence",
             self.observed,
             (1 + hits) / (1 + n_permutations),
@@ -698,9 +673,20 @@ class CausalDirection(_Labelled):
 
 @dataclass(frozen=True)
 class AnmResult:
-    direction: CausalDirection
+    """Both directions' residual-independence reports; ``direction`` follows from them."""
+
     forward: TestReport
     backward: TestReport
+
+    @property
+    def direction(self) -> CausalDirection:
+        fwd_ok = self.forward.decision is Decision.FAIL_TO_REJECT
+        bwd_ok = self.backward.decision is Decision.FAIL_TO_REJECT
+        if fwd_ok and not bwd_ok:
+            return CausalDirection.X_TO_Y
+        if bwd_ok and not fwd_ok:
+            return CausalDirection.Y_TO_X
+        return CausalDirection.INCONCLUSIVE
 
 
 _ANM_PERMUTATIONS = 999
@@ -739,18 +725,8 @@ def anm_direction(
     # permutation stream: the one residual_independence_test would draw.
     problems = (_anm_problem(xv, yv), _anm_problem(yv, xv))
     hits = _permutation_hits(problems, _ANM_PERMUTATIONS, seed)
-    forward, backward = (
-        pb.report(h, _ANM_PERMUTATIONS, alpha) for pb, h in zip(problems, hits)
-    )
-    fwd_ok = forward.decision is Decision.FAIL_TO_REJECT
-    bwd_ok = backward.decision is Decision.FAIL_TO_REJECT
-    if fwd_ok and not bwd_ok:
-        direction = CausalDirection.X_TO_Y
-    elif bwd_ok and not fwd_ok:
-        direction = CausalDirection.Y_TO_X
-    else:
-        direction = CausalDirection.INCONCLUSIVE
-    return AnmResult(direction, forward, backward)
+    forward, backward = (pb.report(h, _ANM_PERMUTATIONS, alpha) for pb, h in zip(problems, hits))
+    return AnmResult(forward, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +808,6 @@ def partial_correlation_ci_test(
     else:
         details["z"] = z = abs(math.atanh(rho)) * math.sqrt(dof)
         p = 2.0 * _normal_sf(z)
-    return TestReport.from_p(
+    return TestReport(
         "partial_correlation", rho, p, alpha, bears_on=StructuralTag.PLAUSIBLE, details=details
     )

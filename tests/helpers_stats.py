@@ -46,7 +46,7 @@ def loop_independence_report(
         perm = rng.permutation(xv.shape[0])
         if max(abs(corr(xr, sr[perm])), abs(corr(xr, ar[perm]))) >= observed:
             hits += 1
-    return TestReport.from_p(
+    return TestReport(
         "residual_independence",
         observed,
         (1 + hits) / (1 + n_permutations),

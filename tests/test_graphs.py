@@ -97,7 +97,7 @@ class TestDag:
         (lambda: Dag.of([(True, "B")]), "variable name True is not an identifier"),
         (lambda: Pdag.of(undirected=[(True, "B")]), "variable name True is not an identifier"),
         (
-            lambda: TemporalTemplate.of(["A", "True"], [("A", True), ("A", "True")]),
+            lambda: TemporalTemplate(["A", "True"], [("A", True), ("A", "True")]),
             r"within-step edge \('A', True\) uses an unknown role",
         ),
     ],
@@ -557,11 +557,11 @@ class TestTemplates:
 
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError, match="unknown role"):
-            TemporalTemplate.of(["A"], within_step=[("A", "B")])
+            TemporalTemplate(["A"], within_step=[("A", "B")])
 
     def test_unknown_qualifier_rejected(self):
         with pytest.raises(ValueError, match="qualifier"):
-            TemporalTemplate.of(["A", "B"], within_step=[("A", "B", "sometimes")])
+            TemporalTemplate(["A", "B"], within_step=[("A", "B", "sometimes")])
 
     @pytest.mark.parametrize(
         "entries,message",
@@ -578,11 +578,11 @@ class TestTemplates:
     )
     def test_malformed_entry_rejected(self, entries, message):
         with pytest.raises(ValueError, match=message):
-            TemporalTemplate.of(["A", "B"], **entries)
+            TemporalTemplate(["A", "B"], **entries)
 
     def test_roles_that_spell_one_node_are_refused(self):
         # X at step 11 and X1 at step 1 are both X11.
-        t = TemporalTemplate.of(("X", "X1"), [("X", "X1")])
+        t = TemporalTemplate(("X", "X1"), [("X", "X1")])
         assert len(unroll(t, 10).nodes) == 20
         with pytest.raises(ValueError) as exc:
             unroll(t, 11)
@@ -590,20 +590,20 @@ class TestTemplates:
 
     def test_role_names_are_identifiers(self):
         with pytest.raises(ValueError, match="variable name 'a-b' is not an identifier"):
-            TemporalTemplate.of(["A", "a-b"])
+            TemporalTemplate(["A", "a-b"])
 
     def test_roles_are_checked_however_the_template_is_built(self):
         with pytest.raises(ValueError, match="variable name 'a b' is not an identifier"):
             TemporalTemplate(frozenset({"a b"}), (), frozenset())
 
     def test_within_step_cycle_fails_on_unroll(self):
-        t = TemporalTemplate.of(
+        t = TemporalTemplate(
             ["A", "B"], within_step=[("A", "B", "every"), ("B", "A", "every")]
         )
         with pytest.raises(CycleError):
             unroll(t, 1)
 
     def test_pure_autoregression(self):
-        t = TemporalTemplate.of(["Z"], across_step=[("Z", "Z")])
+        t = TemporalTemplate(["Z"], across_step=[("Z", "Z")])
         g = unroll(t, 4)
         assert g.edges == frozenset({("Z1", "Z2"), ("Z2", "Z3"), ("Z3", "Z4")})

@@ -20,7 +20,6 @@ from cdl_compass.lattice import (
     Transition,
     TransitionKind,
     all_tag_states,
-    classify_transition,
     join_states,
     knowledge_state,
     leq,
@@ -300,9 +299,9 @@ def test_join_higher_tag_payload_wins():
 # Transitions
 
 
-def test_classify_transition_kinds_exhaustive():
+def test_transition_kinds_exhaustive():
     for a, b in itertools.product(STATIC, repeat=2):
-        t = classify_transition(a, b)
+        t = Transition(a, b)
         assert isinstance(t, Transition)
         s_moved = a.structural.tag is not b.structural.tag
         p_moved = a.parametric.tag is not b.parametric.tag
@@ -319,12 +318,12 @@ def test_classify_transition_kinds_exhaustive():
 
 
 def test_transition_examples():
-    up = classify_transition(
+    up = Transition(
         knowledge_state("unknown", "noise_model", "static"),
         knowledge_state("causal", "noise_model", "static"),
     )
     assert up.kind is TransitionKind.STRUCTURAL and not up.relaxing
-    down = classify_transition(
+    down = Transition(
         knowledge_state("causal", "parametric", "static"),
         knowledge_state("plausible", "fully_known", "static"),
     )

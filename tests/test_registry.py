@@ -8,8 +8,8 @@ import pytest
 
 from cdl_compass.lattice import (
     TemporalFlag,
+    Transition,
     TransitionKind,
-    classify_transition,
     knowledge_state,
 )
 from cdl_compass.registry import (
@@ -266,22 +266,22 @@ class TestDefaultCatalog:
 
     def test_decaf_is_a_none_transition(self):
         card = default_catalog().card("decaf")
-        t = classify_transition(card.a_priori, card.a_posteriori)
+        t = Transition(card.a_priori, card.a_posteriori)
         assert t.kind is TransitionKind.NONE
         assert not t.relaxing
 
     def test_transition_kinds(self):
         cat = default_catalog()
-        resit = classify_transition(
+        resit = Transition(
             cat.card("resit").a_priori, cat.card("resit").a_posteriori
         )
         assert resit.kind is TransitionKind.STRUCTURAL
         assert not resit.relaxing
-        ode = classify_transition(
+        ode = Transition(
             cat.card("ode-discovery").a_priori, cat.card("ode-discovery").a_posteriori
         )
         assert ode.kind is TransitionKind.PARAMETRIC
-        lingam = classify_transition(
+        lingam = Transition(
             cat.card("lingam").a_priori, cat.card("lingam").a_posteriori
         )
         assert lingam.kind is TransitionKind.STRUCTURAL

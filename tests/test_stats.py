@@ -37,7 +37,7 @@ from cdl_compass.stats import testability_tier as tier_of
 # ---------------------------------------------------------------------------
 # Reports
 
-GOOD_REPORT = Report.from_p("t", 0.0, 0.5, 0.05).to_mapping()
+GOOD_REPORT = Report("t", 0.0, 0.5, 0.05).to_mapping()
 
 
 class TestReportPlumbing:
@@ -54,55 +54,59 @@ class TestReportPlumbing:
             Decision.from_label("maybe")
 
     def test_contradictory_decision_rejected(self):
-        with pytest.raises(ValueError, match="contradicts"):
-            Report("t", 1.0, 0.01, 0.05, Decision.FAIL_TO_REJECT)
-        with pytest.raises(ValueError, match="contradicts"):
-            Report("t", 1.0, 0.5, 0.05, Decision.REJECT_NULL)
+        # A report computes its decision, so only JSON can state one that
+        # contradicts p and alpha.
+        message = r"^decision fail_to_reject contradicts p=0\.01 at alpha=0\.05$"
+        with pytest.raises(ValueError, match=message):
+            Report.from_mapping({**GOOD_REPORT, "p_value": 0.01})
+        message = r"^decision reject_null contradicts p=0\.5 at alpha=0\.05$"
+        with pytest.raises(ValueError, match=message):
+            Report.from_mapping({**GOOD_REPORT, "decision": "reject_null"})
 
-    def test_from_p_derives_decision(self):
-        assert Report.from_p("t", 0.0, 0.01, 0.05).decision is Decision.REJECT_NULL
+    def test_constructor_derives_decision(self):
+        assert Report("t", 0.0, 0.01, 0.05).decision is Decision.REJECT_NULL
         assert (
-            Report.from_p("t", 0.0, 0.05, 0.05).decision is Decision.FAIL_TO_REJECT
+            Report("t", 0.0, 0.05, 0.05).decision is Decision.FAIL_TO_REJECT
         )  # boundary: p == alpha does not reject
 
     def test_p_and_alpha_ranges(self):
         with pytest.raises(ValueError, match="outside"):
-            Report("t", 0.0, 1.5, 0.05, Decision.FAIL_TO_REJECT)
+            Report("t", 0.0, 1.5, 0.05)
         with pytest.raises(ValueError, match="outside"):
-            Report("t", 0.0, 0.5, 1.0, Decision.FAIL_TO_REJECT)
+            Report("t", 0.0, 0.5, 1.0)
 
     def test_bears_on_serialized_as_label(self):
-        r = Report.from_p("t", 0.0, 0.5, 0.05, bears_on=StructuralTag.PLAUSIBLE)
+        r = Report("t", 0.0, 0.5, 0.05, bears_on=StructuralTag.PLAUSIBLE)
         m = r.to_mapping()
         assert m["bears_on"] == "plausible"
         assert Report.from_mapping(m) == r
 
     def test_bears_on_none_survives(self):
-        r = Report.from_p("t", 0.0, 0.5, 0.05)
+        r = Report("t", 0.0, 0.5, 0.05)
         m = r.to_mapping()
         assert m["bears_on"] is None
         assert Report.from_mapping(m).bears_on is None
 
     def test_bears_on_parametric_label(self):
-        r = Report.from_p("t", 0.0, 0.5, 0.05, bears_on=ParametricTag.NOISE_MODEL)
+        r = Report("t", 0.0, 0.5, 0.05, bears_on=ParametricTag.NOISE_MODEL)
         assert Report.from_mapping(r.to_mapping()).bears_on is ParametricTag.NOISE_MODEL
 
     @pytest.mark.parametrize(
         "build,error,message",
         [
             (
-                lambda: Report("", 0.0, 0.5, 0.05, Decision.FAIL_TO_REJECT),
+                lambda: Report("", 0.0, 0.5, 0.05),
                 ValueError,
                 "a report needs a test name",
             ),
             (
-                lambda: Report.from_p("t", 0.0, 0.5, 0.05, bears_on="plausible"),
+                lambda: Report("t", 0.0, 0.5, 0.05, bears_on="plausible"),
                 TypeError,
                 "bears_on must be a knowledge tag, got 'plausible'",
             ),
             (
                 lambda: Report.from_mapping(
-                    {**Report.from_p("t", 0.0, 0.5, 0.05).to_mapping(), "bears_on": 3}
+                    {**Report("t", 0.0, 0.5, 0.05).to_mapping(), "bears_on": 3}
                 ),
                 ValueError,
                 "unknown knowledge level 3",
@@ -206,7 +210,7 @@ class TestReportPlumbing:
         assert str(exc.value) == message
 
     def test_numbers_are_stored_as_floats(self):
-        r = Report("t", np.int64(3), 0, np.float32(0.5), Decision.REJECT_NULL)
+        r = Report("t", np.int64(3), 0, np.float32(0.5))
         assert [type(v) for v in (r.statistic, r.p_value, r.alpha)] == [float] * 3
         assert (r.statistic, r.p_value, r.alpha) == (3.0, 0.0, 0.5)
         assert Report.from_mapping(json.loads(json.dumps(r.to_mapping()))) == r
@@ -214,23 +218,23 @@ class TestReportPlumbing:
     def test_nan_p_value_is_refused(self):
         # Clamping NaN into [0, 1] once turned it into p = 0 and a rejection.
         with pytest.raises(ValueError, match=r"^p-value nan outside \[0, 1\]$"):
-            Report.from_p("t", 0.0, math.nan, 0.05)
+            Report("t", 0.0, math.nan, 0.05)
 
     def test_p_value_past_one_is_refused(self):
-        # from_p once clamped this to 1.0; the constructor's range is the one p rule.
+        # A builder once clamped this to 1.0; the constructor's range is the one p rule.
         with pytest.raises(ValueError, match=r"^p-value 1\.0000000000000002 outside \[0, 1\]$"):
-            Report.from_p("t", 0.0, 1.0 + 2**-52, 0.05)
+            Report("t", 0.0, 1.0 + 2**-52, 0.05)
 
     def test_sub_reports_round_trip(self):
-        sub = Report.from_p("inner", 1.0, 0.2, 0.05)
-        r = Report.from_p("outer", 2.0, 0.01, 0.05, sub_reports=(sub,))
+        sub = Report("inner", 1.0, 0.2, 0.05)
+        r = Report("outer", 2.0, 0.01, 0.05, sub_reports=(sub,))
         again = Report.from_mapping(json.loads(json.dumps(r.to_mapping())))
         assert again == r
         assert again.sub_reports[0].test == "inner"
 
     def test_details_scalars_only(self):
         with pytest.raises(ValueError, match="non-scalar"):
-            Report.from_p("t", 0.0, 0.5, 0.05, details={"v": [1, 2]})
+            Report("t", 0.0, 0.5, 0.05, details={"v": [1, 2]})
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -238,7 +242,7 @@ class TestReportPlumbing:
         alpha=st.floats(0.001, 0.999, allow_nan=False),
     )
     def test_decision_always_matches_p(self, p, alpha):
-        r = Report.from_p("t", 0.0, p, alpha)
+        r = Report("t", 0.0, p, alpha)
         assert (r.decision is Decision.REJECT_NULL) == (p < alpha)
         assert Report.from_mapping(r.to_mapping()) == r
 
@@ -813,7 +817,7 @@ class TestPartialCorrelation:
 
 
 # ---------------------------------------------------------------------------
-# Boundary p-values, which from_p passes through unchanged (cusum on an exact
+# Boundary p-values, which a report holds unchanged (cusum on an exact
 # line and resid on constant residuals are pinned in their classes above)
 
 

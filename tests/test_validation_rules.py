@@ -19,13 +19,18 @@ card, a knowledge state and a test report are read as JSON objects by one key
 rule, ``lattice._json_object``; each field is checked by the type that
 holds it, the same for a value built in code as for one read from JSON; and
 every value type reads a number by one rule, ``lattice._real``, with a report
-holding only finite numbers.
+holding only finite numbers; and a report field that follows from the others
+is a property computed from them, not a field that could contradict them,
+so the decision rule ``p_value < alpha`` is written once.
 """
 
 import ast
+import dataclasses
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -35,14 +40,27 @@ import pytest
 
 import cdl_compass
 from cdl_compass.cli import main
-from cdl_compass.expressions import EvaluationError, Num, evaluate_expression, parse_expression
-from cdl_compass.graphs import CycleError, Dag, Pdag
+from cdl_compass.engine import AuditReport, StageRecord, ValidationReport, validate_pipeline
+from cdl_compass.expressions import (
+    BinOp,
+    Call,
+    EvaluationError,
+    Neg,
+    Num,
+    Var,
+    evaluate_expression,
+    parse_expression,
+)
+from cdl_compass.graphs import CycleError, Dag, IndependenceSet, Pdag, TemporalTemplate
 from cdl_compass.lattice import (
     KnowledgeState,
     ParametricLevel,
     ParametricTag,
     StructuralLevel,
     StructuralTag,
+    Transition,
+    TransitionKind,
+    all_tag_states,
     knowledge_state,
 )
 from cdl_compass.registry import MethodCard, card_from_mapping, card_to_mapping, default_catalog
@@ -55,6 +73,8 @@ from cdl_compass.scm import (
     sample,
 )
 from cdl_compass.stats import (
+    AnmResult,
+    CausalDirection,
     Decision,
     NormalNoise,
     UniformNoise,
@@ -662,13 +682,25 @@ WRONGLY_TYPED = {
         lambda: MethodCard("m", "M", "doe2020m", STATE, None),
         "a_posteriori must be a KnowledgeState, got None",
     ),
-    "report-decision": (
-        lambda: Report("t", 0.0, 0.5, 0.05, "fail_to_reject"),
-        "decision must be a Decision, got 'fail_to_reject'",
-    ),
     "report-sub-report": (
-        lambda: Report("t", 0.0, 0.5, 0.05, Decision.FAIL_TO_REJECT, sub_reports=("t",)),
+        lambda: Report("t", 0.0, 0.5, 0.05, sub_reports=("t",)),
         "a sub-report must be a TestReport, got 't'",
+    ),
+    "independence-statement": (
+        lambda: IndependenceSet(frozenset({"x"})),
+        "a statement must be an IndependenceStatement, got 'x'",
+    ),
+    "factorization-factor": (
+        lambda: Factorization(("x",)),
+        "a factor must be a Factor, got 'x'",
+    ),
+    "binop-left": (lambda: BinOp("+", 1, Var("X")), "left must be an expression node, got 1"),
+    "binop-right": (lambda: BinOp("+", Var("X"), 2), "right must be an expression node, got 2"),
+    "neg-operand": (lambda: Neg("x"), "operand must be an expression node, got 'x'"),
+    "call-arg": (lambda: Call("exp", None), "arg must be an expression node, got None"),
+    "equation-expr": (
+        lambda: StructuralEquation("Y", ParametricTag.NOISE_MODEL, "X + 1"),
+        "expr must be an expression node, got 'X + 1'",
     ),
 }
 
@@ -688,7 +720,6 @@ def test_a_field_of_another_type_is_refused_by_name(case):
 
 FACTOR_X = ["X"]
 UNIFORM_TABLE = Factor.from_table(FACTOR_X, {"X": [0.0, 1.0]}, {(0.0,): 1.0, (1.0,): 1.0})
-FAIL = Decision.FAIL_TO_REJECT
 # Each site: a build from one number, the name its refusal gives (formatted
 # with the number as ``v``), a number it accepts, and where that number is held.
 NUMBER_SITES = {
@@ -733,17 +764,35 @@ NUMBER_SITES = {
     "factorization": (
         lambda v: Factorization((UNIFORM_TABLE,), v), "normalizer", 2, lambda o: o.z
     ),
+    "factor-domain": (
+        lambda v: Factor(("X",), (("X", (0.0, v)),), expr=Var("X")),
+        "domain value of 'X'",
+        2,
+        lambda o: o.domains[0][1][1],
+    ),
+    "factor-table-key": (
+        lambda v: Factor(("X",), (("X", (0.0, 2.0)),), (((0.0,), 0.5), ((v,), 0.5))),
+        "table key ({v!r},)",
+        2,
+        lambda o: o.table[1][0][0],
+    ),
+    "factor-table-value": (
+        lambda v: Factor(("X",), (("X", (0.0, 2.0)),), (((0.0,), 0.5), ((2.0,), v))),
+        "table value at (2.0,)",
+        2,
+        lambda o: o.table[1][1],
+    ),
     "report-statistic": (
-        lambda v: Report("t", v, 0.5, 0.05, FAIL),
+        lambda v: Report("t", v, 0.5, 0.05),
         "report field 'statistic'",
         2,
         lambda o: o.statistic,
     ),
     "report-p-value": (
-        lambda v: Report("t", 0.0, v, 0.05, FAIL), "report field 'p_value'", 1, lambda o: o.p_value
+        lambda v: Report("t", 0.0, v, 0.05), "report field 'p_value'", 1, lambda o: o.p_value
     ),
     "report-alpha": (
-        lambda v: Report("t", 0.0, 0.5, v, FAIL), "report field 'alpha'", 0.25, lambda o: o.alpha
+        lambda v: Report("t", 0.0, 0.5, v), "report field 'alpha'", 0.25, lambda o: o.alpha
     ),
     "report-mapping": (
         lambda v: Report.from_mapping({**GOOD_JSON["report"], "statistic": v}),
@@ -790,15 +839,15 @@ REPORT_TEXT = (
     "build, message",
     [
         (
-            lambda: Report("t", math.inf, 0.5, 0.05, FAIL),
+            lambda: Report("t", math.inf, 0.5, 0.05),
             "report field 'statistic' must be finite, got inf",
         ),
         (
-            lambda: Report("t", math.nan, 0.5, 0.05, FAIL),
+            lambda: Report("t", math.nan, 0.5, 0.05),
             "report field 'statistic' must be finite, got nan",
         ),
         (
-            lambda: Report.from_p("t", 0.0, 0.5, 0.05, details={"n": 3, "z": math.inf}),
+            lambda: Report("t", 0.0, 0.5, 0.05, details={"n": 3, "z": math.inf}),
             "detail 'z' must be finite, got inf",
         ),
         (
@@ -842,3 +891,157 @@ def test_value_types_call_float_on_no_field():
             ):
                 sites.append(f"{path.name}:{scope}")
     assert sites == ["scm.py:Factor._values", "scm.py:Factor.evaluate"]
+
+
+# ---------------------------------------------------------------------------
+# One way into a temporal template
+
+
+def test_a_template_built_directly_holds_one_form():
+    # The default qualifier, the de-duplication and the sort lived in a
+    # builder, so a direct build failed to unpack a pair, and kept duplicates
+    # and a list, which left the template unhashable.
+    pair = TemporalTemplate(frozenset({"X", "Y"}), (("X", "Y"),), frozenset())
+    assert pair.within_step == (("X", "Y", "every"),)
+    loose = TemporalTemplate(["Y", "X"], [["X", "Y"], ("X", "Y", "every")], [["X", "X"]])
+    assert loose.roles == frozenset({"X", "Y"})
+    assert loose.within_step == (("X", "Y", "every"),)
+    assert loose.across_step == frozenset({("X", "X")})
+    assert hash(loose) == hash(TemporalTemplate({"X", "Y"}, [("X", "Y")], [("X", "X")]))
+    with pytest.raises(ValueError) as info:
+        TemporalTemplate(frozenset({"X"}), (("X",),), frozenset())
+    assert str(info.value) == "within-step entries are (src, dst[, when]): ('X',)"
+
+
+# ---------------------------------------------------------------------------
+# Derived fields are computed, not stored
+
+STATIC_STATES = all_tag_states()
+CATALOG = default_catalog()
+
+
+def _reports(rng: random.Random, count: int):
+    """Reports over a grid of p-values that includes p == alpha."""
+    grid = [0.0, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0]
+    for _ in range(count):
+        alpha = rng.choice([0.001, 0.01, 0.05, 0.1, 0.5])
+        p = rng.choice([*grid, alpha, rng.random()])
+        yield Report("t", rng.uniform(-5, 5), p, alpha)
+
+
+def _check_decisions(rng):
+    for r in _reports(rng, 300):
+        reject = r.p_value < r.alpha
+        assert r.decision is (Decision.REJECT_NULL if reject else Decision.FAIL_TO_REJECT)
+        assert Report.from_mapping(r.to_mapping()) == r
+        assert Report.from_mapping(json.loads(json.dumps(r.to_mapping()))) == r
+
+
+def _check_directions(rng):
+    for forward, backward in zip(_reports(rng, 200), _reports(rng, 200)):
+        fwd_ok = forward.p_value >= forward.alpha
+        bwd_ok = backward.p_value >= backward.alpha
+        expected = {
+            (True, False): CausalDirection.X_TO_Y,
+            (False, True): CausalDirection.Y_TO_X,
+        }.get((fwd_ok, bwd_ok), CausalDirection.INCONCLUSIVE)
+        assert AnmResult(forward, backward).direction is expected
+
+
+def _check_transitions(rng):
+    for a, b in itertools.product(STATIC_STATES, repeat=2):
+        t = Transition(a, b)
+        moved = (a.structural.tag is not b.structural.tag, a.parametric.tag is not b.parametric.tag)
+        assert t.kind is {
+            (False, False): TransitionKind.NONE,
+            (True, False): TransitionKind.STRUCTURAL,
+            (False, True): TransitionKind.PARAMETRIC,
+            (True, True): TransitionKind.BOTH,
+        }[moved]
+        lowered = b.structural.tag < a.structural.tag or b.parametric.tag < a.parametric.tag
+        assert t.relaxing is lowered
+
+
+def _pipelines(rng: random.Random, count: int):
+    for _ in range(count):
+        start = rng.choice(STATIC_STATES)
+        ids = [rng.choice(CATALOG.cards).id for _ in range(rng.randint(0, 4))]
+        yield start, validate_pipeline(CATALOG, ids, start)
+
+
+def _check_stages(rng):
+    for _, report in _pipelines(rng, 300):
+        for stage in report.stages:
+            assert stage.satisfied is (stage.after is not None)
+            assert dataclasses.replace(stage, after=None).satisfied is False
+
+
+def _check_validation_reports(rng):
+    for start, report in _pipelines(rng, 300):
+        failed = [stage for stage in report.stages if stage.after is None]
+        assert report.overall is (not failed)
+        if failed:
+            stage = failed[0]
+            assert report.final is None
+            assert report.failure_reason == f"stage {stage.index} ({stage.card_id}): {stage.message}"
+        else:
+            assert report.final == (report.stages[-1].after if report.stages else start)
+            assert report.failure_reason is None
+
+
+def _check_audits(rng):
+    for _ in range(50):
+        cards = rng.sample(CATALOG.cards, rng.randint(0, len(CATALOG.cards)))
+        transitions = {card.id: Transition(card.a_priori, card.a_posteriori) for card in cards}
+        report = AuditReport(transitions)
+        kinds = [t.kind for t in transitions.values()]
+        assert report.counts == {kind: kinds.count(kind) for kind in TransitionKind}
+        assert report.relaxing == tuple(i for i, t in transitions.items() if t.relaxing)
+
+
+DERIVED = {
+    "TestReport": (Report, ("decision",), _check_decisions),
+    "AnmResult": (AnmResult, ("direction",), _check_directions),
+    "Transition": (Transition, ("kind", "relaxing"), _check_transitions),
+    "StageRecord": (StageRecord, ("satisfied",), _check_stages),
+    "ValidationReport": (
+        ValidationReport,
+        ("overall", "final", "failure_reason"),
+        _check_validation_reports,
+    ),
+    "AuditReport": (AuditReport, ("counts", "relaxing"), _check_audits),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DERIVED))
+def test_derived_fields_are_computed_by_their_rule(kind):
+    # Each of these was a field set by whoever built the value, so a value
+    # could contradict the evidence it holds.
+    cls, names, check = DERIVED[kind]
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for name in names:
+        assert name not in fields
+        assert isinstance(getattr(cls, name), property)
+    check(random.Random(kind))
+
+
+def _decision_rules(tree: ast.AST):
+    """The scope of each comparison between a ``p_value`` and an ``alpha``."""
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Compare):
+            names = {
+                getattr(o, "attr", getattr(o, "id", None)) for o in (node.left, *node.comparators)
+            }
+            if {"p_value", "alpha"} <= names:
+                yield scope
+
+
+def test_decision_rule_is_written_once():
+    # TestReport.from_p and TestReport.__post_init__ each stated p < alpha,
+    # and from_p compared before either number was read.
+    package = Path(cdl_compass.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [f"{path.name}:{scope}" for scope in _decision_rules(tree)]
+    assert sites == ["stats.py:TestReport.decision"]
