@@ -75,10 +75,13 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """A fold's stages; the verdict, final state and failure reason follow from them."""
+    """A fold's stages, from any iterable; the verdict, final state and failure reason follow."""
 
     start: KnowledgeState
     stages: tuple[StageRecord, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stages", tuple(self.stages))
 
     @property
     def overall(self) -> bool:
@@ -160,7 +163,7 @@ def validate_pipeline(
         if after is None:
             break
         state = after
-    return ValidationReport(start, tuple(stages))
+    return ValidationReport(start, stages)
 
 
 # ---------------------------------------------------------------------------

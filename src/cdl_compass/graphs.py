@@ -83,9 +83,9 @@ def _check_names(names) -> None:
 
 @dataclass(frozen=True)
 class Dag:
-    """A directed acyclic graph over named variables.
+    """A directed acyclic graph over named variables, from any iterables.
 
-    Construction validates everything: edge endpoints must be declared
+    Construction validates everything: each edge must be a pair of declared
     nodes, self loops are cycles, and any directed cycle raises
     :class:`CycleError` naming the cycle.
     """
@@ -96,20 +96,26 @@ class Dag:
     @classmethod
     def of(cls, edges: Iterable[tuple[str, str]] = (), nodes: Iterable[str] = ()) -> "Dag":
         """Build a DAG, adding edge endpoints to the node set automatically."""
-        edge_set = frozenset((a, b) for a, b in edges)
+        edge_set = frozenset(map(tuple, edges))
         return cls(frozenset(nodes).union(*edge_set), edge_set)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        if not isinstance(self.edges, frozenset):  # Dag.of and the class search pass one
+            object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
         _check_names(self.nodes)
         order = tuple(sorted(self.nodes))
         index = {v: i for i, v in enumerate(order)}
         parent_masks = [0] * len(order)
         child_masks = [0] * len(order)
-        for a, b in self.edges:
-            if a not in index or b not in index or a == b:
-                raise _edge_fault(self.edges, index)
-            parent_masks[index[b]] |= 1 << index[a]
-            child_masks[index[a]] |= 1 << index[b]
+        try:  # a non-pair, an undeclared endpoint and a self loop are named below
+            for a, b in self.edges:
+                if a == b:
+                    raise KeyError(a)
+                parent_masks[index[b]] |= 1 << index[a]
+                child_masks[index[a]] |= 1 << index[b]
+        except (KeyError, TypeError, ValueError):
+            raise _edge_fault(self.edges, index) from None
         topo = _lex_kahn(parent_masks, child_masks)
         if len(topo) != len(order):
             raise CycleError([order[i] for i in _leftover_cycle(parent_masks, topo)])
@@ -172,8 +178,11 @@ def _edge_key(edge) -> tuple[str, ...]:
 
 
 def _edge_fault(edges, index: dict[str, int]) -> ValueError:
-    """The fault of the smallest edge with an undeclared endpoint or a self
-    loop, so the message does not hang on the set's hash order."""
+    """The fault of the smallest edge that is not a pair, or has an undeclared
+    endpoint or is a self loop, so the message does not hang on hash order."""
+    odd = [e for e in edges if not isinstance(e, tuple) or len(e) != 2]
+    if odd:
+        return ValueError(f"edges are (src, dst): {min(odd, key=repr)!r}")
     a, b = min(
         (e for e in edges if e[0] == e[1] or e[0] not in index or e[1] not in index),
         key=_edge_key,
@@ -317,6 +326,7 @@ class IndependenceStatement:
     holds: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "given", frozenset(self.given))
         _check_name(self.x)
         _check_name(self.y)
         _check_names(self.given)
@@ -328,7 +338,6 @@ class IndependenceStatement:
             first, second = self.y, self.x
             object.__setattr__(self, "x", first)
             object.__setattr__(self, "y", second)
-        object.__setattr__(self, "given", frozenset(self.given))
 
     def sort_key(self) -> tuple:
         return (self.x, self.y, len(self.given), tuple(sorted(self.given)), not self.holds)
@@ -342,7 +351,8 @@ class IndependenceSet:
 
     @classmethod
     def of(cls, statements: Iterable[IndependenceStatement]) -> "IndependenceSet":
-        return cls(frozenset(statements))
+        # The constructor takes any iterable; bench/workloads.py still calls this.
+        return cls(statements)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statements", frozenset(self.statements))
@@ -417,7 +427,7 @@ def implied_independencies(g: Dag) -> IndependenceSet:
                 separated = targets & ~_d_connected(*masks, xi, zmask, targets)
                 given = frozenset(z)
                 found.extend(IndependenceStatement(x, order[yi], given) for yi in _bits(separated))
-    return IndependenceSet.of(found)
+    return IndependenceSet(found)
 
 
 def consistent_with(g: Dag, constraints: IndependenceSet) -> bool:
@@ -572,11 +582,9 @@ def enumerate_mec(constraints: IndependenceSet, variables: Iterable[str]) -> lis
             f"undecided: {branches} search branches exceed the cap of {_MAX_BRANCHES} (3^10)"
         )
     if undecided == 0:
-        checked = IndependenceSet.of(separated.values())
+        checked = IndependenceSet(separated.values())
     else:
-        checked = IndependenceSet.of(
-            s for s in constraints.statements if (s.x, s.y) not in adjacent
-        )
+        checked = IndependenceSet(s for s in constraints.statements if (s.x, s.y) not in adjacent)
     index = {v: i for i, v in enumerate(names)}
     groups = [
         (index[x], _mask(index, z), _mask(index, sep + con), _mask(index, con))
@@ -595,7 +603,8 @@ def enumerate_mec(constraints: IndependenceSet, variables: Iterable[str]) -> lis
 
 @dataclass(frozen=True)
 class Pdag:
-    """A partially directed graph: directed part acyclic, plus undirected edges.
+    """A partially directed graph, from any iterables: directed part acyclic,
+    plus undirected edges.
 
     Serves as a structural payload and round-trips through the text format;
     no further operations consume the undirected part.
@@ -605,18 +614,10 @@ class Pdag:
     directed: frozenset[tuple[str, str]]
     undirected: frozenset[frozenset[str]]
 
-    @classmethod
-    def of(
-        cls,
-        directed: Iterable[tuple[str, str]] = (),
-        undirected: Iterable[tuple[str, str]] = (),
-        nodes: Iterable[str] = (),
-    ) -> "Pdag":
-        d = frozenset((a, b) for a, b in directed)
-        u = frozenset(frozenset((a, b)) for a, b in undirected)
-        return cls(frozenset(nodes).union(*d, *u), d, u)
-
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        object.__setattr__(self, "directed", frozenset(map(tuple, self.directed)))
+        object.__setattr__(self, "undirected", frozenset(map(frozenset, self.undirected)))
         # Sorted, so the fault named first does not hang on hash order.
         for pair in sorted(self.undirected, key=lambda p: sorted(_edge_key(p))):
             if len(pair) != 2:
@@ -625,8 +626,8 @@ class Pdag:
                 raise ValueError(
                     f"undirected edge {sorted(pair, key=str)} uses an undeclared node"
                 )
-        for a, b in sorted(self.directed, key=_edge_key):
-            # A directed self loop is left to Dag, which calls it a cycle.
+        for a, b in (e for e in sorted(self.directed, key=_edge_key) if len(e) == 2):
+            # A non-pair and a directed self loop are left to Dag, which names them.
             if a != b and (b, a) in self.directed:
                 raise ValueError(f"both orientations present between {a!r} and {b!r}")
             if frozenset((a, b)) in self.undirected:
@@ -671,18 +672,16 @@ def _graph_of_lines(lines: Iterable[tuple[int, str]]) -> Dag | Pdag:
     undirected: list[tuple[str, str]] = []
     for lineno, line in lines:
         tokens = line.split()
-        if len(tokens) == 1:
-            nodes.add(tokens[0])
-        elif len(tokens) == 3 and tokens[1] in ("->", "--"):
+        if len(tokens) == 3 and tokens[1] in ("->", "--"):
             (directed if tokens[1] == "->" else undirected).append((tokens[0], tokens[2]))
-        else:
+        elif len(tokens) != 1:
             raise GraphFormatError(lineno, "expected 'a -> b', 'a -- b', or a bare node name")
         for name in tokens[::2]:
-            _check_name(name, lineno)
+            nodes.add(_check_name(name, lineno))
     try:
         if undirected:
-            return Pdag.of(directed, undirected, nodes)
-        return Dag.of(directed, nodes)
+            return Pdag(nodes, directed, undirected)
+        return Dag(nodes, directed)
     except ValueError as exc:
         raise GraphFormatError(None, str(exc)) from None
 
@@ -756,7 +755,7 @@ def parse_constraints(text: str, variables: Iterable[str]) -> IndependenceSet:
         except ValueError as exc:
             raise GraphFormatError(lineno, str(exc)) from None
     try:
-        return IndependenceSet.of(statements)
+        return IndependenceSet(statements)
     except ValueError as exc:
         raise GraphFormatError(None, str(exc)) from None
 

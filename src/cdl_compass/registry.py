@@ -116,21 +116,19 @@ class MethodCard:
 
 @dataclass(frozen=True)
 class Catalog:
-    """Id-sorted card collection; duplicate ids are rejected."""
+    """Id-sorted card collection, from any iterable of cards; duplicate ids are rejected."""
 
     cards: tuple[MethodCard, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.cards, key=lambda c: c.id))
-        ids = [c.id for c in ordered]
-        for a, b in zip(ids, ids[1:]):
-            if a == b:
-                raise ValueError(f"duplicate card id {a!r}")
+        cards = tuple(self.cards)
+        for card in cards:
+            _check_type(card, MethodCard, "a card")
+        ordered = tuple(sorted(cards, key=lambda c: c.id))
+        for a, b in zip(ordered, ordered[1:]):
+            if a.id == b.id:
+                raise ValueError(f"duplicate card id {a.id!r}")
         object.__setattr__(self, "cards", ordered)
-
-    @classmethod
-    def of(cls, cards: Iterable[MethodCard]) -> "Catalog":
-        return cls(tuple(cards))
 
     def ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.cards)
@@ -195,7 +193,7 @@ def load_catalog(source) -> Catalog:
             cards.append(card_from_mapping(item))
         except ValueError as exc:
             raise ValueError(f"card {index}: {exc}") from None
-    return Catalog.of(cards)
+    return Catalog(cards)
 
 
 def save_catalog(catalog: Catalog, target=None) -> str | None:

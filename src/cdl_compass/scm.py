@@ -86,8 +86,8 @@ class Factor:
     Backed either by an explicit table over finite domains or by an
     expression.  ``domains`` maps each scope variable to its finite value
     tuple, or ``None`` for a real-valued variable (expression factors only).
-    Domain values, table keys and table values are read by ``lattice._real``
-    here, and the table is held sorted by key.
+    Domain values, table keys and table values are read by ``lattice._real``;
+    the domains are held in scope order and the table sorted by key.
     """
 
     scope: tuple[str, ...]
@@ -103,7 +103,7 @@ class Factor:
         table: Mapping[tuple[float, ...], float],
     ) -> "Factor":
         scope_t = tuple(scope)
-        return cls(scope_t, tuple((v, domains[v]) for v in scope_t), table=tuple(table.items()))
+        return cls(scope_t, [(v, domains[v]) for v in scope_t], table=table.items())
 
     @classmethod
     def from_expression(
@@ -116,29 +116,31 @@ class Factor:
             expr = parse_expression(expr)
         scope_t = tuple(scope)
         domains = domains or {}
-        return cls(scope_t, tuple((v, domains.get(v)) for v in scope_t), expr=expr)
+        return cls(scope_t, [(v, domains.get(v)) for v in scope_t], expr=expr)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scope", tuple(self.scope))
         if not self.scope:
             raise ValueError("a factor scope must be nonempty")
         if len(set(self.scope)) != len(self.scope):
             raise ValueError("factor scope repeats a variable")
-        if {v for v, _ in self.domains} != set(self.scope):
+        given = tuple(self.domains)
+        doms = dict(given)
+        if len(doms) != len(given) or set(doms) != set(self.scope):
             raise ValueError("domains must cover exactly the scope variables")
         if (self.table is None) == (self.expr is None):
             raise ValueError("a factor is backed by exactly one of table or expression")
-        domains = tuple(
-            (v, None if dom is None else _reals(dom, f"domain value of {v!r}"))
-            for v, dom in self.domains
-        )
-        object.__setattr__(self, "domains", domains)
+        doms = {
+            v: None if doms[v] is None else _reals(doms[v], f"domain value of {v!r}")
+            for v in self.scope
+        }
+        object.__setattr__(self, "domains", tuple(doms.items()))
         if self.table is not None:
             table = sorted(
                 (_reals(key, f"table key {key!r}"), _real(value, f"table value at {key!r}"))
                 for key, value in self.table
             )
             object.__setattr__(self, "table", tuple(table))
-            doms = dict(self.domains)
             if any(doms[v] is None for v in self.scope):
                 raise ValueError("table factors need a finite domain for every variable")
             expected = set(itertools.product(*(doms[v] for v in self.scope)))
@@ -208,11 +210,8 @@ class Factorization:
     factors: tuple[Factor, ...]
     z: float = 1.0
 
-    @classmethod
-    def of(cls, factors: Iterable[Factor], z: float = 1.0) -> "Factorization":
-        return cls(tuple(factors), z)
-
     def __post_init__(self) -> None:
+        object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("a factorization needs at least one factor")
         object.__setattr__(self, "z", _real(self.z, "normalizer"))

@@ -68,4 +68,4 @@ def full_signature(g: Dag) -> IndependenceSet:
             for z in itertools.combinations(rest, size):
                 s = IndependenceStatement(x, y, frozenset(z))
                 out.append(s if s in held else IndependenceStatement(x, y, frozenset(z), False))
-    return IndependenceSet.of(out)
+    return IndependenceSet(out)

@@ -60,7 +60,7 @@ def signature(independent, dependent):
     stmts += [
         IndependenceStatement(x, y, frozenset(z), holds=False) for x, y, z in dependent
     ]
-    return IndependenceSet.of(stmts)
+    return IndependenceSet(stmts)
 
 
 def test_smoking_equivalence_classes():

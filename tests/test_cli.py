@@ -773,7 +773,7 @@ class TestCatalogCommands:
             a_posteriori=knowledge_state("plausible", "nonparametric", "static"),
         )
         path = tmp_path / "cat.json"
-        save_catalog(Catalog.of([card]), str(path))
+        save_catalog(Catalog([card]), str(path))
         code, out, _ = run_cli(capsys, "catalog", "list", "--catalog", str(path))
         assert code == 0
         assert out.startswith("only-card: ")
@@ -1001,7 +1001,7 @@ class TestPlanCommand:
             a_posteriori=knowledge_state("causal", "nonparametric", "static"),
         )
         path = tmp_path / "cat.json"
-        save_catalog(Catalog.of([relax, discover]), str(path))
+        save_catalog(Catalog([relax, discover]), str(path))
         code, out, _ = run_cli(
             capsys,
             "plan", "--catalog", str(path),

@@ -147,7 +147,7 @@ def payload_card(card_id: str, edges) -> MethodCard:
 
 class TestPayloadConflict:
     def test_conflicting_graphs_reported_as_inconsistency(self):
-        cat = Catalog.of(
+        cat = Catalog(
             [payload_card("claims-ab", [("A", "B")]), payload_card("claims-ba", [("B", "A")])]
         )
         start = knowledge_state("unknown", "nonparametric", "static")
@@ -156,7 +156,7 @@ class TestPayloadConflict:
         assert "pipeline inconsistency" in report.failure_reason
 
     def test_agreeing_payloads_merge(self):
-        cat = Catalog.of(
+        cat = Catalog(
             [payload_card("claims-ab", [("A", "B")]), payload_card("claims-same", [("A", "B")])]
         )
         start = knowledge_state("unknown", "nonparametric", "static")
@@ -261,7 +261,7 @@ class TestRelaxingCards:
             a_priori=knowledge_state("unknown", "nonparametric", "static"),
             a_posteriori=knowledge_state("causal", "nonparametric", "static"),
         )
-        return Catalog.of([relax, discover])
+        return Catalog([relax, discover])
 
     def test_audit_flags_relaxing(self):
         report = audit_transitions(self.relaxing_catalog())

@@ -34,7 +34,7 @@ STRUCTURAL_PAYLOADS = {
     StructuralTag.UNKNOWN: [None],
     StructuralTag.PLAUSIBLE: [
         None,
-        IndependenceSet.of([IndependenceStatement("A", "C", frozenset({"B"}))]),
+        IndependenceSet([IndependenceStatement("A", "C", frozenset({"B"}))]),
         Pdag(frozenset("AB"), frozenset([("A", "B")]), frozenset()),
     ],
     StructuralTag.CAUSAL: [None, Dag.of([("A", "B")]), Dag.of([("B", "A")])],
@@ -84,7 +84,7 @@ def cards(draw, payloads=True, temporal=None):
 def catalogs(max_size, payloads=True, temporal=None, min_size=0):
     return st.lists(
         cards(payloads, temporal), min_size=min_size, max_size=max_size, unique_by=lambda c: c.id
-    ).map(Catalog.of)
+    ).map(Catalog)
 
 
 @st.composite
@@ -153,7 +153,7 @@ def test_planner_skips_conflicting_payloads():
     # Joining these two outcomes raises at validation time, so the planner,
     # which takes the same step, finds no plan; the tag-only oracle still
     # offers the sequence validation rejects.
-    catalog = Catalog.of([ORIENT_AB, FIT_BA])
+    catalog = Catalog([ORIENT_AB, FIT_BA])
     assert plan_pipeline(catalog, START, GOAL) == []
     assert brute_force_plans(catalog, START, GOAL) == []
     assert reference_plan_pipeline(catalog, START, GOAL) == [["orient-ab", "fit-ba"]]
@@ -166,7 +166,7 @@ def test_clean_longer_route_beats_conflicting_shorter_one():
     plausible = ("plausible", "nonparametric")
     pc = card("pc", UNKNOWN, plausible)
     orient_ba = card("orient-ba", plausible, CAUSAL, [("B", "A")])
-    catalog = Catalog.of([ORIENT_AB, FIT_BA, pc, orient_ba])
+    catalog = Catalog([ORIENT_AB, FIT_BA, pc, orient_ba])
     plans = plan_pipeline(catalog, START, GOAL)
     assert plans == [["pc", "orient-ba", "fit-ba"]]
     assert plans == brute_force_plans(catalog, START, GOAL)
@@ -177,7 +177,7 @@ def test_clean_longer_route_beats_conflicting_shorter_one():
 
 def test_card_conflicting_with_the_start_payload_does_not_apply():
     fit_ab = card("fit-ab", CAUSAL, FITTED, [("A", "B")])
-    catalog = Catalog.of([fit_ab, FIT_BA])
+    catalog = Catalog([fit_ab, FIT_BA])
     start = knowledge_state(
         "causal", "nonparametric", "static", structural_payload=Dag.of([("A", "B")])
     )

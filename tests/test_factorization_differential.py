@@ -57,7 +57,7 @@ def fault_kinds(factors: list[Factor]) -> set:
 def check(factors: list[Factor]) -> None:
     want = outcome(lambda: factorization_mass(factors))
     if isinstance(want, tuple):
-        got = outcome(lambda: Factorization.of(factors))
+        got = outcome(lambda: Factorization(factors))
         assert isinstance(got, tuple)
         if len(fault_kinds(factors)) == 1:
             assert got == want
@@ -67,7 +67,7 @@ def check(factors: list[Factor]) -> None:
     for z in (1.0, want):
         if not (0.0 < z < float("inf")):
             continue
-        got = outcome(lambda: Factorization.of(factors, z))
+        got = outcome(lambda: Factorization(factors, z))
         if not abs(want / z - 1.0) <= 1e-9:  # a NaN mass normalizes nothing
             message = f"factorization does not normalize: mass {want!r} vs z {z!r}"
             assert got == ("ValueError", message)

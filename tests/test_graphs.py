@@ -95,7 +95,7 @@ class TestDag:
     "build,message",
     [
         (lambda: Dag.of([(True, "B")]), "variable name True is not an identifier"),
-        (lambda: Pdag.of(undirected=[(True, "B")]), "variable name True is not an identifier"),
+        (lambda: Pdag([True, "B"], [], [(True, "B")]), "variable name True is not an identifier"),
         (
             lambda: TemporalTemplate(["A", "True"], [("A", True), ("A", "True")]),
             r"within-step edge \('A', True\) uses an unknown role",
@@ -213,16 +213,16 @@ class TestStatements:
         a = IndependenceStatement("A", "B", holds=True)
         b = IndependenceStatement("B", "A", holds=False)
         with pytest.raises(ValueError, match="contradictory"):
-            IndependenceSet.of([a, b])
+            IndependenceSet([a, b])
 
     def test_duplicates_collapse(self):
         a = IndependenceStatement("A", "B")
         b = IndependenceStatement("B", "A")
-        s = IndependenceSet.of([a, b])
+        s = IndependenceSet([a, b])
         assert len(s.statements) == 1
 
     def test_sorted_statements_deterministic(self):
-        s = IndependenceSet.of(
+        s = IndependenceSet(
             [
                 IndependenceStatement("A", "C", frozenset({"B"})),
                 IndependenceStatement("A", "B"),
@@ -233,7 +233,7 @@ class TestStatements:
         assert keys == [("A", "B", ()), ("A", "C", ()), ("A", "C", ("B",))]
 
     def test_variables(self):
-        s = IndependenceSet.of([IndependenceStatement("A", "C", frozenset({"B"}))])
+        s = IndependenceSet([IndependenceStatement("A", "C", frozenset({"B"}))])
         assert s.variables() == frozenset({"A", "B", "C"})
 
 
@@ -258,7 +258,7 @@ class TestImplied:
             assert consistent_with(g, implied_independencies(g))
 
     def test_consistent_with_negation(self):
-        bad = IndependenceSet.of([IndependenceStatement("S", "D", holds=False)])
+        bad = IndependenceSet([IndependenceStatement("S", "D", holds=False)])
         assert consistent_with(CHAIN, bad)
         assert not consistent_with(COLLIDER, bad)
 
@@ -285,7 +285,7 @@ class TestEnumeration:
         assert a == b
 
     def test_mec_of_chain(self):
-        constraints = IndependenceSet.of(
+        constraints = IndependenceSet(
             [
                 IndependenceStatement("S", "D", frozenset({"C"})),
                 IndependenceStatement("S", "D", holds=False),
@@ -303,7 +303,7 @@ class TestEnumeration:
         }
 
     def test_mec_of_collider(self):
-        constraints = IndependenceSet.of(
+        constraints = IndependenceSet(
             [
                 IndependenceStatement("S", "D"),
                 IndependenceStatement("S", "D", frozenset({"C"}), holds=False),
@@ -317,17 +317,17 @@ class TestEnumeration:
         assert [g.edges for g in mec] == [frozenset({("D", "C"), ("S", "C")})]
 
     def test_mec_sorted_by_edges(self):
-        mec = enumerate_mec(IndependenceSet.of([]), ["A", "B"])
+        mec = enumerate_mec(IndependenceSet([]), ["A", "B"])
         assert len(mec) == 3
         keys = [tuple(sorted(g.edges)) for g in mec]
         assert keys == sorted(keys)
 
     def test_mec_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            enumerate_mec(IndependenceSet.of([]), [f"V{i}" for i in range(8)])
+            enumerate_mec(IndependenceSet([]), [f"V{i}" for i in range(8)])
 
     def test_mec_unlisted_variables(self):
-        constraints = IndependenceSet.of([IndependenceStatement("A", "Z")])
+        constraints = IndependenceSet([IndependenceStatement("A", "Z")])
         with pytest.raises(ValueError, match="unlisted"):
             enumerate_mec(constraints, ["A", "B"])
 
@@ -347,7 +347,7 @@ class TestEnumeration:
                     all_stmts.append(
                         IndependenceStatement(x, y, frozenset(z), key in keyed)
                     )
-        mec = enumerate_mec(IndependenceSet.of(all_stmts), names)
+        mec = enumerate_mec(IndependenceSet(all_stmts), names)
         assert len(mec) == 3
         for member in mec:
             assert implied_independencies(member).statements == base.statements
@@ -358,26 +358,27 @@ class TestEnumeration:
 
 
 class TestPdag:
-    def test_of(self):
-        p = Pdag.of([("A", "B")], [("B", "C")])
+    def test_built_from_lists(self):
+        p = Pdag(["A", "B", "C"], [["A", "B"]], [("C", "B")])
         assert p.nodes == frozenset({"A", "B", "C"})
-        assert frozenset({"B", "C"}) in p.undirected
+        assert p.directed == frozenset({("A", "B")})
+        assert p.undirected == frozenset({frozenset({"B", "C"})})
 
     def test_directed_part_must_be_acyclic(self):
         with pytest.raises(CycleError):
-            Pdag.of([("A", "B"), ("B", "C"), ("C", "A")])
+            Pdag("ABC", [("A", "B"), ("B", "C"), ("C", "A")], [])
 
     def test_opposite_orientations_rejected(self):
         with pytest.raises(ValueError, match="both orientations"):
-            Pdag.of([("A", "B"), ("B", "A")])
+            Pdag("AB", [("A", "B"), ("B", "A")], [])
 
     def test_no_double_edges(self):
         with pytest.raises(ValueError, match="both"):
-            Pdag.of([("A", "B")], [("A", "B")])
+            Pdag("AB", [("A", "B")], [("A", "B")])
 
     def test_undirected_self_edge(self):
         with pytest.raises(ValueError):
-            Pdag.of([], [("A", "A")])
+            Pdag("A", [], [("A", "A")])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,7 @@ class TestGraphText:
         assert format_graph(Dag.of()) == ""
 
     def test_format_pdag(self):
-        p = Pdag.of([("A", "B")], [("C", "B")])
+        p = Pdag("ABC", [("A", "B")], [("C", "B")])
         assert format_graph(p) == "A -> B\nB -- C\n"
         assert parse_graph(format_graph(p)) == p
 

@@ -167,14 +167,14 @@ class TestSeparation:
         rng = random.Random("consistent")
         for _ in range(30):
             full = full_signature(random_dag(rng, FOUR, rng.uniform(0.2, 0.8)))
-            part = IndependenceSet.of(s for s in full.statements if rng.random() < 0.3)
+            part = IndependenceSet(s for s in full.statements if rng.random() < 0.3)
             for g in rng.sample(four_node_dags, 20):
                 want = all(d_separated(g, s.x, s.y, s.given) == s.holds for s in part.statements)
                 assert consistent_with(g, part) == want
 
     def test_consistent_with_names_first_unknown_variable(self):
         g = Dag.of([("A", "B")])
-        constraints = IndependenceSet.of(
+        constraints = IndependenceSet(
             [IndependenceStatement("A", "B", frozenset({"C"})), IndependenceStatement("A", "D")]
         )
         with pytest.raises(ValueError, match="unknown variable 'C'"):
@@ -229,7 +229,7 @@ class TestClassSearch:
         rng = random.Random(f"polarity:{keep}")
         for _ in range(12):
             full = full_signature(random_dag(rng, FOUR, rng.uniform(0.2, 0.8)))
-            part = IndependenceSet.of(
+            part = IndependenceSet(
                 s for s in full.statements if s.holds == (keep == "holds")
             )
             assert enumerate_mec(part, FOUR) == brute_force_mec(part, FOUR, four_node_dags)
@@ -239,7 +239,7 @@ class TestClassSearch:
         for _ in range(40):
             full = full_signature(random_dag(rng, FOUR, rng.uniform(0.2, 0.8)))
             keep = rng.uniform(0.2, 0.9)
-            part = IndependenceSet.of(s for s in full.sorted_statements() if rng.random() < keep)
+            part = IndependenceSet(s for s in full.sorted_statements() if rng.random() < keep)
             assert enumerate_mec(part, FOUR) == brute_force_mec(part, FOUR, four_node_dags)
 
     @pytest.mark.parametrize(
@@ -280,7 +280,7 @@ class TestClassSearch:
         with pytest.raises(ValueError, match="leave 13 of 15 variable pairs undecided"):
             enumerate_mec(sparse, SIX)
         with pytest.raises(ValueError, match="leave 15 of 15 variable pairs undecided"):
-            enumerate_mec(IndependenceSet.of([]), SIX)
+            enumerate_mec(IndependenceSet([]), SIX)
         # Five pairs pinned adjacent and ten undecided: at most 3^10 * 2^5
         # and 6! * 2^10 DAGs, a search of about a minute.
         star = [
@@ -290,7 +290,7 @@ class TestClassSearch:
             for z in itertools.combinations([v for v in SIX if v not in ("V0", b)], size)
         ]
         with pytest.raises(ValueError, match="leave 10 of 15 .* 737280 search branches"):
-            enumerate_mec(IndependenceSet.of(star), SIX)
+            enumerate_mec(IndependenceSet(star), SIX)
 
     def test_six_node_cycle_skeleton(self):
         # V0 -> V1 -> ... -> V5 plus V0 -> V5: a 6-cycle skeleton whose one
@@ -348,7 +348,7 @@ def pinned_constraints(draw):
     if kind == "flipped":
         s = draw(st.sampled_from(full.sorted_statements()))
         flipped = dataclasses.replace(s, holds=not s.holds)
-        return n, IndependenceSet.of((full.statements - {s}) | {flipped})
+        return n, IndependenceSet((full.statements - {s}) | {flipped})
     other = statements_by_pair(full_signature(draw(dags(n))))
     kept = []
     for pair, statements in statements_by_pair(full).items():
@@ -360,7 +360,7 @@ def pinned_constraints(draw):
         else:
             share = draw(st.lists(st.sampled_from(statements), unique=True))
             kept += share if any(s.holds for s in share) else share + held[:1]
-    return n, IndependenceSet.of(kept)
+    return n, IndependenceSet(kept)
 
 
 class TestPinnedSkeletons:

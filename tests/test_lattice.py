@@ -236,8 +236,8 @@ def test_payload_rules_structural():
     with pytest.raises(ValueError):
         StructuralLevel(StructuralTag.PLAUSIBLE, chain_dag())
     with pytest.raises(ValueError):
-        StructuralLevel(StructuralTag.PLAUSIBLE, IndependenceSet.of([]))
-    ind = IndependenceSet.of([IndependenceStatement("A", "C", frozenset({"B"}))])
+        StructuralLevel(StructuralTag.PLAUSIBLE, IndependenceSet([]))
+    ind = IndependenceSet([IndependenceStatement("A", "C", frozenset({"B"}))])
     assert StructuralLevel(StructuralTag.PLAUSIBLE, ind).payload is ind
     pdag = Pdag(frozenset("AB"), frozenset([("A", "B")]), frozenset())
     assert StructuralLevel(StructuralTag.PLAUSIBLE, pdag).payload is pdag

@@ -110,22 +110,22 @@ class TestMethodCard:
 
 class TestCatalog:
     def test_sorted_by_id(self):
-        cat = Catalog.of([make_card("zz-last"), make_card("aa-first")])
+        cat = Catalog([make_card("zz-last"), make_card("aa-first")])
         assert cat.ids() == ("aa-first", "zz-last")
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate card id"):
-            Catalog.of([make_card("same"), make_card("same")])
+            Catalog([make_card("same"), make_card("same")])
 
     def test_lookup(self):
-        cat = Catalog.of([make_card("one")])
+        cat = Catalog([make_card("one")])
         assert cat.card("one").id == "one"
         assert "one" in cat
         assert "two" not in cat
         assert len(cat) == 1
 
     def test_unknown_card_error(self):
-        cat = Catalog.of([make_card("one")])
+        cat = Catalog([make_card("one")])
         with pytest.raises(UnknownCardError, match="no card with id 'two'") as exc:
             cat.card("two")
         assert exc.value.card_id == "two"
@@ -142,29 +142,29 @@ class TestJson:
         assert card_from_mapping(card_to_mapping(card)) == card
 
     def test_catalog_round_trip_byte_stable(self):
-        cat = Catalog.of([make_card("b-card"), make_card("a-card")])
+        cat = Catalog([make_card("b-card"), make_card("a-card")])
         text = save_catalog(cat)
         again = load_catalog(io.StringIO(text))
         assert again == cat
         assert save_catalog(again) == text
 
     def test_load_from_text(self):
-        text = save_catalog(Catalog.of([make_card()]))
+        text = save_catalog(Catalog([make_card()]))
         assert load_catalog(io.StringIO(text)).ids() == ("demo-method",)
 
     def test_save_into_handle(self):
-        cat = Catalog.of([make_card()])
+        cat = Catalog([make_card()])
         handle = io.StringIO()
         assert save_catalog(cat, handle) is None
         assert handle.getvalue() == save_catalog(cat)
 
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "cat.json"
-        save_catalog(Catalog.of([make_card()]), path)
+        save_catalog(Catalog([make_card()]), path)
         assert load_catalog(path).ids() == ("demo-method",)
 
     def test_path_that_starts_with_a_bracket(self, tmp_path, monkeypatch):
-        save_catalog(Catalog.of([make_card()]), tmp_path / "[cat].json")
+        save_catalog(Catalog([make_card()]), tmp_path / "[cat].json")
         monkeypatch.chdir(tmp_path)
         assert load_catalog("[cat].json").ids() == ("demo-method",)
 

@@ -170,7 +170,7 @@ def coin_chain() -> Factorization:
             (1.0, 1.0): 0.75,
         },
     )
-    return Factorization.of([px, py])
+    return Factorization([px, py])
 
 
 class TestFactors:
@@ -260,32 +260,32 @@ class TestFactorization:
 
     def test_needs_a_factor(self):
         with pytest.raises(ValueError, match="^a factorization needs at least one factor$"):
-            Factorization.of([])
+            Factorization([])
 
     def test_unnormalized_mass_rejected(self):
         bad = Factor.from_table(["X"], {"X": [0.0, 1.0]}, {(0.0,): 0.5, (1.0,): 0.4})
         with pytest.raises(ValueError, match="does not normalize"):
-            Factorization.of([bad])
+            Factorization([bad])
 
     def test_explicit_normalizer(self):
         f = Factor.from_table(["X"], {"X": [0.0, 1.0]}, {(0.0,): 1.0, (1.0,): 3.0})
-        fz = Factorization.of([f], z=4.0)
+        fz = Factorization([f], z=4.0)
         assert evaluate_factorization(fz, {"X": 1.0}) == 0.75
 
     def test_bad_normalizer(self):
         f = coin_chain().factors[0]
         with pytest.raises(ValueError, match="positive"):
-            Factorization.of([f], z=0.0)
+            Factorization([f], z=0.0)
 
     def test_inconsistent_domains(self):
         a = Factor.from_table(["X"], {"X": [0.0, 1.0]}, {(0.0,): 0.5, (1.0,): 0.5})
         b = Factor.from_table(["X"], {"X": [0.0, 2.0]}, {(0.0,): 0.5, (2.0,): 0.5})
         with pytest.raises(ValueError, match="inconsistent domains"):
-            Factorization.of([a, b])
+            Factorization([a, b])
 
     def test_real_valued_scope_skips_mass_check(self):
         f = Factor.from_expression(["x"], "exp(x)")
-        fz = Factorization.of([f])
+        fz = Factorization([f])
         assert evaluate_factorization(fz, {"x": 0.0}) == 1.0
 
     def test_evaluate_joint(self):
@@ -310,12 +310,12 @@ class TestScopeCheck:
     def test_extra_factor_rejected(self):
         g = Dag.of([("X", "Y")])
         ones = Factor.from_table(["X"], {"X": [0.0, 1.0]}, {(0.0,): 1.0, (1.0,): 1.0})
-        f = Factorization.of([*coin_chain().factors, ones])
+        f = Factorization([*coin_chain().factors, ones])
         assert not scopes_consistent_with_dag(f, g)
 
     def test_isolated_node(self):
         g = Dag.of(nodes=["X"])
-        f = Factorization.of(
+        f = Factorization(
             [Factor.from_table(["X"], {"X": [0.0, 1.0]}, {(0.0,): 0.5, (1.0,): 0.5})]
         )
         assert scopes_consistent_with_dag(f, g)

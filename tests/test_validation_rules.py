@@ -21,7 +21,9 @@ holds it, the same for a value built in code as for one read from JSON; and
 every value type reads a number by one rule, ``lattice._real``, with a report
 holding only finite numbers; and a report field that follows from the others
 is a property computed from them, not a field that could contradict them,
-so the decision rule ``p_value < alpha`` is written once.
+so the decision rule ``p_value < alpha`` is written once; and each value
+type has one way in, its constructor, which holds every tuple or frozenset
+field in its declared form however it is passed.
 """
 
 import ast
@@ -51,7 +53,14 @@ from cdl_compass.expressions import (
     evaluate_expression,
     parse_expression,
 )
-from cdl_compass.graphs import CycleError, Dag, IndependenceSet, Pdag, TemporalTemplate
+from cdl_compass.graphs import (
+    CycleError,
+    Dag,
+    IndependenceSet,
+    IndependenceStatement,
+    Pdag,
+    TemporalTemplate,
+)
 from cdl_compass.lattice import (
     KnowledgeState,
     ParametricLevel,
@@ -61,9 +70,16 @@ from cdl_compass.lattice import (
     Transition,
     TransitionKind,
     all_tag_states,
+    join_states,
     knowledge_state,
 )
-from cdl_compass.registry import MethodCard, card_from_mapping, card_to_mapping, default_catalog
+from cdl_compass.registry import (
+    Catalog,
+    MethodCard,
+    card_from_mapping,
+    card_to_mapping,
+    default_catalog,
+)
 from cdl_compass.scm import (
     Factor,
     Factorization,
@@ -159,7 +175,7 @@ def test_unknown_name_does_not_depend_on_the_hash_seed(tmp_path):
         "main(['dsep', 'xy.graph', '--x', 'X', '--y', 'Y', '--given', 'P', 'Q', 'R', 'S'])\n"
         "s = IndependenceStatement('X', 'Y', frozenset({'P', 'Q', 'R', 'S'}))\n"
         "try:\n"
-        "    consistent_with(Dag.of([('X', 'P'), ('P', 'Y')]), IndependenceSet.of([s]))\n"
+        "    consistent_with(Dag.of([('X', 'P'), ('P', 'Y')]), IndependenceSet([s]))\n"
         "except ValueError as exc:\n"
         "    print(exc, file=sys.stderr)\n"
     )
@@ -197,7 +213,7 @@ BOTH_ORIENTATIONS = {
     "build, error, messages",
     [
         pytest.param(
-            lambda: Pdag.of([("A", "B")], nodes=["B C"]),
+            lambda: Pdag(["A", "B", "B C"], [("A", "B")], []),
             ValueError,
             {"variable name 'B C' is not an identifier"},
             id="bad-name",
@@ -209,13 +225,13 @@ BOTH_ORIENTATIONS = {
             id="undeclared-directed-endpoint",
         ),
         pytest.param(
-            lambda: Pdag.of([("A", "A")], [("A", "B")]),
+            lambda: Pdag("AB", [("A", "A")], [("A", "B")]),
             CycleError,
             {"directed cycle: A -> A"},
             id="directed-self-loop",
         ),
         pytest.param(
-            lambda: Pdag.of([("A", "B")], [("C", "C")]),
+            lambda: Pdag("ABC", [("A", "B")], [("C", "C")]),
             ValueError,
             {"undirected edges join two distinct nodes"},
             id="undirected-self-loop",
@@ -227,19 +243,19 @@ BOTH_ORIENTATIONS = {
             id="undeclared-undirected-endpoint",
         ),
         pytest.param(
-            lambda: Pdag.of([("A", "B"), ("B", "A")], [("B", "C")]),
+            lambda: Pdag("ABC", [("A", "B"), ("B", "A")], [("B", "C")]),
             ValueError,
             BOTH_ORIENTATIONS,
             id="both-orientations",
         ),
         pytest.param(
-            lambda: Pdag.of([("A", "B")], [("A", "B")]),
+            lambda: Pdag("AB", [("A", "B")], [("A", "B")]),
             ValueError,
             {"edge between 'A' and 'B' is both directed and undirected"},
             id="directed-and-undirected",
         ),
         pytest.param(
-            lambda: Pdag.of([("A", "B"), ("B", "C"), ("C", "A")], [("C", "D")]),
+            lambda: Pdag("ABCD", [("A", "B"), ("B", "C"), ("C", "A")], [("C", "D")]),
             CycleError,
             {"directed cycle: B -> C -> A -> B"},
             id="directed-cycle",
@@ -265,8 +281,8 @@ SEVERAL_FAULTS = (
     "for build in (\n"
     "    lambda: Dag(frozenset('abc'), frozenset({('b', 'z'), ('c', 'c'), ('a', 'y'), ('a', 'x')})),\n"
     "    lambda: Dag(frozenset('abc'), frozenset({('c', 'c'), ('b', 'b'), ('c', 'a')})),\n"
-    "    lambda: Pdag.of([('C', 'D'), ('A', 'B'), ('D', 'C'), ('B', 'A')]),\n"
-    "    lambda: Pdag.of([('C', 'D'), ('A', 'B')], [('D', 'C'), ('B', 'A')]),\n"
+    "    lambda: Pdag('ABCD', [('C', 'D'), ('A', 'B'), ('D', 'C'), ('B', 'A')], []),\n"
+    "    lambda: Pdag('ABCD', [('C', 'D'), ('A', 'B')], [('D', 'C'), ('B', 'A')]),\n"
     "    lambda: Pdag(frozenset('AB'), frozenset(), frozenset({frozenset('BY'), frozenset('AX')})),\n"
     "    lambda: Pdag(frozenset('a'), frozenset(), frozenset({frozenset('ab'), frozenset({'a', 1})})),\n"
     "):\n"
@@ -694,6 +710,7 @@ WRONGLY_TYPED = {
         lambda: Factorization(("x",)),
         "a factor must be a Factor, got 'x'",
     ),
+    "catalog-card": (lambda: Catalog(["x"]), "a card must be a MethodCard, got 'x'"),
     "binop-left": (lambda: BinOp("+", 1, Var("X")), "left must be an expression node, got 1"),
     "binop-right": (lambda: BinOp("+", Var("X"), 2), "right must be an expression node, got 2"),
     "neg-operand": (lambda: Neg("x"), "operand must be an expression node, got 'x'"),
@@ -759,7 +776,7 @@ NUMBER_SITES = {
         lambda value: value,
     ),
     "factorization-of": (
-        lambda v: Factorization.of([UNIFORM_TABLE], v), "normalizer", 2, lambda o: o.z
+        lambda v: Factorization([UNIFORM_TABLE], v), "normalizer", 2, lambda o: o.z
     ),
     "factorization": (
         lambda v: Factorization((UNIFORM_TABLE,), v), "normalizer", 2, lambda o: o.z
@@ -894,23 +911,230 @@ def test_value_types_call_float_on_no_field():
 
 
 # ---------------------------------------------------------------------------
-# One way into a temporal template
+# One way into every value type
 
 
-def test_a_template_built_directly_holds_one_form():
-    # The default qualifier, the de-duplication and the sort lived in a
-    # builder, so a direct build failed to unpack a pair, and kept duplicates
-    # and a list, which left the template unhashable.
-    pair = TemporalTemplate(frozenset({"X", "Y"}), (("X", "Y"),), frozenset())
-    assert pair.within_step == (("X", "Y", "every"),)
-    loose = TemporalTemplate(["Y", "X"], [["X", "Y"], ("X", "Y", "every")], [["X", "X"]])
-    assert loose.roles == frozenset({"X", "Y"})
-    assert loose.within_step == (("X", "Y", "every"),)
-    assert loose.across_step == frozenset({("X", "X")})
-    assert hash(loose) == hash(TemporalTemplate({"X", "Y"}, [("X", "Y")], [("X", "X")]))
+def _card(card_id: str, tags=()) -> MethodCard:
+    return MethodCard(card_id, "M", "doe2020m", STATE, STATE, tags)
+
+
+XY = {"X": [0.0, 1.0], "Y": [0.0, 1.0]}
+FACTOR_XY = Factor.from_table(["X", "Y"], XY, {k: 0.25 for k in itertools.product(*XY.values())})
+COIN_X, COIN_Y = (Factor.from_table([v], XY, {(0.0,): 0.5, (1.0,): 0.5}) for v in "XY")
+STATEMENTS = (
+    IndependenceStatement("A", "C", frozenset({"B"})),
+    IndependenceStatement("A", "D", holds=False),
+)
+SUB_REPORT = Report("sub", 0.0, 0.5, 0.05)
+STAGE = StageRecord(1, "m", STATE, STATE, STATE)
+
+# Each public value type with a tuple or frozenset field: its canonical
+# build, then builds from lists, iterators and tuples in another order.
+ONE_FORM = {
+    "Catalog": (
+        lambda: Catalog((_card("a"), _card("b"))),
+        [
+            lambda: Catalog([_card("b"), _card("a")]),
+            lambda: Catalog(iter([_card("a"), _card("b")])),
+        ],
+    ),
+    "Dag": (
+        lambda: Dag(frozenset("ABC"), frozenset({("A", "B"), ("B", "C")})),
+        [
+            lambda: Dag(["C", "B", "A"], [["B", "C"], ["A", "B"]]),
+            lambda: Dag(iter("ABC"), iter([("A", "B"), ("B", "C")])),
+            lambda: Dag(("B", "A", "C"), (("B", "C"), ("A", "B"))),
+            lambda: Dag.of([("A", "B"), ("B", "C")]),
+        ],
+    ),
+    "Factor": (
+        lambda: FACTOR_XY,
+        [
+            lambda: Factor(
+                ["X", "Y"],
+                [["Y", [0, 1]], ["X", [0, 1]]],
+                [[k, 0.25] for k in itertools.product([1, 0], repeat=2)],
+            ),
+            lambda: Factor(iter("XY"), iter(XY.items()), iter(FACTOR_XY.table)),
+        ],
+    ),
+    "Factorization": (
+        lambda: Factorization((COIN_X, COIN_Y)),
+        [
+            lambda: Factorization([COIN_X, COIN_Y]),
+            lambda: Factorization(iter([COIN_X, COIN_Y])),
+        ],
+    ),
+    "IndependenceSet": (
+        lambda: IndependenceSet(frozenset(STATEMENTS)),
+        [
+            lambda: IndependenceSet(list(STATEMENTS)),
+            lambda: IndependenceSet(iter(STATEMENTS)),
+            lambda: IndependenceSet(STATEMENTS[::-1]),
+        ],
+    ),
+    "IndependenceStatement": (
+        lambda: IndependenceStatement("A", "D", frozenset({"B", "C"})),
+        [
+            lambda: IndependenceStatement("D", "A", ["C", "B"]),
+            lambda: IndependenceStatement("A", "D", iter("BC")),
+            lambda: IndependenceStatement("A", "D", ("C", "B")),
+        ],
+    ),
+    "MethodCard": (
+        lambda: _card("m", ("a", "b")),
+        [
+            lambda: _card("m", ["b", "a"]),
+            lambda: _card("m", iter(["a", "b", "a"])),
+            lambda: _card("m", ("b", "a")),
+        ],
+    ),
+    "Pdag": (
+        lambda: Pdag(frozenset("ABC"), frozenset({("A", "B")}), frozenset({frozenset("BC")})),
+        [
+            lambda: Pdag(["C", "B", "A"], [["A", "B"]], [["C", "B"]]),
+            lambda: Pdag(iter("ABC"), iter([("A", "B")]), iter([("B", "C")])),
+            lambda: Pdag(("B", "A", "C"), (("A", "B"),), (("C", "B"),)),
+        ],
+    ),
+    "TemporalTemplate": (
+        # The default qualifier, the de-duplication and the sort lived in a
+        # builder, so a direct build failed to unpack a pair, and kept
+        # duplicates and a list, which left the template unhashable.
+        lambda: TemporalTemplate(frozenset("XY"), (("X", "Y", "every"),), frozenset({("X", "X")})),
+        [
+            lambda: TemporalTemplate(["Y", "X"], [["X", "Y"], ("X", "Y", "every")], [["X", "X"]]),
+            lambda: TemporalTemplate(iter("XY"), iter([("X", "Y")]), iter([("X", "X")])),
+            lambda: TemporalTemplate(("Y", "X"), (("X", "Y"),), (("X", "X"),)),
+        ],
+    ),
+    "TestReport": (
+        lambda: Report("t", 0.0, 0.5, 0.05, sub_reports=(SUB_REPORT,)),
+        [
+            lambda: Report("t", 0.0, 0.5, 0.05, sub_reports=[SUB_REPORT]),
+            lambda: Report("t", 0.0, 0.5, 0.05, sub_reports=iter([SUB_REPORT])),
+        ],
+    ),
+    "ValidationReport": (
+        lambda: ValidationReport(STATE, (STAGE,)),
+        [
+            lambda: ValidationReport(STATE, [STAGE]),
+            lambda: ValidationReport(STATE, iter([STAGE])),
+        ],
+    ),
+}
+
+
+def _container_types() -> dict[str, type]:
+    """Each public frozen dataclass with a field declared as a tuple or frozenset."""
+    found = {}
+    for name in sorted(cdl_compass.__all__):
+        value = getattr(cdl_compass, name)
+        if (
+            dataclasses.is_dataclass(value)
+            and value.__dataclass_params__.frozen
+            and any(
+                str(f.type).startswith(("tuple[", "frozenset[")) for f in dataclasses.fields(value)
+            )
+        ):
+            found[name] = value
+    return found
+
+
+CONTAINER_TYPES = _container_types()
+
+
+@pytest.mark.parametrize("name", sorted(set(CONTAINER_TYPES) | set(ONE_FORM)))
+def test_every_value_type_holds_one_form(name):
+    # Dag, Pdag, Factor, Factorization and ValidationReport kept a list as
+    # given, so equal values compared unequal and could not be hashed.
+    assert name in CONTAINER_TYPES, f"{name} has no tuple or frozenset field"
+    assert name in ONE_FORM, f"{name} has a tuple or frozenset field and no row here"
+    build, loose_builds = ONE_FORM[name]
+    canonical = build()
+    assert type(canonical) is CONTAINER_TYPES[name]
+    # A Mapping field holds a dict, which cannot be hashed, so a type with
+    # one (TestReport.details, AuditReport.transitions) is compared only.
+    hashable = not any(
+        str(f.type).startswith("Mapping[") for f in dataclasses.fields(canonical)
+    )
+    for loose in loose_builds:
+        value = loose()
+        assert value == canonical
+        if hashable:
+            assert hash(value) == hash(canonical)
+
+
+def test_one_graph_built_two_ways_joins():
+    # lattice joins payloads by ==, so a Dag kept as given clashed with
+    # itself, and a Dag holding lists made its state unhashable.
+    def causal(graph):
+        return KnowledgeState(
+            StructuralLevel(StructuralTag.CAUSAL, graph), NONPARAMETRIC, STATE.temporal
+        )
+
+    given, built = causal(Dag(("A", "B"), (("A", "B"),))), causal(Dag.of([("A", "B")]))
+    listed = causal(Dag(["A", "B"], [["A", "B"]]))
+    assert join_states(given, built) == listed
+    assert hash(listed) == hash(built)
+
+
+NOT_A_PAIR = "edges are (src, dst): ('A', 'B', 'C')"
+MISSHAPEN = {
+    "dag": (lambda: Dag(frozenset("ABC"), frozenset({("A", "B", "C")})), NOT_A_PAIR),
+    "dag-from-lists": (lambda: Dag("ABC", [["A", "B", "C"], ["A", "B"]]), NOT_A_PAIR),
+    "dag-of": (lambda: Dag.of([("A", "B", "C")]), NOT_A_PAIR),
+    "pdag-directed": (lambda: Pdag("ABC", [("A", "B", "C")], [("B", "C")]), NOT_A_PAIR),
+    "template-within-step": (
+        lambda: TemporalTemplate(frozenset({"X"}), (("X",),), frozenset()),
+        "within-step entries are (src, dst[, when]): ('X',)",
+    ),
+    "empty-factorization-iterator": (
+        lambda: Factorization(iter([])),
+        "a factorization needs at least one factor",
+    ),
+    "factor-repeated-domain": (
+        lambda: Factor(("X",), [("X", (0.0, 1.0)), ("X", (5.0,))], expr=Var("X")),
+        "domains must cover exactly the scope variables",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN))
+def test_a_misshapen_container_is_refused_by_name(case):
+    # An edge of three names failed to unpack with a bare ValueError, an
+    # empty iterator of factors reached functools.reduce, and a factor
+    # held both entries of a repeated domain.
+    build, message = MISSHAPEN[case]
     with pytest.raises(ValueError) as info:
-        TemporalTemplate(frozenset({"X"}), (("X",),), frozenset())
-    assert str(info.value) == "within-step entries are (src, dst[, when]): ('X',)"
+        build()
+    assert str(info.value) == message
+
+
+# Each classmethod named ``of`` under src/, and why it is more than the
+# constructor, which takes any iterable itself.
+OF_BUILDERS = {
+    "graphs.py:Dag.of": "adds each edge's endpoints to the node set",
+    "graphs.py:IndependenceSet.of": "bench/workloads.py calls it",
+    "lattice.py:_Labelled.of": "takes a member or its label",
+    "stats.py:_IndependenceProblem.of": "computes the ranks it holds",
+}
+
+
+def test_no_builder_only_converts():
+    # Pdag.of, Catalog.of, Factorization.of and TemporalTemplate.of only
+    # converted their arguments, a second way in beside the constructor.
+    package = Path(cdl_compass.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name == "of"
+                and any(ast.unparse(d) == "classmethod" for d in node.decorator_list)
+            ):
+                sites.append(f"{path.name}:{scope}.of")
+    assert sites == sorted(OF_BUILDERS)
 
 
 # ---------------------------------------------------------------------------
