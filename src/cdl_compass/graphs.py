@@ -101,8 +101,7 @@ class Dag:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
-        if not isinstance(self.edges, frozenset):  # Dag.of and the class search pass one
-            object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
+        object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
         _check_names(self.nodes)
         order = tuple(sorted(self.nodes))
         index = {v: i for i, v in enumerate(order)}

@@ -50,7 +50,6 @@ from .datasets import Dataset
 from .expressions import (
     EvaluationError,
     Expression,
-    _check_node,
     evaluate_expression,
     format_expression,
     free_variables,
@@ -135,6 +134,8 @@ class Factor:
             for v in self.scope
         }
         object.__setattr__(self, "domains", tuple(doms.items()))
+        if self.expr is not None and not isinstance(self.expr, Expression):
+            raise TypeError(f"expr must be an expression node, got {self.expr!r}")
         if self.table is not None:
             table = sorted(
                 (_reals(key, f"table key {key!r}"), _real(value, f"table value at {key!r}"))
@@ -289,8 +290,8 @@ class StructuralEquation:
     def __post_init__(self) -> None:
         _check_name(self.target)
         _check_type(self.level, ParametricTag, "level")
-        if self.expr is not None:
-            _check_node(self.expr, "expr")
+        if self.expr is not None and not isinstance(self.expr, Expression):
+            raise TypeError(f"expr must be an expression node, got {self.expr!r}")
         needs_expr = self.level in (ParametricTag.NOISE_MODEL, ParametricTag.FULLY_KNOWN)
         if needs_expr and self.expr is None:
             raise ValueError(
@@ -346,10 +347,7 @@ class Scm:
             parents = self._parents[target] = graph.parents(target)
             if eq.expr is None:
                 continue
-            try:
-                refs = free_variables(eq.expr)
-            except ValueError as exc:
-                raise ValueError(f"equation for {target!r}: {exc}") from None
+            refs = free_variables(eq.expr)
             if eq.level is ParametricTag.NOISE_MODEL:
                 allowed = parents
                 if target not in self.noise:
@@ -620,7 +618,6 @@ def parse_scm(text: str) -> Scm:
             raise ScmFormatError(lineno, f"duplicate equation for {target!r}")
         try:
             expr = parse_expression(body)
-            free_variables(expr)  # a tree too deep to walk is refused on its line
         except ValueError as exc:
             raise ScmFormatError(lineno, f"bad expression: {exc}") from None
         equations[target] = StructuralEquation(target, level, expr)

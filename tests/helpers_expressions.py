@@ -1,5 +1,15 @@
 """Oracles for cross-checking the ``expressions`` module.
 
+The package holds an expression as one flat post-order program.  The
+oracles here hold it as the tree it was before: ``Num``, ``Var``, ``Neg``,
+``BinOp`` and ``Call`` nodes, walked by recursion, so they serve only
+trees within the interpreter's recursion limit.  ``to_program`` turns a
+tree into the package's :class:`Expression`.
+
+``evaluate_tree`` and ``format_tree`` are the recursive evaluator and
+printer the package had: the flat ones must give the same values, errors
+and text.
+
 ``evaluate_scalar`` evaluates with Python floats and the ``math`` module,
 one node at a time: slow and obviously correct.  It states the package's
 rule on its own terms: every operator and function must give a finite
@@ -10,7 +20,7 @@ overflowing ``exp`` or power) or gives a complex power, that is an
 
 ``parse_oracle`` is the parser ``parse_expression`` replaced: a tokenizer
 that matches one token at a time and counts UTF-8 bytes as it goes, into
-token records, and a recursive-descent parser over them.
+token records, and a recursive-descent parser over them into a tree.
 """
 
 from __future__ import annotations
@@ -18,22 +28,164 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Mapping, Union
+
+import numpy as np
 
 from cdl_compass.expressions import (
     FUNCTIONS,
-    BinOp,
-    Call,
     EvaluationError,
     Expression,
     ExpressionSyntaxError,
-    Neg,
-    Num,
-    Var,
 )
 
+Tree = Union["Num", "Var", "Neg", "BinOp", "Call"]
 
-def evaluate_scalar(e: Expression, env: Mapping[str, float]) -> float:
+
+@dataclass(frozen=True)
+class Num:
+    value: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError("numeric literals must be finite")
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: Tree
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str
+    left: Tree
+    right: Tree
+
+
+@dataclass(frozen=True)
+class Call:
+    func: str
+    arg: Tree
+
+
+def _instructions(e: Tree) -> list[tuple[str, Any]]:
+    if isinstance(e, Num):
+        return [("num", e.value)]
+    if isinstance(e, Var):
+        return [("var", e.name)]
+    if isinstance(e, Neg):
+        return [*_instructions(e.operand), ("neg", "-")]
+    if isinstance(e, Call):
+        return [*_instructions(e.arg), ("call", e.func)]
+    return [*_instructions(e.left), *_instructions(e.right), ("op", e.op)]
+
+
+def to_program(e: Tree) -> Expression:
+    """The tree as the package's post-order program."""
+    return Expression(_instructions(e))
+
+
+def free_names(e: Tree) -> frozenset[str]:
+    if isinstance(e, Num):
+        return frozenset()
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Neg):
+        return free_names(e.operand)
+    if isinstance(e, Call):
+        return free_names(e.arg)
+    return free_names(e.left) | free_names(e.right)
+
+
+_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4, 5
+_BINOP_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "**": _PREC_POW}
+
+
+def _prec(e: Tree) -> int:
+    if isinstance(e, BinOp):
+        return _BINOP_PREC[e.op]
+    if isinstance(e, Neg):
+        return _PREC_NEG
+    return _PREC_ATOM
+
+
+def format_tree(e: Tree) -> str:
+    """The package's recursive printer: minimal parentheses, with
+    same-precedence right operands parenthesized except under ``**``."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        inner = format_tree(e.operand)
+        if _prec(e.operand) < _PREC_NEG:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(e, Call):
+        return f"{e.func}({format_tree(e.arg)})"
+    p = _BINOP_PREC[e.op]
+    left = format_tree(e.left)
+    right = format_tree(e.right)
+    if e.op == "**":
+        if _prec(e.left) <= p:
+            left = f"({left})"
+        if _prec(e.right) < p:
+            right = f"({right})"
+    else:
+        if _prec(e.left) < p:
+            left = f"({left})"
+        if _prec(e.right) <= p:
+            right = f"({right})"
+    return f"{left} {e.op} {right}"
+
+
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
+
+
+def evaluate_tree(e: Tree, env: Mapping[str, Any]) -> Any:
+    """The package's recursive evaluator, over floats and arrays alike."""
+    with np.errstate(all="ignore"):
+        value = _evaluate(e, env)
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _evaluate(e: Tree, env: Mapping[str, Any]) -> Any:
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            value = np.asarray(env[e.name], dtype=float)
+        except KeyError:
+            raise EvaluationError(f"unbound identifier {e.name!r}") from None
+        if not np.isfinite(value).all():
+            raise EvaluationError(f"non-finite value bound to {e.name!r}")
+        return value
+    if isinstance(e, Neg):
+        return -_evaluate(e.operand, env)
+    if isinstance(e, Call):
+        value = getattr(np, e.func)(_evaluate(e.arg, env))
+        where = f"{e.func}()"
+    else:
+        left, right = _evaluate(e.left, env), _evaluate(e.right, env)
+        if e.op == "**":
+            shape = np.broadcast(left, right).shape
+            pair = [np.ascontiguousarray(np.broadcast_to(v, shape)) for v in (left, right)]
+            value = np.power(*pair).reshape(shape)
+        else:
+            value = getattr(np, _UFUNCS[e.op])(left, right)
+        where = f"operator {e.op!r}"
+    if not np.isfinite(value).all():
+        raise EvaluationError(f"non-finite result from {where}")
+    return value
+
+
+def evaluate_scalar(e: Tree, env: Mapping[str, float]) -> float:
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -135,14 +287,14 @@ class _Parser:
             raise ExpressionSyntaxError(tok.offset, f"expected {text!r}, found {found}")
         return self.take()
 
-    def parse_expr(self) -> Expression:
+    def parse_expr(self) -> Tree:
         node = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in ("+", "-"):
             op = self.take().text
             node = BinOp(op, node, self.parse_term())
         return node
 
-    def parse_term(self) -> Expression:
+    def parse_term(self) -> Tree:
         node = self.parse_factor()
         while self.peek().kind == "op" and self.peek().text in ("*", "/"):
             op = self.take().text
@@ -153,21 +305,21 @@ class _Parser:
             node = BinOp(op, node, rhs)
         return node
 
-    def parse_factor(self) -> Expression:
+    def parse_factor(self) -> Tree:
         base = self.parse_unary()
         if self.peek().kind == "op" and self.peek().text == "**":
             self.take()
             return BinOp("**", base, self.parse_factor())  # right-associative
         return base
 
-    def parse_unary(self) -> Expression:
+    def parse_unary(self) -> Tree:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.take()
             return Neg(self.parse_unary())
         return self.parse_atom()
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self) -> Tree:
         tok = self.take()
         if tok.kind == "number":
             return Num(float(tok.text))
@@ -193,7 +345,7 @@ class _Parser:
         )
 
 
-def parse_oracle(text: str) -> Expression:
+def parse_oracle(text: str) -> Tree:
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
     tail = parser.peek()

@@ -411,14 +411,25 @@ class TestSimulate:
         proc = run_child("simulate", str(path), "--n", "3", "--seed", "1")
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: line 5: {message}\n")
 
-    def test_long_sum_names_the_equation_line(self, tmp_path):
-        # The parser loops over the 3,000 terms, but the tree is too deep for
-        # the recursive walks; a RecursionError traceback was printed.
-        path = tmp_path / "long.scm"
-        path.write_text(LINEAR_MODEL.replace("2 * X", " + ".join(["0.5 * X"] * 3000)))
-        proc = run_child("simulate", str(path), "--n", "3", "--seed", "1")
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "error: line 4: bad expression: expression nests too deeply\n"
+    def test_long_sum_samples(self, tmp_path):
+        # The parser loops over the 3,000 terms and the program is flat, so
+        # nothing recurses over the sum.
+        def columns(body):
+            path = tmp_path / "model.scm"
+            path.write_text(LINEAR_MODEL.replace("2 * X", body))
+            proc = run_child("simulate", str(path), "--n", "50", "--seed", "1")
+            assert (proc.returncode, proc.stderr) == (0, "")
+            header, *rows = proc.stdout.splitlines()
+            assert header == "X,Y"
+            return np.array([[float(v) for v in row.split(",")] for row in rows]).T
+
+        x, y = columns(" + ".join(["0.5 * X"] * 3000))
+        same_x, noise = columns("0.0")  # Y = 0.0 + U is U_Y's own column
+        assert same_x.tobytes() == x.tobytes()
+        total = 0.5 * x
+        for _ in range(2999):
+            total = total + 0.5 * x
+        assert (total + noise).tobytes() == y.tobytes()
 
     def test_deep_parentheses_name_the_equation_line(self, tmp_path):
         path = tmp_path / "deep.scm"

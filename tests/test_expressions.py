@@ -3,20 +3,20 @@
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+sys.path.insert(0, str(Path(__file__).parent))
+from helpers_expressions import BinOp, Call, Neg, Num, Var, to_program  # noqa: E402
+
 from cdl_compass.expressions import (
-    BinOp,
-    Call,
     EvaluationError,
+    Expression,
     ExpressionSyntaxError,
-    Neg,
-    Num,
-    Var,
     evaluate_expression,
     format_expression,
     free_variables,
@@ -60,14 +60,14 @@ def test_function_calls():
 
 
 def test_ast_shape():
-    e = parse_expression("a + b * c")
-    assert isinstance(e, BinOp) and e.op == "+"
-    assert isinstance(e.right, BinOp) and e.right.op == "*"
-    assert parse_expression("x") == Var("x")
-    assert parse_expression("2.5") == Num(2.5)
-    assert parse_expression("-x") == Neg(Var("x"))
-    call = parse_expression("exp(x)")
-    assert isinstance(call, Call) and call.func == "exp"
+    # One post-order program, operands first.
+    assert parse_expression("a + b * c").program == (
+        ("var", "a"), ("var", "b"), ("var", "c"), ("op", "*"), ("op", "+"),
+    )
+    assert parse_expression("x") == Expression([("var", "x")])
+    assert parse_expression("2.5") == Expression([("num", 2.5)])
+    assert parse_expression("-x") == Expression([("var", "x"), ("neg", "-")])
+    assert parse_expression("exp(x)") == Expression([("var", "x"), ("call", "exp")])
 
 
 def test_free_variables():
@@ -120,15 +120,19 @@ def test_division_by_literal_zero_is_a_parse_error():
 @pytest.mark.parametrize(
     "build,error,message",
     [
-        (lambda: BinOp("%", Num(1.0), Num(2.0)), ValueError, "unknown operator '%'"),
         (
-            lambda: Call("foo", Num(1.0)),
+            lambda: Expression([("num", 1.0), ("num", 2.0), ("op", "%")]),
+            ValueError,
+            "unknown operator '%'; expected one of ('+', '-', '*', '/', '**')",
+        ),
+        (
+            lambda: Expression([("num", 1.0), ("call", "foo")]),
             ValueError,
             "unknown function 'foo'; expected one of ('exp', 'log', 'sin')",
         ),
+        # An Expression refuses a faulty program (see test_validation_rules),
+        # so a walk meets a fault only in what it is given.
         (lambda: format_expression("x"), TypeError, "not an expression node: 'x'"),
-        # A node refuses a child that is no node (see test_validation_rules),
-        # so each walk meets one only at its root.
         (lambda: free_variables(2.0), TypeError, "not an expression node: 2.0"),
         (lambda: evaluate_expression("x", {}), TypeError, "not an expression node: 'x'"),
     ],
@@ -173,17 +177,18 @@ def test_domain_errors_are_evaluation_errors():
 # Depth
 
 
-def test_long_chain_is_refused_by_name():
-    # The parser loops over a sum, but the tree of 3,000 operators down its
-    # left operands is deeper than the recursive walks can go.
-    e = parse_expression(" + ".join(["0.5 * X"] * 3000))
-    with pytest.raises(ValueError, match="^expression nests too deeply$"):
-        free_variables(e)
-    with pytest.raises(ValueError, match="^expression nests too deeply$"):
-        format_expression(e)
-    with pytest.raises(EvaluationError, match="^expression nests too deeply$"):
-        evaluate_expression(e, {"X": 2.0})
-    # Nesting that the recursion limit allows still evaluates.
+def test_long_chain_works():
+    # The parser loops over a sum, and the program is flat, so a sum of any
+    # length is held, compared, printed and evaluated.
+    text = " + ".join(["0.5 * X"] * 100_000)
+    e = parse_expression(text)
+    again = parse_expression(text)
+    assert e == again and hash(e) == hash(again)
+    assert repr(e).startswith("Expression(program=(('num', 0.5), ('var', 'X'), ('op', '*'), ")
+    assert free_variables(e) == frozenset({"X"})
+    assert format_expression(e) == text  # which parses to e, as again shows
+    assert evaluate_expression(e, {"X": 2.0}) == 100_000.0
+    # Nesting that the recursion limit allows still parses.
     assert value("-" * 300 + "X", X=2.0) == 2.0
 
 
@@ -207,31 +212,27 @@ def test_nesting_near_the_recursion_limit_is_a_syntax_error(char):
             parse_expression(char * n)
 
 
+DEPTH = 100_000
+
+
 @pytest.mark.parametrize(
-    "node",
-    [Neg, lambda e: Call("sin", e), lambda e: BinOp("-", Num(1.0), e)],
+    "program, step",
+    [
+        ([("var", "X")] + [("neg", "-")] * DEPTH, lambda v: -v),
+        ([("var", "X")] + [("call", "sin")] * DEPTH, np.sin),
+        ([("num", 1.0)] * DEPTH + [("var", "X")] + [("op", "-")] * DEPTH, lambda v: 1.0 - v),
+    ],
     ids=["negation", "call", "right-operand"],
 )
-def test_deep_tree_built_by_hand_is_refused_by_name(node):
-    # Every depth from well below the limit to past it: each walk either
-    # finishes or refuses the tree with its own error.
-    limit = sys.getrecursionlimit()
-    e = Var("X")
-    for depth in range(1, limit + 10):
-        e = node(e)
-        if depth < limit - 300:
-            continue
-        for walk, error in [
-            (free_variables, ValueError),
-            (format_expression, ValueError),
-            (lambda t: evaluate_expression(t, {"X": 0.5}), EvaluationError),
-        ]:
-            try:
-                walk(e)
-            except error as exc:
-                assert str(exc) == "expression nests too deeply"
-    with pytest.raises(ValueError, match="^expression nests too deeply$"):
-        free_variables(e)
+def test_deep_program_built_by_hand_evaluates(program, step):
+    # Far past the recursion limit: each walk is one loop over the program.
+    e = Expression(program)
+    assert free_variables(e) == frozenset({"X"})
+    assert format_expression(e).count("X") == 1
+    want = np.float64(0.5)
+    for _ in range(DEPTH):
+        want = step(want)
+    assert evaluate_expression(e, {"X": 0.5}) == want
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +253,8 @@ def test_format_minimal_parens():
 
 
 def test_numbers_print_by_repr():
-    assert format_expression(Num(2.5)) == "2.5"
-    assert format_expression(Num(1e-07)) == "1e-07"
+    assert format_expression(Expression([("num", 2.5)])) == "2.5"
+    assert format_expression(Expression([("num", 1e-07)])) == "1e-07"
     assert roundtrip("2") == "2.0"  # literals are floats
 
 
@@ -263,21 +264,26 @@ def test_numbers_print_by_repr():
 _names = st.sampled_from(["x", "y", "z"])
 
 
-def _exprs(depth: int):
+def _trees(depth: int):
+    """Trees of the oracle's nodes, up to ``depth`` operators deep."""
     if depth == 0:
         return st.one_of(
             st.integers(1, 9).map(lambda v: Num(float(v))),
             _names.map(Var),
         )
-    sub = _exprs(depth - 1)
+    sub = _trees(depth - 1)
     return st.one_of(
         sub,
         sub.map(Neg),
-        st.tuples(st.sampled_from("+-*/**".split() if False else ["+", "-", "*", "/", "**"]), sub, sub).map(
+        st.tuples(st.sampled_from(["+", "-", "*", "/", "**"]), sub, sub).map(
             lambda t: BinOp(t[0], t[1], t[2])
         ),
         st.tuples(st.sampled_from(["exp", "sin"]), sub).map(lambda t: Call(t[0], t[1])),
     )
+
+
+def _exprs(depth: int):
+    return _trees(depth).map(to_program)
 
 
 @given(_exprs(3))

@@ -6,9 +6,14 @@ alike; ``evaluate_scalar`` evaluates one Python float at a time with the
 ``math`` module.  Both apply one rule: every operator and function gives a
 finite value, or the evaluation raises :class:`EvaluationError`.
 
+The package evaluates and prints a flat post-order program by one loop
+over a stack; ``evaluate_tree`` and ``format_tree`` walk the same
+expression as a tree by recursion.  Both give bit-identical values, the
+same error texts, the same text and the same free variables.
+
 ``parse_expression`` scans its text in one regex pass and counts UTF-8
 bytes only for an error; ``parse_oracle`` counts them token by token.  Both
-give the same tree, or the same error at the same byte offset.
+give the same program, or the same error at the same byte offset.
 """
 
 import math
@@ -20,21 +25,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers_expressions import evaluate_scalar, parse_oracle  # noqa: E402
-from test_expressions import _exprs  # noqa: E402
-
-from cdl_compass.expressions import (
+from helpers_expressions import (  # noqa: E402
     BinOp,
     Call,
-    EvaluationError,
     Neg,
+    evaluate_scalar,
+    evaluate_tree,
+    format_tree,
+    free_names,
+    parse_oracle,
+    to_program,
+)
+from test_expressions import _exprs, _trees  # noqa: E402
+
+from cdl_compass.expressions import (
+    EvaluationError,
     evaluate_expression,
     format_expression,
+    free_variables,
     parse_expression,
 )
 
 NAMES = ("x", "y", "z")
-TREES = st.one_of(_exprs(3), _exprs(3).map(lambda e: Call("log", e)))
+TREES = st.one_of(_trees(3), _trees(3).map(lambda e: Call("log", e)))
 VALUES = st.one_of(
     st.floats(-10, 10),
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200, 1e300]),
@@ -66,7 +79,7 @@ def uses_libm(e) -> bool:
 @given(TREES, st.fixed_dictionaries({name: VALUES for name in NAMES}))
 def test_scalars_match_oracle(e, env):
     want = outcome(lambda: evaluate_scalar(e, env))
-    got = outcome(lambda: evaluate_expression(e, env))
+    got = outcome(lambda: evaluate_expression(to_program(e), env))
     if RAISED in (want, got):
         assert got == want
         return
@@ -85,7 +98,8 @@ def columns(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(TREES, columns())
-def test_arrays_match_elements(e, cols):
+def test_arrays_match_elements(tree, cols):
+    e = to_program(tree)
     rows = len(cols["x"])
     singles = [
         outcome(lambda: evaluate_expression(e, {name: cols[name][i] for name in NAMES}))
@@ -97,6 +111,25 @@ def test_arrays_match_elements(e, cols):
         return
     assert RAISED not in singles
     assert np.broadcast_to(whole, (rows,)).tobytes() == np.array(singles).tobytes()
+
+
+def exact(evaluate):
+    """The value as its type, shape and bytes, or the error's text."""
+    try:
+        value = evaluate()
+    except EvaluationError as exc:
+        return str(exc)
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(TREES, st.one_of(st.fixed_dictionaries({name: VALUES for name in NAMES}), columns()))
+def test_flat_walks_match_recursive_walks(tree, env):
+    e = to_program(tree)
+    env = {name: np.array(v) if isinstance(v, list) else v for name, v in env.items()}
+    assert exact(lambda: evaluate_expression(e, env)) == exact(lambda: evaluate_tree(tree, env))
+    assert format_expression(e) == format_tree(tree)
+    assert free_variables(e) == free_names(tree)
 
 
 # Grammar pieces, stray characters and non-ASCII whitespace, which is one
@@ -139,4 +172,4 @@ def parsed(parse, text):
 @settings(max_examples=800, deadline=None)
 @given(TEXTS)
 def test_parser_matches_oracle(text):
-    assert parsed(parse_expression, text) == parsed(parse_oracle, text)
+    assert parsed(parse_expression, text) == parsed(lambda t: to_program(parse_oracle(t)), text)

@@ -11,7 +11,7 @@ reserves, with a space and a zero-width space.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdl_compass.expressions import Var, parse_expression
+from cdl_compass.expressions import parse_expression
 from cdl_compass.graphs import Dag, _check_name, format_graph, parse_constraints, parse_graph
 from cdl_compass.scm import parse_scm
 
@@ -51,7 +51,7 @@ def constraint_statements(name: str) -> set[tuple]:
 def test_readers_agree_with_the_name_rule(name):
     pair = tuple(sorted((name, "Z")))
     readings = {
-        "expression": reads(lambda s: parse_expression(s) == Var(s), name),
+        "expression": reads(lambda s: parse_expression(s).program == (("var", s),), name),
         "graph": reads(lambda s: s in parse_graph(f"{s} -> Z\n").nodes, name),
         "noise line": reads(
             lambda s: set(parse_scm(f"graph:\nequations:\nnoise:\nU_{s} ~ Normal(0, 1)\n").noise)

@@ -23,7 +23,9 @@ holding only finite numbers; and a report field that follows from the others
 is a property computed from them, not a field that could contradict them,
 so the decision rule ``p_value < alpha`` is written once; and each value
 type has one way in, its constructor, which holds every tuple or frozenset
-field in its declared form however it is passed.
+field in its declared form however it is passed; and an expression is a
+flat program that no walk recurses over, so the parser, which recurses
+over the text's nesting, is the one place that catches RecursionError.
 """
 
 import ast
@@ -44,12 +46,8 @@ import cdl_compass
 from cdl_compass.cli import main
 from cdl_compass.engine import AuditReport, StageRecord, ValidationReport, validate_pipeline
 from cdl_compass.expressions import (
-    BinOp,
-    Call,
     EvaluationError,
-    Neg,
-    Num,
-    Var,
+    Expression,
     evaluate_expression,
     parse_expression,
 )
@@ -415,6 +413,20 @@ def test_scale_order_is_compared_once():
     assert sites == ["lattice.py:_OrderedTag.__lt__"]
 
 
+def test_only_the_parser_catches_recursion():
+    # An expression is a flat program, so only the parser recurses, over
+    # the text's own nesting.
+    package = Path(cdl_compass.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(n, ast.Name) and n.id == "RecursionError" for n in ast.walk(node.type)
+            ):
+                sites.append(f"{path.name}:{scope}")
+    assert sites == ["expressions.py:parse_expression"]
+
+
 def _stats_functions():
     path = Path(cdl_compass.__file__).resolve().parent / "stats.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -711,13 +723,31 @@ WRONGLY_TYPED = {
         "a factor must be a Factor, got 'x'",
     ),
     "catalog-card": (lambda: Catalog(["x"]), "a card must be a MethodCard, got 'x'"),
-    "binop-left": (lambda: BinOp("+", 1, Var("X")), "left must be an expression node, got 1"),
-    "binop-right": (lambda: BinOp("+", Var("X"), 2), "right must be an expression node, got 2"),
-    "neg-operand": (lambda: Neg("x"), "operand must be an expression node, got 'x'"),
-    "call-arg": (lambda: Call("exp", None), "arg must be an expression node, got None"),
+    # An operand is the instructions before its operator, so a value of
+    # another type there is an instruction that is no (kind, argument) pair.
+    "binop-left": (
+        lambda: Expression([1, ("var", "X"), ("op", "+")]),
+        "an instruction is a (kind, argument) pair, got 1",
+    ),
+    "binop-right": (
+        lambda: Expression([("var", "X"), 2, ("op", "+")]),
+        "an instruction is a (kind, argument) pair, got 2",
+    ),
+    "neg-operand": (
+        lambda: Expression(["x", ("neg", "-")]),
+        "an instruction is a (kind, argument) pair, got 'x'",
+    ),
+    "call-arg": (
+        lambda: Expression([None, ("call", "exp")]),
+        "an instruction is a (kind, argument) pair, got None",
+    ),
     "equation-expr": (
         lambda: StructuralEquation("Y", ParametricTag.NOISE_MODEL, "X + 1"),
         "expr must be an expression node, got 'X + 1'",
+    ),
+    "factor-expr": (
+        lambda: Factor(("X",), (("X", None),), expr="X"),
+        "expr must be an expression node, got 'X'",
     ),
 }
 
@@ -736,11 +766,12 @@ def test_a_field_of_another_type_is_refused_by_name(case):
 # One number rule, lattice._real
 
 FACTOR_X = ["X"]
+X_EXPR = Expression((("var", "X"),))
 UNIFORM_TABLE = Factor.from_table(FACTOR_X, {"X": [0.0, 1.0]}, {(0.0,): 1.0, (1.0,): 1.0})
 # Each site: a build from one number, the name its refusal gives (formatted
 # with the number as ``v``), a number it accepts, and where that number is held.
 NUMBER_SITES = {
-    "num": (Num, "numeric literal", 2, lambda o: o.value),
+    "num": (lambda v: Expression([("num", v)]), "numeric literal", 2, lambda o: o.program[0][1]),
     "normal-mu": (lambda v: NormalNoise(v, 1.0), "mu", 2, lambda o: o.mu),
     "normal-sigma": (lambda v: NormalNoise(0.0, v), "sigma", 2, lambda o: o.sigma),
     "uniform-low": (lambda v: UniformNoise(v, 3.0), "low", 2, lambda o: o.low),
@@ -782,7 +813,7 @@ NUMBER_SITES = {
         lambda v: Factorization((UNIFORM_TABLE,), v), "normalizer", 2, lambda o: o.z
     ),
     "factor-domain": (
-        lambda v: Factor(("X",), (("X", (0.0, v)),), expr=Var("X")),
+        lambda v: Factor(("X",), (("X", (0.0, v)),), expr=X_EXPR),
         "domain value of 'X'",
         2,
         lambda o: o.domains[0][1][1],
@@ -945,6 +976,15 @@ ONE_FORM = {
             lambda: Dag(iter("ABC"), iter([("A", "B"), ("B", "C")])),
             lambda: Dag(("B", "A", "C"), (("B", "C"), ("A", "B"))),
             lambda: Dag.of([("A", "B"), ("B", "C")]),
+            # A frozenset's members are made tuples too, not held as strings.
+            lambda: Dag(frozenset("ABC"), frozenset({"AB", "BC"})),
+        ],
+    ),
+    "Expression": (
+        lambda: parse_expression("-X * 2"),
+        [
+            lambda: Expression([["var", "X"], ("neg", "-"), ("num", 2), ("op", "*")]),
+            lambda: Expression(iter([("var", "X"), ("neg", "-"), ("num", 2.0), ("op", "*")])),
         ],
     ),
     "Factor": (
@@ -1094,9 +1134,23 @@ MISSHAPEN = {
         "a factorization needs at least one factor",
     ),
     "factor-repeated-domain": (
-        lambda: Factor(("X",), [("X", (0.0, 1.0)), ("X", (5.0,))], expr=Var("X")),
+        lambda: Factor(("X",), [("X", (0.0, 1.0)), ("X", (5.0,))], expr=X_EXPR),
         "domains must cover exactly the scope variables",
     ),
+    "program-kind": (lambda: Expression([(["var"], "X")]), "unknown instruction kind ['var']"),
+    "program-string-literal": (
+        lambda: Expression([("num", "2")]),
+        "numeric literal must be a real number, got '2'",
+    ),
+    "program-underflow": (
+        lambda: Expression([("var", "X"), ("op", "+")]),
+        "instruction 1 ('op', '+') takes 2 values, the stack holds 1",
+    ),
+    "program-two-values": (
+        lambda: Expression([("var", "X"), ("num", 2.0)]),
+        "a program leaves one value, this one leaves 2",
+    ),
+    "program-empty": (lambda: Expression(()), "a program leaves one value, this one leaves 0"),
 }
 
 
@@ -1104,7 +1158,8 @@ MISSHAPEN = {
 def test_a_misshapen_container_is_refused_by_name(case):
     # An edge of three names failed to unpack with a bare ValueError, an
     # empty iterator of factors reached functools.reduce, and a factor
-    # held both entries of a repeated domain.
+    # held both entries of a repeated domain.  An expression's program is
+    # checked as the stack it runs on.
     build, message = MISSHAPEN[case]
     with pytest.raises(ValueError) as info:
         build()
