@@ -34,6 +34,7 @@ from .lattice import (
     PayloadConflictError,
     Transition,
     TransitionKind,
+    _read_json,
     _shortfall,
     join_states,
     satisfies,
@@ -267,7 +268,7 @@ def parse_pipeline(text: str) -> list[str]:
     """
     stripped = text.lstrip()
     if stripped.startswith("["):
-        data = json.loads(text)
+        data = _read_json(text, "pipeline file")
         if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
             raise ValueError("a pipeline file holds a JSON array of card ids")
         return list(data)

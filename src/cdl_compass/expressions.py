@@ -10,14 +10,14 @@ Note that unary minus binds tighter than power here, so ``-x ** 2`` is
 
 An :class:`Expression` is a flat program in post-order, operands first, so
 the printer and the evaluator are each one loop over a stack, and no
-expression is too long or too deep for them.  Parsing is strict: unknown
+expression is too long or too deep for them.  The parser is one loop over
+the tokens with a stack of pending operators (Dijkstra's shunting-yard), so
+no text is too long or too deep for it either.  Parsing is strict: unknown
 characters, unknown function names, and division by a literal zero are
 rejected at parse time, with the byte offset of the offending token in the
-error.  The parser alone recurses, over the text's own nesting, and refuses
-text nested past the interpreter's recursion limit.  The canonical printer
-emits minimal parentheses and round-trips: ``parse(format(e)) == e`` for
-every expression the parser can give, and printing is idempotent across a
-reparse.
+error.  The canonical printer emits minimal parentheses and round-trips:
+``parse(format(e)) == e`` for every expression the constructor accepts, and
+printing is idempotent across a reparse.
 
 One evaluator serves single values and whole samples alike: identifiers
 may be bound to floats or to arrays, which numpy broadcasts, and every
@@ -49,10 +49,6 @@ class EvaluationError(ValueError):
     """A well-formed expression failed to evaluate on the given bindings."""
 
 
-# The parser recurses over the text's nesting; past the interpreter's
-# recursion limit it refuses the text by this message.
-_TOO_DEEP = "expression nests too deeply"
-
 FUNCTIONS = ("exp", "log", "sin")
 # The arguments each kind of instruction but a literal or a load takes.
 _ARGUMENTS = {"neg": ("-",), "op": ("+", "-", "*", "/", "**"), "call": FUNCTIONS}
@@ -64,6 +60,10 @@ def _literal(value: Any) -> float:
     v = _real(value, "numeric literal")
     if not math.isfinite(v):
         raise ValueError("numeric literals must be finite")
+    # The printer writes a literal as its repr, and a leading '-' reads back
+    # as a negation, so a literal whose sign bit is set would not round-trip.
+    if math.copysign(1.0, v) < 0.0:
+        raise ValueError(f"numeric literal {v!r} carries a minus sign; negate with ('neg', '-')")
     return v
 
 
@@ -72,12 +72,13 @@ class Expression:
     """An expression as a program of ``(kind, argument)`` instructions in
     post-order, operands first.
 
-    ``("num", 2.0)`` pushes a literal, ``("var", "X")`` loads a variable,
-    ``("neg", "-")`` negates the top value, ``("op", "+")`` applies an
-    operator to the two top values, left operand below, and
-    ``("call", "exp")`` applies a function to the top value.  A program
-    leaves exactly one value.  Equality, hashing and ``repr`` are those of
-    the flat tuple, so an expression of any length has them.
+    ``("num", 2.0)`` pushes a literal, finite and without a sign bit (``-2``
+    is ``2.0`` negated), ``("var", "X")`` loads a variable, ``("neg", "-")``
+    negates the top value, ``("op", "+")`` applies an operator to the two top
+    values, left operand below, and ``("call", "exp")`` applies a function
+    to the top value.  A program leaves exactly one value.  Equality,
+    hashing and ``repr`` are those of the flat tuple, so an expression of
+    any length has them.
     """
 
     program: tuple[tuple[str, Any], ...]
@@ -105,6 +106,10 @@ class Expression:
                     f"instruction {len(held)} {step!r} takes {_POPS[kind]} values, "
                     f"the stack holds {depth}"
                 )
+            # As the parser refuses it, so that every program prints as text
+            # that reads back; a literal is a whole operand.
+            if kind == "op" and arg == "/" and held[-1] == ("num", 0.0):
+                raise ValueError(f"instruction {len(held)} divides by the literal zero")
             depth += 1 - _POPS[kind]
             held.append((kind, arg))
         if depth != 1:
@@ -130,93 +135,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Parser:
-    """Recursive descent over ``(kind, text, start)`` tokens, where ``kind``
-    is number, ident, op or end and ``start`` a character index; only an
-    error turns ``start`` into the byte offset it reports.  Each rule
-    appends its instructions to ``program``, operands first."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise self.error(m.start(), f"unexpected character {m.group()!r}")
-            if kind != "ws":
-                self.tokens.append((kind, m.group(), m.start()))
-        self.tokens.append(("end", "", len(text)))
-        self.pos = 0
-        self.program: list[tuple[str, Any]] = []
-
-    def error(self, start: int, message: str) -> ExpressionSyntaxError:
-        return ExpressionSyntaxError(len(self.text[:start].encode("utf-8")), message)
-
-    def peek(self) -> str:
-        """The text of the next token; an operator is known by its text alone."""
-        return self.tokens[self.pos][1]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse_expr(self) -> None:
-        self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.take()[1]
-            self.parse_term()
-            self.program.append(("op", op))
-
-    def parse_term(self) -> None:
-        self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()[1]
-            rhs_start = self.tokens[self.pos][2]
-            first = len(self.program)
-            self.parse_factor()
-            if op == "/" and self.program[first:] == [("num", 0.0)]:
-                raise self.error(rhs_start, "division by literal zero")
-            self.program.append(("op", op))
-
-    def parse_factor(self) -> None:
-        self.parse_unary()
-        if self.peek() == "**":
-            self.take()
-            self.parse_factor()  # right-associative
-            self.program.append(("op", "**"))
-
-    def parse_unary(self) -> None:
-        if self.peek() == "-":
-            self.take()
-            self.parse_unary()
-            self.program.append(("neg", "-"))
-        else:
-            self.parse_atom()
-
-    def parse_atom(self) -> None:
-        """A number, an identifier, or a parenthesized body, which a function
-        name before it makes a call."""
-        kind, text, start = self.take()
-        if kind == "number":
-            self.program.append(("num", _literal(float(text))))
-            return
-        if kind == "ident":
-            if self.peek() != "(":
-                self.program.append(("var", text))
-                return
-            if text not in FUNCTIONS:
-                raise self.error(start, f"unknown function {text!r}; expected one of {FUNCTIONS}")
-            self.take()
-        elif text != "(":
-            found = _shown(text)
-            raise self.error(start, f"expected a number, identifier, or '(', found {found}")
-        self.parse_expr()
-        _, close, end = self.take()
-        if close != ")":
-            raise self.error(end, f"expected ')', found {_shown(close)}")
-        if kind == "ident":
-            self.program.append(("call", text))
+_PREC_FENCE = 0
+_PREC_ADD = 1
+_PREC_MUL = 2
+_PREC_POW = 3
+_PREC_NEG = 4
+_PREC_ATOM = 5
+_BINOP_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "**": _PREC_POW}
 
 
 def _shown(text: str) -> str:
@@ -228,27 +153,80 @@ def parse_expression(text: str) -> Expression:
 
     Raises :class:`ExpressionSyntaxError` with the byte offset of the first
     offending token for malformed input, unknown functions, and division by
-    a literal zero, and nesting past the interpreter's recursion limit.
+    a literal zero.
     """
-    parser = _Parser(text)
-    try:
-        parser.parse_expr()
-    except RecursionError:
-        # The parser may have taken the end token already.
-        start = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
-        raise parser.error(start, _TOO_DEEP) from None
-    _, tail, start = parser.take()
-    if tail:
-        raise parser.error(start, f"unexpected trailing {tail!r}")
-    return Expression(parser.program)
 
+    def error(start: int, message: str) -> ExpressionSyntaxError:
+        return ExpressionSyntaxError(len(text[:start].encode("utf-8")), message)
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_POW = 3
-_PREC_NEG = 4
-_PREC_ATOM = 5
-_BINOP_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "**": _PREC_POW}
+    # (kind, text, start) tokens, kind being number, ident, op or end and
+    # start a character index; only an error turns it into a byte offset.
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise error(m.start(), f"unexpected character {m.group()!r}")
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+
+    # Operators waiting for their right operand, as (precedence, instruction,
+    # the character index where that operand starts, which only a division
+    # reads), and fences: an open parenthesis, whose instruction is the call
+    # its close emits, if any.
+    pending: list[tuple[int, Any, int]] = []
+    program: list[tuple[str, Any]] = []
+    want_operand = True
+    i = 0
+    while True:
+        kind, tok, start = tokens[i]
+        i += 1
+        if want_operand:
+            if tok == "-":
+                pending.append((_PREC_NEG, ("neg", "-"), 0))
+            elif tok == "(":
+                pending.append((_PREC_FENCE, None, 0))
+            elif kind == "ident" and tokens[i][1] == "(":
+                if tok not in FUNCTIONS:
+                    raise error(start, f"unknown function {tok!r}; expected one of {FUNCTIONS}")
+                pending.append((_PREC_FENCE, ("call", tok), 0))
+                i += 1
+            elif kind == "number":
+                program.append(("num", _literal(float(tok))))
+                want_operand = False
+            elif kind == "ident":
+                program.append(("var", tok))
+                want_operand = False
+            else:
+                raise error(start, f"expected a number, identifier, or '(', found {_shown(tok)}")
+            continue
+        # After an operand, a binary operator applies every pending operator
+        # that binds at least as tightly (strictly more, for the
+        # right-associative ``**``); any other token ends a level, and applies
+        # every one down to the nearest fence.
+        if tok in _BINOP_PREC:
+            floor = _BINOP_PREC[tok] - (tok != "**")
+        else:
+            floor = _PREC_FENCE
+        while pending and pending[-1][0] > floor:
+            _, step, at = pending.pop()
+            # A literal is a whole operand, so a right operand that ends in
+            # one is that literal alone.
+            if step == ("op", "/") and program[-1] == ("num", 0.0):
+                raise error(at, "division by literal zero")
+            program.append(step)
+        if tok in _BINOP_PREC:
+            pending.append((_BINOP_PREC[tok], ("op", tok), tokens[i][2]))
+            want_operand = True
+        elif tok == ")" and pending:
+            call = pending.pop()[1]
+            if call:
+                program.append(call)
+        elif pending:
+            raise error(start, f"expected ')', found {_shown(tok)}")
+        elif tok:
+            raise error(start, f"unexpected trailing {tok!r}")
+        else:
+            return Expression(program)
 
 
 def format_expression(e: Expression) -> str:

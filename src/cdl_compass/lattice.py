@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import json
 import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
@@ -103,6 +104,15 @@ def leq(a: _OrderedTag, b: _OrderedTag) -> bool:
     parametric tags.  Tags of different scales, and temporal flags, raise
     ``TypeError``: the scales are independent axes."""
     return a <= b
+
+
+def _read_json(text: str | bytes, noun: str) -> Any:
+    """``text`` parsed as JSON; text nested past the interpreter's recursion
+    limit is refused by a ``ValueError`` naming ``noun``, not a traceback."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"a {noun} nests too deeply") from None
 
 
 def _json_object(data: Any, noun: str, keys: Iterable[str], optional: Iterable[str] = ()) -> None:

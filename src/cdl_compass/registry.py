@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .lattice import KnowledgeState, TemporalFlag, _check_type, _json_object, satisfies
+from .lattice import KnowledgeState, TemporalFlag, _check_type, _json_object, _read_json, satisfies
 
 _ID_RE = re.compile(r"^[a-z][a-z0-9]*(-[a-z0-9]+)*$")
 _TAG_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -181,10 +181,11 @@ def load_catalog(source) -> Catalog:
     """Read a catalog from a JSON array (path or file object); a fault in a
     card names the card's 1-based position in the array."""
     if hasattr(source, "read"):
-        data = json.load(source)
+        text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+    data = _read_json(text, "catalog file")
     if not isinstance(data, list):
         raise ValueError("a catalog file holds a JSON array of cards")
     cards = []

@@ -18,9 +18,11 @@ raises instead (a logarithm of a non-positive value, division by zero, an
 overflowing ``exp`` or power) or gives a complex power, that is an
 :class:`EvaluationError` too.
 
-``parse_oracle`` is the parser ``parse_expression`` replaced: a tokenizer
-that matches one token at a time and counts UTF-8 bytes as it goes, into
-token records, and a recursive-descent parser over them into a tree.
+``parse_oracle`` checks ``parse_expression``, which is one loop over the
+tokens with a stack of pending operators, by another algorithm family: a
+tokenizer that matches one token at a time and counts UTF-8 bytes as it
+goes, into token records, and a recursive-descent parser over them into a
+tree, which serves text nested within the interpreter's recursion limit.
 """
 
 from __future__ import annotations

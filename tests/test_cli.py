@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -432,12 +431,20 @@ class TestSimulate:
         assert (total + noise).tobytes() == y.tobytes()
 
     def test_deep_parentheses_name_the_equation_line(self, tmp_path):
-        path = tmp_path / "deep.scm"
-        path.write_text(LINEAR_MODEL.replace("2 * X", "(" * 3000 + "X" + ")" * 3000))
-        proc = run_child("simulate", str(path), "--n", "3", "--seed", "1")
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert re.fullmatch(
-            r"error: line 4: bad expression: byte \d+: expression nests too deeply\n", proc.stderr
+        # Nesting of any depth parses: the deep model samples as the bare
+        # one does, and a fault at depth is named by its equation's line.
+        def run(body):
+            path = tmp_path / "deep.scm"
+            path.write_text(LINEAR_MODEL.replace("2 * X", body))
+            return run_child("simulate", str(path), "--n", "3", "--seed", "1")
+
+        deep, bare = run("(" * 3000 + "X" + ")" * 3000), run("X")
+        assert (deep.returncode, deep.stderr) == (bare.returncode, bare.stderr) == (0, "")
+        assert deep.stdout == bare.stdout
+        unfinished = run("(" * 3000 + "X")
+        assert (unfinished.returncode, unfinished.stdout) == (1, "")
+        assert unfinished.stderr == (
+            "error: line 4: bad expression: byte 3001: expected ')', found end of input\n"
         )
 
     def test_refused_allocation_exits_1(self, capsys, monkeypatch, model_file):
@@ -1042,6 +1049,25 @@ class TestAuditCommand:
             "both": 0,
         }
         assert payload["relaxing"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, noun",
+    [
+        (["validate", "{path}", "--start", "unknown:noise_model:static"], "pipeline file"),
+        (["catalog", "list", "--catalog", "{path}"], "catalog file"),
+        (["audit", "--catalog", "{path}"], "catalog file"),
+    ],
+    ids=["validate", "catalog-list", "audit"],
+)
+def test_deeply_nested_json_is_refused_by_name(tmp_path, argv, noun):
+    # json's decoder recurses once per level, so a file nested past the
+    # recursion limit is refused by name, with no traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_child(*(arg.format(path=path) for arg in argv))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: a {noun} nests too deeply\n"
 
 
 class TestParserBehaviour:

@@ -135,8 +135,23 @@ def test_division_by_literal_zero_is_a_parse_error():
         (lambda: format_expression("x"), TypeError, "not an expression node: 'x'"),
         (lambda: free_variables(2.0), TypeError, "not an expression node: 2.0"),
         (lambda: evaluate_expression("x", {}), TypeError, "not an expression node: 'x'"),
+        # Neither prints as text that reads back: '-1.0' is 1.0 negated, and
+        # the parser refuses a division by the literal zero.
+        (
+            lambda: Expression([("var", "x"), ("num", -1.0), ("op", "-")]),
+            ValueError,
+            "numeric literal -1.0 carries a minus sign; negate with ('neg', '-')",
+        ),
+        (
+            lambda: Expression([("var", "x"), ("num", 0.0), ("op", "/")]),
+            ValueError,
+            "instruction 2 divides by the literal zero",
+        ),
     ],
-    ids=["operator", "function", "format", "free-variables", "evaluate"],
+    ids=[
+        "operator", "function", "format", "free-variables", "evaluate",
+        "negative-literal", "division-by-zero",
+    ],
 )
 def test_malformed_nodes_are_named(build, error, message):
     with pytest.raises(error) as exc:
@@ -188,28 +203,55 @@ def test_long_chain_works():
     assert free_variables(e) == frozenset({"X"})
     assert format_expression(e) == text  # which parses to e, as again shows
     assert evaluate_expression(e, {"X": 2.0}) == 100_000.0
-    # Nesting that the recursion limit allows still parses.
     assert value("-" * 300 + "X", X=2.0) == 2.0
 
 
+NEST = 3000
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["(" * 3000 + "X" + ")" * 3000, "-" * 3000 + "X", "X ** " * 3000 + "X"],
-    ids=["parentheses", "negations", "powers"],
+    "text, program, printed, want",
+    [
+        ("(" * NEST + "X" + ")" * NEST, [("var", "X")], "X", 1.0),
+        ("(" * 100_000 + "X" + ")" * 100_000, [("var", "X")], "X", 1.0),
+        ("-" * NEST + "X", [("var", "X")] + [("neg", "-")] * NEST, "-" * NEST + "X", 1.0),
+        (
+            "X ** " * NEST + "X",
+            [("var", "X")] * (NEST + 1) + [("op", "**")] * NEST,
+            "X ** " * NEST + "X",
+            1.0,
+        ),
+        (
+            "exp(" * NEST + "X" + ")" * NEST,
+            [("var", "X")] + [("call", "exp")] * NEST,
+            "exp(" * NEST + "X" + ")" * NEST,
+            "non-finite result from exp()",
+        ),
+    ],
+    ids=["parentheses", "parentheses-100k", "negations", "powers", "calls"],
 )
-def test_deep_nesting_is_a_syntax_error(text):
-    with pytest.raises(ExpressionSyntaxError, match=r"^byte \d+: expression nests too deeply$"):
-        parse_expression(text)
+def test_nesting_of_any_depth_parses(text, program, printed, want):
+    # Far past the recursion limit: the parser is one loop over the tokens.
+    e = parse_expression(text)
+    assert e == Expression(program)
+    assert format_expression(e) == printed
+    assert parse_expression(printed) == e
+    try:
+        got = evaluate_expression(e, {"X": 1.0})
+    except EvaluationError as exc:
+        got = str(exc)
+    assert got == want
 
 
 @pytest.mark.parametrize("char", ["-", "("])
-def test_nesting_near_the_recursion_limit_is_a_syntax_error(char):
-    # Every depth up to past the limit, so that some run meets it in each
-    # frame of a level: in the constructor of the error for the missing
-    # operand, too, after the end token has been taken.
-    for n in range(sys.getrecursionlimit() + 10):
-        with pytest.raises(ExpressionSyntaxError):
+def test_unfinished_nesting_at_any_depth_is_a_syntax_error(char):
+    for n in [*range(64), NEST, 100_000]:
+        with pytest.raises(ExpressionSyntaxError) as err:
             parse_expression(char * n)
+        assert err.value.offset == n
+        assert str(err.value) == (
+            f"byte {n}: expected a number, identifier, or '(', found end of input"
+        )
 
 
 DEPTH = 100_000
@@ -290,6 +332,55 @@ def _exprs(depth: int):
 def test_print_parse_identity(e):
     printed = format_expression(e)
     assert parse_expression(printed) == e
+
+
+@st.composite
+def stack_programs(draw):
+    """Instruction lists that leave one value on a stack, drawn directly, not
+    through the parser or a tree: literals of any sign, and every operator
+    and function."""
+    program, depth = [], 0
+    for _ in range(draw(st.integers(1, 24))):
+        kinds = ["num", "var"]
+        if depth >= 1:
+            kinds += ["neg", "call"]
+        if depth >= 2:
+            kinds.append("op")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "num":
+            arg = draw(st.one_of(st.floats(0.0), st.sampled_from([0.0, 2.5, -0.0, -1.0])))
+        elif kind == "var":
+            arg = draw(st.sampled_from(["x", "y", "exp", "_z"]))
+        elif kind == "neg":
+            arg = "-"
+        elif kind == "call":
+            arg = draw(st.sampled_from(["exp", "log", "sin"]))
+        else:
+            arg = draw(st.sampled_from(["+", "-", "*", "/", "**"]))
+        program.append((kind, arg))
+        depth += {"num": 1, "var": 1, "op": -1}.get(kind, 0)
+    for _ in range(depth - 1):
+        program.append(("op", draw(st.sampled_from(["+", "-", "*", "/", "**"]))))
+    return program
+
+
+# A program drawn whole can hold a literal that no parse gives, and a
+# division by the literal zero, which the parser refuses.
+NOT_PARSED = (
+    r"^(numeric literals must be finite"
+    r"|numeric literal .* carries a minus sign; negate with \('neg', '-'\)"
+    r"|instruction \d+ divides by the literal zero)$"
+)
+
+
+@given(stack_programs())
+def test_every_program_the_constructor_accepts_round_trips(program):
+    try:
+        e = Expression(program)
+    except ValueError as exc:
+        assert re.match(NOT_PARSED, str(exc))
+        return
+    assert parse_expression(format_expression(e)) == e
 
 
 @given(_exprs(3), st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))

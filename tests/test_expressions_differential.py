@@ -11,9 +11,11 @@ over a stack; ``evaluate_tree`` and ``format_tree`` walk the same
 expression as a tree by recursion.  Both give bit-identical values, the
 same error texts, the same text and the same free variables.
 
-``parse_expression`` scans its text in one regex pass and counts UTF-8
-bytes only for an error; ``parse_oracle`` counts them token by token.  Both
-give the same program, or the same error at the same byte offset.
+``parse_expression`` scans its text in one regex pass, counts UTF-8 bytes
+only for an error, and parses by one loop with an operator stack;
+``parse_oracle`` counts bytes token by token and parses by recursive
+descent.  Both give the same program, or the same error at the same byte
+offset, on shallow texts and on texts nested up to 150 deep.
 """
 
 import math
@@ -172,4 +174,27 @@ def parsed(parse, text):
 @settings(max_examples=800, deadline=None)
 @given(TEXTS)
 def test_parser_matches_oracle(text):
+    assert parsed(parse_expression, text) == parsed(lambda t: to_program(parse_oracle(t)), text)
+
+
+# Prefixes that each open one level of nesting, with the text that closes it.
+WRAPPERS = [("(", ")"), ("-", ""), ("x ** ", ""), ("exp(", ")"), ("log(", ")")]
+
+
+@st.composite
+def nested_texts(draw):
+    """A printed tree inside 1 to 150 wrappers, which stays within the
+    oracle's recursion limit, with maybe one fragment inserted anywhere."""
+    wraps = [draw(st.sampled_from(WRAPPERS)) for _ in range(draw(st.integers(1, 150)))]
+    core = format_expression(draw(_exprs(2)))
+    text = "".join(o for o, _ in wraps) + core + "".join(c for _, c in reversed(wraps))
+    for _ in range(draw(st.integers(0, 1))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(FRAGMENTS)) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_texts())
+def test_parser_matches_oracle_at_depth(text):
     assert parsed(parse_expression, text) == parsed(lambda t: to_program(parse_oracle(t)), text)

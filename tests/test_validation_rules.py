@@ -24,8 +24,9 @@ is a property computed from them, not a field that could contradict them,
 so the decision rule ``p_value < alpha`` is written once; and each value
 type has one way in, its constructor, which holds every tuple or frozenset
 field in its declared form however it is passed; and an expression is a
-flat program that no walk recurses over, so the parser, which recurses
-over the text's nesting, is the one place that catches RecursionError.
+flat program that no walk recurses over, parsed by one loop over the
+tokens, so nothing in ``expressions`` calls itself, and the one place that
+catches RecursionError is the JSON reader, ``lattice._read_json``.
 """
 
 import ast
@@ -413,9 +414,10 @@ def test_scale_order_is_compared_once():
     assert sites == ["lattice.py:_OrderedTag.__lt__"]
 
 
-def test_only_the_parser_catches_recursion():
-    # An expression is a flat program, so only the parser recurses, over
-    # the text's own nesting.
+def test_only_the_json_reader_catches_recursion():
+    # An expression is a flat program and its parser one loop over the
+    # tokens, so only json's decoder recurses over input, and every JSON
+    # file is read through lattice._read_json.
     package = Path(cdl_compass.__file__).resolve().parent
     sites = []
     for path in sorted(package.rglob("*.py")):
@@ -424,7 +426,32 @@ def test_only_the_parser_catches_recursion():
                 isinstance(n, ast.Name) and n.id == "RecursionError" for n in ast.walk(node.type)
             ):
                 sites.append(f"{path.name}:{scope}")
-    assert sites == ["expressions.py:parse_expression"]
+    assert sites == ["lattice.py:_read_json"]
+
+
+def test_nothing_in_expressions_calls_itself():
+    # No function or method reaches itself through the calls it makes, so
+    # no text or program is too deep for the module.
+    path = Path(cdl_compass.__file__).resolve().parent / "expressions.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    calls: dict[str, set[str]] = {}
+    for scope, node in _scoped(tree):
+        if not (isinstance(node, ast.Call) and scope):
+            continue
+        f = node.func  # a function by name, or a method through self
+        if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self":
+            calls.setdefault(scope.split(".")[-1], set()).add(f.attr)
+        elif isinstance(f, ast.Name) and f.id in defined:
+            calls.setdefault(scope.split(".")[-1], set()).add(f.id)
+    for name in sorted(defined):
+        reached, todo = set(), list(calls.get(name, ()))
+        while todo:
+            callee = todo.pop()
+            if callee not in reached:
+                reached.add(callee)
+                todo += calls.get(callee, ())
+        assert name not in reached, name
 
 
 def _stats_functions():
