@@ -97,7 +97,6 @@ _EXPORTS = {
         "UniformNoise",
         "evaluate_factorization",
         "format_scm",
-        "ihdp_surfaces",
         "oracle_cate",
         "parse_scm",
         "sample",
@@ -114,7 +113,6 @@ _EXPORTS = {
         "cusum_linearity_test",
         "jarque_bera_test",
         "ks_test",
-        "partial_correlation",
         "partial_correlation_ci_test",
         "recursive_residuals",
         "residual_independence_test",

@@ -34,6 +34,7 @@ from .lattice import (
     PayloadConflictError,
     Transition,
     TransitionKind,
+    _count,
     _read_json,
     _shortfall,
     join_states,
@@ -191,7 +192,7 @@ def plan_pipeline(
     full set of shortest plans sorted by their id sequences.  Relaxing cards
     take part like any other; auditing tells them apart.
     """
-    if max_len is not None and max_len < 0:
+    if max_len is not None and _count(max_len, "max_len") < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     # Each state of the newest layer maps to every shortest sequence reaching it.
     layer = {start: [()]}

@@ -722,7 +722,8 @@ def parse_constraints(text: str, variables: Iterable[str]) -> IndependenceSet:
         not C _||_ D | *      # dependence for *every* conditioning subset
 
     The conditioning part after ``|`` is a comma- or space-separated list;
-    ``*`` expands to every subset of the remaining declared variables.
+    ``*`` expands to every subset of the remaining declared variables, and a
+    ``*`` line is refused when more than ``_MEC_MAX_NODES`` are declared.
     """
     names = sorted({_check_name(v) for v in variables})
     name_set = set(names)
@@ -747,7 +748,10 @@ def parse_constraints(text: str, variables: Iterable[str]) -> IndependenceSet:
                 raise GraphFormatError(lineno, f"undeclared variable {v!r}")
         given_sets = [given]
         if every:
-            rest = [v for v in names if v not in (x, y)]
+            try:  # refused before 2^(n-2) statements are built
+                rest = [v for v in _enumeration_names(names) if v not in (x, y)]
+            except ValueError as exc:
+                raise GraphFormatError(lineno, str(exc)) from None
             given_sets = [z for k in range(len(rest) + 1) for z in itertools.combinations(rest, k)]
         try:
             statements.extend(IndependenceStatement(x, y, frozenset(z), holds) for z in given_sets)
@@ -827,7 +831,9 @@ def unroll(template: TemporalTemplate, steps: int) -> Dag:
     their qualifier's steps; cross-step edges join consecutive steps.  The
     result is validated as a DAG, so a within-step cycle fails loudly.
     """
-    if steps < 1:
+    from .lattice import _count  # deferred: dsep and mec load graphs alone
+
+    if _count(steps, "steps") < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     nodes: dict[str, tuple[str, int]] = {}
     for role, t in itertools.product(sorted(template.roles), range(1, steps + 1)):

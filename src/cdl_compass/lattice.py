@@ -146,10 +146,21 @@ def _real(value: Any, name: str) -> float:
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def _count(value: Any, name: str, kind: str = "an integer") -> int:
+    """``value`` as a Python int if it is an integer, not a bool (numpy integers
+    included), else a ``ValueError``: ``<name> must be <kind>, got <value>``.
+    Every count and seed is read by this rule, and then states its own range."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _validate_structural_payload(tag: StructuralTag, payload: Any) -> None:
     if payload is None:
         return
-    # Deferred import: graphs does not depend on this module, so the cycle is safe.
+    # Deferred import: graphs imports this module only inside ``unroll``, so the cycle is safe.
     from . import graphs
 
     if tag is StructuralTag.UNKNOWN:

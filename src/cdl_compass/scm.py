@@ -6,7 +6,7 @@ noise specification per exogenous source, a ``NormalNoise`` or
 parametric knowledge levels:
 
 * ``noise_model`` — additive form ``target = g(parents) + U`` with ``g``
-  held as an expression AST;
+  held as an expression, a flat post-order program;
 * ``fully_known`` — an explicit expression for the whole right-hand side,
   which may reference noise symbols ``U_<key>`` directly;
 * ``nonparametric`` / ``parametric`` — declared shape only (no expression);
@@ -57,7 +57,7 @@ from .expressions import (
 )
 from .graphs import _NAME, Dag, GraphFormatError, Pdag, _check_name, _content_lines
 from .graphs import _graph_of_lines, format_graph
-from .lattice import ParametricTag, _check_type, _real
+from .lattice import ParametricTag, _check_type, _count, _real
 from .stats import NormalNoise, UniformNoise, _stream
 
 
@@ -426,7 +426,7 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
     only the noise symbols that fully-known equations name.  Models holding
     any equation below the noise-model level cannot be sampled.
     """
-    if n < 0:
+    if _count(n, "sample size") < 0:
         raise ValueError(f"sample size must be non-negative, got {n}")
     for target, eq in m.equations.items():
         if eq.expr is None:
@@ -465,27 +465,7 @@ def sample(m: Scm, n: int, seed: int = 0) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Treatment-effect surfaces
-
-
-def ihdp_surfaces(
-    x: Sequence[float],
-    m: Sequence[float],
-    beta: Sequence[float],
-    omega: float,
-) -> tuple[float, float]:
-    """Semi-synthetic benchmark response surfaces for one covariate vector.
-
-    Control: ``mu0 = exp((x + m) . beta)``; treated: ``mu1 = x . beta + omega``.
-    """
-    xv = np.asarray(x, dtype=float)
-    mv = np.asarray(m, dtype=float)
-    bv = np.asarray(beta, dtype=float)
-    if xv.shape != mv.shape or xv.shape != bv.shape or xv.ndim != 1:
-        raise ValueError("x, m, and beta must be vectors of one common length")
-    mu0 = float(np.exp((xv + mv) @ bv))
-    mu1 = float(xv @ bv + omega)
-    return mu0, mu1
+# Treatment-effect oracle
 
 
 def oracle_cate(
@@ -525,7 +505,7 @@ def oracle_cate(
             needed.add(name)
 
     # Without noise the draws are empty and each equation gives one float.
-    if needed and n_mc < 1:
+    if _count(n_mc, "n_mc") < 1 and needed:
         raise ValueError(f"n_mc must be positive, got {n_mc}")
     draws = {noise_symbol(key): _draws(m, key, seed, n_mc) for key in sorted(needed)}
     y0, y1 = (_equation_value(name, eq, x, draws) for name, eq in outcome.items())

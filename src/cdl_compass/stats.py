@@ -8,8 +8,8 @@ sub-reports that carry extra diagnostics without affecting the decision.
 
 Tests provided:
 
-* one-sample Kolmogorov–Smirnov against an arbitrary CDF (exact small-n
-  p-values, asymptotic beyond n = 35);
+* one-sample Kolmogorov–Smirnov against an arbitrary CDF (exact p-values
+  for n below 35, the asymptotic law from n = 35 on);
 * Jarque–Bera normality (moment-based, chi-square with 2 df);
 * CUSUM-of-recursive-residuals linearity check with drifting boundaries
   and an analytic boundary-crossing p-value;
@@ -49,6 +49,7 @@ from .lattice import (
     TestabilityTier,
     _check_type,
     _json_object,
+    _count,
     _Labelled,
     _real,
     testability_tier,
@@ -188,8 +189,9 @@ def _as_pair(a, b, minimum: int, names=("x", "y")) -> tuple[np.ndarray, np.ndarr
 
 def _stream(seed: int, label: str | None = None) -> np.random.Generator:
     """``default_rng(seed)``, or with ``label`` a substream keyed by seed and SHA-256(label)."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    rule = "a non-negative integer"
+    if _count(seed, "seed", rule) < 0:
+        raise ValueError(f"seed must be {rule}, got {seed!r}")
     if label is None:
         return np.random.default_rng(seed)
     import hashlib
@@ -312,7 +314,7 @@ def ks_test(
     D is the sup distance between the empirical CDF and the reference,
     computed at the sample points from both sides.  The p-value uses the
     exact finite-n distribution for n below 35 and the asymptotic
-    Kolmogorov law above.
+    Kolmogorov law from n = 35 on.
     """
     xs = np.sort(_as_vector(values, "values"))
     n = xs.shape[0]
@@ -654,7 +656,7 @@ def residual_independence_test(
     null to carry any resolution.
     """
     xv, rv = _as_pair(x, residuals, 20, ("x", "residuals"))
-    if n_permutations < 1:
+    if _count(n_permutations, "n_permutations") < 1:
         raise ValueError(f"n_permutations must be positive, got {n_permutations}")
     problem = _IndependenceProblem.of(xv, rv)
     (hits,) = _permutation_hits([problem], n_permutations, seed)
@@ -731,23 +733,6 @@ def anm_direction(
 
 # ---------------------------------------------------------------------------
 # Gaussian conditional independence
-
-
-def partial_correlation(
-    data: Mapping[str, Sequence[float]] | "object",
-    x: str,
-    y: str,
-    given: Sequence[str] = (),
-) -> float:
-    """Partial correlation of x and y given a conditioning set.
-
-    Computed from the inverse of the correlation matrix over the involved
-    variables; too few samples and collinear or constant inputs are rejected.
-    """
-    columns = _columns(data, (x, y, *given))
-    if columns[0].shape[0] < 2:
-        raise ValueError(f"need at least 2 samples for a correlation, got {columns[0].shape[0]}")
-    return _partial_correlation(columns)
 
 
 def _partial_correlation(columns: list[np.ndarray]) -> float:

@@ -13,6 +13,9 @@ one assignment at a time.
 ``sample_by_level`` and ``oracle_cate_by_level`` cross-check ``sample`` and
 ``oracle_cate``: each states the equation levels' rule itself, one branch
 per level, and shares no code with ``scm._equation_value``.
+
+``ihdp_surfaces`` states the semi-synthetic IHDP response surfaces in numpy,
+the reference that a model's two ``:=`` outcome equations are checked against.
 """
 
 from __future__ import annotations
@@ -158,3 +161,12 @@ def oracle_cate_by_level(m: Scm, x, n_mc: int = 10000, seed: int = 0) -> float:
         else:
             results[name] = _evaluate(name, eq, env)
     return float(np.mean(results["Y1"] - results["Y0"]))
+
+
+def ihdp_surfaces(x, m, beta, omega: float) -> tuple[float, float]:
+    """Control ``mu0 = exp((x + m) . beta)`` and treated ``mu1 = x . beta + omega``
+    for one covariate vector."""
+    xv, mv, bv = (np.asarray(v, dtype=float) for v in (x, m, beta))
+    if xv.shape != mv.shape or xv.shape != bv.shape or xv.ndim != 1:
+        raise ValueError("x, m, and beta must be vectors of one common length")
+    return float(np.exp((xv + mv) @ bv)), float(xv @ bv + omega)

@@ -478,6 +478,28 @@ class TestConstraintText:
         assert len(s.statements) == 4
         assert all(not t.holds for t in s.statements)
 
+    @pytest.mark.parametrize("count", [8, 30])
+    def test_star_beyond_the_cap_is_refused_before_it_expands(self, count, monkeypatch):
+        # At 30 names a "| *" line would state 2^28 statements; its subsets
+        # must never be listed, so listing more than the cap allows fails.
+        from cdl_compass import graphs
+
+        class Guarded:
+            def __getattr__(self, name):
+                return getattr(itertools, name)
+
+            @staticmethod
+            def combinations(items, k):
+                assert len(items) <= graphs._MEC_MAX_NODES - 2, "a '| *' line expanded past the cap"
+                return itertools.combinations(items, k)
+
+        monkeypatch.setattr(graphs, "itertools", Guarded())
+        names = [f"V{i}" for i in range(count)]
+        with pytest.raises(GraphFormatError) as exc:
+            parse_constraints("V0 _||_ V2\nnot V0 _||_ V1 | *\n", names)
+        assert str(exc.value) == f"line 2: {count} variables exceed the enumeration cap of 7"
+        assert len(parse_constraints("not V0 _||_ V1 | *\n", names[:7]).statements) == 32
+
     def test_comma_and_space_given(self):
         a = parse_constraints("A _||_ B | C, D\n", ["A", "B", "C", "D"])
         b = parse_constraints("A _||_ B | C D\n", ["A", "B", "C", "D"])

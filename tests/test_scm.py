@@ -25,12 +25,12 @@ from cdl_compass.scm import (
     UniformNoise,
     evaluate_factorization,
     format_scm,
-    ihdp_surfaces,
     oracle_cate,
     parse_scm,
     sample,
     scopes_consistent_with_dag,
 )
+from helpers_scm import ihdp_surfaces
 
 LINEAR_MODEL = """\
 graph:

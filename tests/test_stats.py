@@ -22,7 +22,6 @@ from cdl_compass.stats import (
     gaussian_cdf,
     jarque_bera_test,
     ks_test,
-    partial_correlation,
     partial_correlation_ci_test,
     recursive_residuals,
     residual_independence_test,
@@ -134,12 +133,12 @@ class TestReportPlumbing:
                 "n_permutations must be positive, got 0",
             ),
             (
-                lambda: partial_correlation({"x": [0.0, 1.0], "y": [1.0, 0.0]}, "x", "z"),
+                lambda: partial_correlation_ci_test({"x": [0.0, 1.0], "y": [1.0, 0.0]}, "x", "z"),
                 ValueError,
                 "unknown variable 'z'",
             ),
             (
-                lambda: partial_correlation({"x": [0.0, 1.0], "y": [1.0]}, "x", "y"),
+                lambda: partial_correlation_ci_test({"x": [0.0, 1.0], "y": [1.0]}, "x", "y"),
                 ValueError,
                 "variables have unequal lengths",
             ),
@@ -717,8 +716,8 @@ class TestPartialCorrelation:
         rng = np.random.default_rng(18)
         x = rng.normal(size=50)
         data = {"x": x, "y": x}
-        assert partial_correlation(data, "x", "y") == 1.0
         r = partial_correlation_ci_test(data, "x", "y")
+        assert r.statistic == 1.0
         assert r.decision is Decision.REJECT_NULL
         assert r.p_value == 0.0
 
@@ -736,7 +735,7 @@ class TestPartialCorrelation:
     def test_negative_perfect(self):
         rng = np.random.default_rng(19)
         x = rng.normal(size=50)
-        assert partial_correlation({"x": x, "y": -x}, "x", "y") == -1.0
+        assert partial_correlation_ci_test({"x": x, "y": -x}, "x", "y").statistic == -1.0
 
     def test_matches_residual_regression_route(self):
         # Independent definition: correlate the two variables' least-squares
@@ -747,7 +746,7 @@ class TestPartialCorrelation:
         x = z1 + 0.5 * z2 + rng.normal(size=200)
         y = -z1 + rng.normal(size=200)
         data = {"x": x, "y": y, "z1": z1, "z2": z2}
-        rho = partial_correlation(data, "x", "y", ["z1", "z2"])
+        rho = partial_correlation_ci_test(data, "x", "y", ["z1", "z2"]).statistic
         design = np.column_stack([np.ones(200), z1, z2])
         rx = x - design @ np.linalg.lstsq(design, x, rcond=None)[0]
         ry = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
@@ -760,8 +759,8 @@ class TestPartialCorrelation:
         y = x + rng.normal(size=5000)
         z = y + rng.normal(size=5000)
         data = {"x": x, "y": y, "z": z}
-        assert abs(partial_correlation(data, "x", "z", ["y"])) < 0.05
         r = partial_correlation_ci_test(data, "x", "z", ["y"])
+        assert abs(r.statistic) < 0.05
         assert r.decision is Decision.FAIL_TO_REJECT
         # and without conditioning the dependence is obvious
         assert (
@@ -770,18 +769,18 @@ class TestPartialCorrelation:
 
     def test_constant_variable(self):
         with pytest.raises(ValueError, match="constant"):
-            partial_correlation({"x": np.ones(30), "y": np.arange(30.0)}, "x", "y")
+            partial_correlation_ci_test({"x": np.ones(30), "y": np.arange(30.0)}, "x", "y")
 
     def test_collinear_conditioners(self):
         rng = np.random.default_rng(22)
         x = rng.normal(size=30)
         y = rng.normal(size=30)
         with pytest.raises(ValueError, match="singular|collinear"):
-            partial_correlation({"x": x, "y": y, "a": x}, "x", "y", ["a"])
+            partial_correlation_ci_test({"x": x, "y": y, "a": x}, "x", "y", ["a"])
 
     def test_distinct_variables_required(self):
         with pytest.raises(ValueError, match="distinct"):
-            partial_correlation({"x": np.arange(30.0)}, "x", "x")
+            partial_correlation_ci_test({"x": np.arange(30.0)}, "x", "x")
 
     def test_sample_size_floor(self):
         rng = np.random.default_rng(23)
@@ -798,15 +797,6 @@ class TestPartialCorrelation:
             with pytest.raises(ValueError) as exc:
                 partial_correlation_ci_test(data, "x", "y")
         assert str(exc.value) == f"need more than 3 samples for 0 conditioners, got {rows}"
-
-    @pytest.mark.parametrize("rows", [0, 1])
-    def test_correlation_needs_two_samples(self, rows):
-        data = {"x": np.arange(float(rows)), "y": np.arange(float(rows))}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as exc:
-                partial_correlation(data, "x", "y")
-        assert str(exc.value) == f"need at least 2 samples for a correlation, got {rows}"
 
     def test_details_record_conditioning(self):
         rng = np.random.default_rng(24)
@@ -848,7 +838,11 @@ INPUT_RULE_CALLS = {
     "recursive_residuals": (("x", "y"), lambda v: recursive_residuals(v["x"], v["y"])),
     "resid": (("x", "residuals"), lambda v: residual_independence_test(v["x"], v["residuals"])),
     "anm": (("x", "y"), lambda v: anm_direction(v["x"], v["y"])),
-    "partial_correlation": (("x", "y", "z"), lambda v: partial_correlation(v, "x", "y", ["z"])),
+    # the partial correlation itself, which is the pcorr report's statistic
+    "partial_correlation": (
+        ("x", "y", "z"),
+        lambda v: partial_correlation_ci_test(v, "x", "y", ["z"]).statistic,
+    ),
     "pcorr": (("x", "y", "z"), lambda v: partial_correlation_ci_test(v, "x", "y", ["z"])),
 }
 

@@ -19,7 +19,8 @@ card, a knowledge state and a test report are read as JSON objects by one key
 rule, ``lattice._json_object``; each field is checked by the type that
 holds it, the same for a value built in code as for one read from JSON; and
 every value type reads a number by one rule, ``lattice._real``, with a report
-holding only finite numbers; and a report field that follows from the others
+holding only finite numbers, and every count and seed by one rule,
+``lattice._count``; and a report field that follows from the others
 is a property computed from them, not a field that could contradict them,
 so the decision rule ``p_value < alpha`` is written once; and each value
 type has one way in, its constructor, which holds every tuple or frozenset
@@ -44,8 +45,15 @@ import numpy as np
 import pytest
 
 import cdl_compass
+from cdl_compass import stats
 from cdl_compass.cli import main
-from cdl_compass.engine import AuditReport, StageRecord, ValidationReport, validate_pipeline
+from cdl_compass.engine import (
+    AuditReport,
+    StageRecord,
+    ValidationReport,
+    plan_pipeline,
+    validate_pipeline,
+)
 from cdl_compass.expressions import (
     EvaluationError,
     Expression,
@@ -59,6 +67,8 @@ from cdl_compass.graphs import (
     IndependenceStatement,
     Pdag,
     TemporalTemplate,
+    hidden_confounder_template,
+    unroll,
 )
 from cdl_compass.lattice import (
     KnowledgeState,
@@ -80,6 +90,7 @@ from cdl_compass.registry import (
     default_catalog,
 )
 from cdl_compass.scm import (
+    Dataset,
     Factor,
     Factorization,
     StructuralEquation,
@@ -966,6 +977,45 @@ def test_value_types_call_float_on_no_field():
             ):
                 sites.append(f"{path.name}:{scope}")
     assert sites == ["scm.py:Factor._values", "scm.py:Factor.evaluate"]
+
+
+# ---------------------------------------------------------------------------
+# One count rule, lattice._count
+
+GOAL = knowledge_state("plausible", "nonparametric", "static")
+# Each site: a call with one count, and the start of its refusal.
+COUNT_SITES = {
+    "unroll": (lambda v: unroll(hidden_confounder_template(), v), "steps must be an integer"),
+    "sample": (lambda v: sample(parse_scm(SEEDED_MODEL), v), "sample size must be an integer"),
+    "resid": (
+        lambda v: residual_independence_test(XS, XS**2, n_permutations=v).to_mapping(),
+        "n_permutations must be an integer",
+    ),
+    "oracle_cate": (lambda v: oracle_cate(parse_scm(SEEDED_MODEL), {}, n_mc=v), "n_mc must be an integer"),
+    "plan_pipeline": (
+        lambda v: plan_pipeline(default_catalog(), STATE, GOAL, max_len=v),
+        "max_len must be an integer",
+    ),
+    "stream": (lambda v: stats._stream(v).random(), "seed must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2"])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_every_count_is_read_by_one_rule(site, value):
+    call, refusal = COUNT_SITES[site]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{refusal}, got {value!r}"
+
+
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_numpy_integer_counts_give_what_ints_give(site):
+    call, _ = COUNT_SITES[site]
+    got, want = call(np.int64(2)), call(2)
+    if isinstance(want, Dataset):
+        got, want = got.to_csv(), want.to_csv()
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
